@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -121,11 +122,10 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
 class OutputSink:
     """Collects output files and writes the manifest at the end."""
 
-    def __init__(self, out_dir: str, subcommand: str, cfg: dict, seed: int):
+    def __init__(self, out_dir: str, subcommand: str, cfg: dict):
         self.out_dir = out_dir
         self.subcommand = subcommand
         self.cfg = cfg
-        self.seed = seed
         self.checksums: dict[str, str] = {}
         os.makedirs(out_dir, exist_ok=True)
 
@@ -145,8 +145,7 @@ class OutputSink:
         """Binary snapshot: little-endian header (n int64; L, t, walltime
         float64) then interleaved re/im float64 coefficients in increasing
         frequency order.  The walltime bytes are skipped by the checksum."""
-        order = np.argsort(field.grid.frequencies)
-        c = field.coeffs[order]
+        c = np.fft.fftshift(field.coeffs)
         inter = np.empty(2 * c.size)
         inter[0::2] = c.real
         inter[1::2] = c.imag
@@ -166,7 +165,6 @@ class OutputSink:
         manifest = {
             "subcommand": self.subcommand,
             "config": {k: (v if isinstance(v, (str, int)) else float(v)) for k, v in self.cfg.items()},
-            "seed": self.seed,
             "version": __version__,
             "outputs": self.checksums,
         }
@@ -181,11 +179,7 @@ def read_snapshot(path: str) -> SpectralField:
         n, half_length, t, _walltime = struct.unpack("<qddd", f.read(32))
         inter = np.frombuffer(f.read(), dtype="<f8")
     c_sorted = inter[0::2] + 1j * inter[1::2]
-    grid = Grid(n, half_length)
-    order = np.argsort(grid.frequencies)
-    coeffs = np.empty(n, dtype=complex)
-    coeffs[order] = c_sorted
-    return SpectralField(grid, coeffs, t)
+    return SpectralField(Grid(n, half_length), np.fft.ifftshift(c_sorted), t)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +291,22 @@ def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
 
 
 def run_evolve(cfg: dict, sink: OutputSink) -> int:
+    if cfg["snapshots"] not in ("dyadic", "none"):
+        raise ValidationError(f"snapshots must be 'dyadic' or 'none', got '{cfg['snapshots']}'")
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     scfg = solver.SolverConfig(
-        dt=float(cfg["dt"]),
-        t_end=float(cfg["t_end"]),
-        record_stride=int(cfg["record_stride"]),
-        epsilon=float(cfg["epsilon"]),
-        s=float(cfg["s"]),
+        dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=int(cfg["record_stride"])
     )
     if scfg.t_end <= 1.0:
         raise ValidationError("t_end must exceed the initial time 1")
-    profile_kind = str(cfg["profile"])
+    epsilon, profile_kind = float(cfg["epsilon"]), str(cfg["profile"])
     if profile_kind == "gaussian":
-        u0 = solver.gaussian_data(grid, scfg.epsilon, float(cfg["width"]), float(cfg["carrier"]))
+        u0 = solver.gaussian_data(grid, epsilon, float(cfg["width"]), float(cfg["carrier"]))
     elif profile_kind == "near-sqrt3":
-        u0 = solver.gaussian_data(grid, scfg.epsilon, float(cfg["width"]), SQRT3)
+        u0 = solver.gaussian_data(grid, epsilon, float(cfg["width"]), SQRT3)
     else:
         raise ValidationError(f"unknown initial-data family '{profile_kind}'")
-    rec = diagnostics.Recorder(s=scfg.s, discrete_dt=scfg.dt)
+    rec = diagnostics.Recorder(s=float(cfg["s"]), discrete_dt=scfg.dt)
     final = solver.evolve(u0, scfg, rec)
     lines = ["t,linf_fhat,weighted_l2,sobolev_s,sup_u"]
     for smp in rec.samples:
@@ -333,10 +325,8 @@ def run_evolve(cfg: dict, sink: OutputSink) -> int:
 
 def run_scatter(cfg: dict, sink: OutputSink) -> int:
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
-    scfg = solver.SolverConfig(
-        dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=1, epsilon=float(cfg["epsilon"])
-    )
-    u0 = solver.gaussian_data(grid, scfg.epsilon, float(cfg["width"]))
+    scfg = solver.SolverConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=1)
+    u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), float(cfg["width"]))
     rec = diagnostics.Recorder(discrete_dt=scfg.dt)
     solver.evolve(u0, scfg, rec)
     rows = diagnostics.scattering_test(rec.profiles)
@@ -396,71 +386,61 @@ def run_verify_estimates(cfg: dict, sink: OutputSink) -> int:
 # Figure data
 # ---------------------------------------------------------------------------
 
-def _figure_data(fig_id: int, n_points: int):
-    """(header, columns) for each numbered figure target.
+#: Positive-domain ranges of the scalar functions of eta; the negative side
+#: follows by oddness.
+_ETA_NEAR = (1.0 + 1e-3, 10.0)
+_ETA_FAR = (1.05, 50.0)
 
-    Odd-frequency scalar functions are shown on their positive domain; the
-    negative side follows by oddness.
-    """
-    aux3 = resonance.aux_phase_sqrt3
-    if fig_id == 1:
-        x = np.linspace(-10.0, 10.0, n_points)
-        return "xi,group_velocity", [x, omega_prime(x)]
-    if fig_id == 2:
-        x = np.linspace(-20.0, 20.0, n_points)
-        return "xi,phase_ppp,phase_mpp", [x, aux3((1, 1, 1), x), aux3((-1, 1, 1), x)]
-    if fig_id == 3:
-        eta0 = resonance.anomalous_resonance().representative_points[0].eta1
-        x = np.linspace(-40.0, 40.0, n_points)
-        return (
-            "xi,phase_ppp,phase_pmm",
-            [x, resonance.aux_phase_anomalous((1, 1, 1), x, eta0), resonance.aux_phase_anomalous((1, -1, -1), x, eta0)],
-        )
-    if fig_id == 4:
-        x = np.linspace(1.0 + 1e-3, 10.0, n_points)
-        return "eta,reflection", [x, reflection(x)]
-    if fig_id == 5:
-        x = np.linspace(1.0 + 1e-3, 10.0, n_points)
-        return "eta,partner_sum", [x, 3.0 * x + reflection(x)]
-    if fig_id == 6:
-        x = np.linspace(1.05, 50.0, n_points)
-        return "eta,triple_sum_phase", [x, resonance.scalar_function("triple-sum", x)]
-    if fig_id == 7:
-        x = np.linspace(1.0 + 1e-3, 10.0, n_points)
-        return "eta,partner_diff", [x, 3.0 * x - reflection(x)]
-    if fig_id == 8:
-        x = np.linspace(4.5, 5.7, n_points)
-        return "eta,partner_diff", [x, 3.0 * x - reflection(x)]
-    if fig_id == 9:
-        x = np.linspace(1.25, 50.0, n_points)
-        return "eta,triple_diff_phase", [x, resonance.scalar_function("triple-diff", x)]
-    if fig_id == 10:
-        x = np.linspace(1.0 + 1e-3, 10.0, n_points)
-        return "eta,partner_neg_diff", [x, -x + reflection(x)]
-    if fig_id == 11:
-        x = np.linspace(1.05, 50.0, n_points)
-        return "eta,single_diff_phase", [x, resonance.scalar_function("single-diff", x)]
-    if fig_id == 12:
-        x = np.linspace(1.0 + 1e-3, 10.0, n_points)
-        return "eta,partner_neg_sum", [x, -x - reflection(x)]
-    if fig_id == 13:
-        x = np.linspace(1.05, 50.0, n_points)
-        return "eta,single_sum_phase", [x, resonance.scalar_function("single-sum", x)]
-    if fig_id == 14:
-        eta0 = resonance.anomalous_resonance().representative_points[0].eta1
-        xi0 = resonance.anomalous_resonance().representative_points[0].xi
-        x = np.linspace(xi0 - 2.0, xi0 + 2.0, n_points)
-        return "xi,phase_ppp", [x, resonance.aux_phase_anomalous((1, 1, 1), x, eta0)]
-    if fig_id == 15:
-        x = np.linspace(5.05, 5.22, n_points)
-        return "eta,triple_diff_phase", [x, resonance.scalar_function("triple-diff", x)]
-    if fig_id == 16:
-        x = np.linspace(1.05, 50.0, n_points)
-        return "eta,double_sum_phase", [x, resonance.scalar_function("double-sum", x)]
-    if fig_id == 17:
-        x = np.linspace(1.05, 50.0, n_points)
-        return "eta,double_diff_phase", [x, resonance.scalar_function("double-diff", x)]
-    raise ValidationError(f"figure id must be in 1..17, got {fig_id}")
+
+def _scalar(name: str):
+    return lambda x, anomalous: resonance.scalar_function(name, x)
+
+
+def _aux_anomalous(signs: tuple[int, int, int]):
+    return lambda x, anomalous: resonance.aux_phase_anomalous(signs, x, anomalous().eta1)
+
+
+#: Figure id -> (header, x range, columns).  A column maps (x, anomalous) to
+#: its values, where anomalous() returns the anomalous point, computed at most
+#: once per figure; the x range is a (lo, hi) pair or a function of
+#: anomalous.  Functions of ``resonance`` are looked up at call time.
+_FIGURES = {
+    1: ("xi,group_velocity", (-10.0, 10.0), [lambda x, anomalous: omega_prime(x)]),
+    2: (
+        "xi,phase_ppp,phase_mpp",
+        (-20.0, 20.0),
+        [
+            lambda x, anomalous: resonance.aux_phase_sqrt3((1, 1, 1), x),
+            lambda x, anomalous: resonance.aux_phase_sqrt3((-1, 1, 1), x),
+        ],
+    ),
+    3: ("xi,phase_ppp,phase_pmm", (-40.0, 40.0), [_aux_anomalous((1, 1, 1)), _aux_anomalous((1, -1, -1))]),
+    4: ("eta,reflection", _ETA_NEAR, [lambda x, anomalous: reflection(x)]),
+    5: ("eta,partner_sum", _ETA_NEAR, [lambda x, anomalous: 3.0 * x + reflection(x)]),
+    6: ("eta,triple_sum_phase", _ETA_FAR, [_scalar("triple-sum")]),
+    7: ("eta,partner_diff", _ETA_NEAR, [lambda x, anomalous: 3.0 * x - reflection(x)]),
+    8: ("eta,partner_diff", (4.5, 5.7), [lambda x, anomalous: 3.0 * x - reflection(x)]),
+    9: ("eta,triple_diff_phase", (1.25, 50.0), [_scalar("triple-diff")]),
+    10: ("eta,partner_neg_diff", _ETA_NEAR, [lambda x, anomalous: -x + reflection(x)]),
+    11: ("eta,single_diff_phase", _ETA_FAR, [_scalar("single-diff")]),
+    12: ("eta,partner_neg_sum", _ETA_NEAR, [lambda x, anomalous: -x - reflection(x)]),
+    13: ("eta,single_sum_phase", _ETA_FAR, [_scalar("single-sum")]),
+    14: ("xi,phase_ppp", lambda anomalous: (anomalous().xi - 2.0, anomalous().xi + 2.0), [_aux_anomalous((1, 1, 1))]),
+    15: ("eta,triple_diff_phase", (5.05, 5.22), [_scalar("triple-diff")]),
+    16: ("eta,double_sum_phase", _ETA_FAR, [_scalar("double-sum")]),
+    17: ("eta,double_diff_phase", _ETA_FAR, [_scalar("double-diff")]),
+}
+
+
+def _figure_data(fig_id: int, n_points: int):
+    """(header, columns) for each numbered figure target."""
+    if fig_id not in _FIGURES:
+        raise ValidationError(f"figure id must be in 1..17, got {fig_id}")
+    header, x_range, columns = _FIGURES[fig_id]
+    anomalous = functools.cache(lambda: resonance.anomalous_resonance().representative_points[0])
+    lo, hi = x_range(anomalous) if callable(x_range) else x_range
+    x = np.linspace(lo, hi, n_points)
+    return header, [x] + [column(x, anomalous) for column in columns]
 
 
 def run_figures(cfg: dict, sink: OutputSink) -> int:
@@ -480,99 +460,49 @@ def run_figures(cfg: dict, sink: OutputSink) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+#: Subcommand -> (runner, help line).
 _RUNNERS = {
-    "resonances": run_resonances,
-    "linear-decay": run_linear_decay,
-    "evolve": run_evolve,
-    "scatter": run_scatter,
-    "verify-estimates": run_verify_estimates,
-    "figures": run_figures,
+    "resonances": (run_resonances, "emit the resonance census"),
+    "linear-decay": (run_linear_decay, "linear dispersive decay scan"),
+    "evolve": (run_evolve, "nonlinear evolution with diagnostics"),
+    "scatter": (run_scatter, "scattering Cauchy test"),
+    "verify-estimates": (run_verify_estimates, "decay-bound ratio sweep"),
+    "figures": (run_figures, "emit figure-underlying data"),
 }
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="INI config file")
-    sp.add_argument("--output-dir", dest="output_dir", help="output directory")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a configuration error (exit 1): argparse's own
+    exit code 2 is the documented code for a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gbbmlab", description=__doc__.splitlines()[0])
+    """One flag per config key of each subcommand (``t_max`` is ``--t-max``),
+    typed by its default, plus ``--config`` and ``--output-dir``."""
+    p = _Parser(prog="gbbmlab", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("resonances", help="emit the resonance census")
-    sp.add_argument("--tol", type=float)
-    _add_common(sp)
-
-    sp = sub.add_parser("linear-decay", help="linear dispersive decay scan")
-    sp.add_argument("--profile", choices=["gaussian", "band", "near-sqrt3"])
-    sp.add_argument("--width", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--t-min", dest="t_min", type=float)
-    sp.add_argument("--t-max", dest="t_max", type=float)
-    sp.add_argument("--n-modes", dest="n_modes", type=int)
-    sp.add_argument("--half-length", dest="half_length", type=float)
-    _add_common(sp)
-
-    sp = sub.add_parser("evolve", help="nonlinear evolution with diagnostics")
-    for flag, kind in (
-        ("--n-modes", int),
-        ("--half-length", float),
-        ("--dt", float),
-        ("--t-end", float),
-        ("--epsilon", float),
-        ("--width", float),
-        ("--carrier", float),
-        ("--record-stride", int),
-        ("--s", float),
-    ):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=kind)
-    sp.add_argument("--profile", choices=["gaussian", "near-sqrt3"])
-    sp.add_argument("--snapshots", choices=["dyadic", "none"])
-    _add_common(sp)
-
-    sp = sub.add_parser("scatter", help="scattering Cauchy test")
-    for flag, kind in (
-        ("--n-modes", int),
-        ("--half-length", float),
-        ("--dt", float),
-        ("--t-end", float),
-        ("--epsilon", float),
-        ("--width", float),
-    ):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=kind)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify-estimates", help="decay-bound ratio sweep")
-    for flag, kind in (
-        ("--k-min", int),
-        ("--k-max", int),
-        ("--t-min", float),
-        ("--t-max", float),
-        ("--s", float),
-        ("--n-modes", int),
-        ("--half-length", float),
-        ("--width", float),
-    ):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=kind)
-    _add_common(sp)
-
-    sp = sub.add_parser("figures", help="emit figure-underlying data")
-    sp.add_argument("--id", type=int)
-    sp.add_argument("--n-points", dest="n_points", type=int)
-    _add_common(sp)
+    for name, (_, help_line) in _RUNNERS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for key, default in _DEFAULTS[name].items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default), help=f"default: {default}")
+        sp.add_argument("--config", help="INI config file")
+        sp.add_argument("--output-dir", dest="output_dir", help="output directory")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    sub = args.subcommand
     try:
+        args = build_parser().parse_args(argv)
+        sub = args.subcommand
         cfg = _merge_flags(_load_config(args.config, sub), args)
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"
-        sink = OutputSink(out_dir, sub, cfg, args.seed)
-        status = _RUNNERS[sub](cfg, sink)
+        sink = OutputSink(out_dir, sub, cfg)
+        status = _RUNNERS[sub][0](cfg, sink)
         sink.finalize()
         return status
     except (ValidationError, ValueError) as e:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import Grid, SpectralField
 
 
 @dataclass(frozen=True)
@@ -50,28 +50,26 @@ class GrowthBudget:
             raise ValueError("budget requires 0 < p1 and 0 < p0 < 1/6")
 
 
-def effective_sobolev_index(field: SpectralField, requested: float = 100.0) -> float:
-    """Cap the Sobolev index at what the grid resolves: the largest s with
-    <xi_Nyquist>^s |uhat(Nyquist band)| below overflow."""
-    xi_max = field.grid.nyquist
-    tail = float(np.max(np.abs(field.continuum_coeffs[np.abs(field.grid.frequencies) > 0.9 * xi_max])))
-    tail = max(tail, 1e-300)
-    s_grid = (math.log(1e300) + math.log(tail)) / math.log(1.0 + xi_max * xi_max) * 2.0
-    # s_grid solves <xi>^s * tail = 1e300 with <xi>^s = (1+xi^2)^(s/2)
-    return min(requested, max(0.0, s_grid))
+def linf_fhat(field: SpectralField) -> float:
+    """sup |fhat| in the continuum normalization."""
+    return float(np.max(np.abs(field.continuum_coeffs)))
+
+
+def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
+    """L2 norm of d fhat/d xi for continuum coefficients in fft order:
+    centered finite differences on the sorted frequency grid (one-sided at
+    the ends)."""
+    d = np.gradient(np.fft.fftshift(fhat), np.fft.fftshift(grid.frequencies))
+    return float(math.sqrt(np.sum(np.abs(d) ** 2) * grid.dxi))
 
 
 def weighted_l2(field: SpectralField) -> float:
-    """||x f||_2 via Plancherel: L2 norm of d fhat/d xi, centered finite
-    differences on the sorted frequency grid (one-sided at the ends)."""
-    xi = field.grid.frequencies
-    order = np.argsort(xi)
-    f = field.continuum_coeffs[order]
-    d = np.gradient(f, xi[order])
-    return float(math.sqrt(np.sum(np.abs(d) ** 2) * field.grid.dxi))
+    """||x f||_2 via Plancherel: the L2 norm of d fhat/d xi."""
+    return dxi_l2(field.grid, field.continuum_coeffs)
 
 
 def sobolev(field: SpectralField, s: float) -> float:
+    """H^s norm of the physical field via the frequency-side quadrature."""
     xi = field.grid.frequencies
     w = (1.0 + xi * xi) ** s
     return float(math.sqrt(np.sum(w * np.abs(field.continuum_coeffs) ** 2) * field.grid.dxi))
@@ -89,7 +87,7 @@ def compute_norms(profile: SpectralField, s: float = 10.0, physical: SpectralFie
     phys = physical if physical is not None else profile
     return NormSample(
         t=profile.time,
-        linf_fhat=float(np.max(np.abs(profile.continuum_coeffs))),
+        linf_fhat=linf_fhat(profile),
         weighted_l2=weighted_l2(profile),
         sobolev=sobolev(profile, s),
         sup_u=float(np.max(np.abs(phys.physical()))),
@@ -153,8 +151,9 @@ def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
 class Recorder:
     """Solver callback: tracks bootstrap-norm samples at every recorded
     step and keeps full profile snapshots at the requested times (default:
-    dyadic).  Snapshot times must land on recorded steps to within half a
-    record interval or they are matched to the nearest recorded state."""
+    dyadic).  A snapshot exists only where a recorded step lands on a
+    requested time (within 1e-9); a requested time between recorded steps
+    gets none."""
 
     def __init__(self, s: float = 10.0, snapshot_times=None, discrete_dt: float | None = None, t_start: float = 1.0):
         self.s = s

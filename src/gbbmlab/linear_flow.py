@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diagnostics
 from .dispersion import omega, omega_prime
 from .littlewood_paley import psi_k
 from .spectral import SpectralField
@@ -69,10 +70,8 @@ def _band_velocity_range(k: int) -> tuple[float, float]:
 
 def _profile_interpolator(field: SpectralField):
     """Complex linear interpolant of the continuum-normalized coefficients."""
-    xi = field.grid.frequencies
-    order = np.argsort(xi)
-    xi_sorted = xi[order]
-    c_sorted = field.continuum_coeffs[order]
+    xi_sorted = np.fft.fftshift(field.grid.frequencies)
+    c_sorted = np.fft.fftshift(field.continuum_coeffs)
 
     def fhat(q):
         re = np.interp(q, xi_sorted, c_sorted.real)
@@ -213,31 +212,6 @@ class DispersiveCaseBound:
         return self.lhs / self.rhs if self.rhs > 0 else math.inf
 
 
-def profile_sup(field: SpectralField) -> float:
-    """Global sup of |fhat| in the continuum normalization."""
-    return float(np.max(np.abs(field.continuum_coeffs)))
-
-
-def band_derivative_l2(field: SpectralField, k: int) -> float:
-    """L2 norm of d/dxi of the band-localized continuum coefficients,
-    by centered finite differences on the sorted frequency grid."""
-    xi = field.grid.frequencies
-    order = np.argsort(xi)
-    xi_s = xi[order]
-    fk = (field.continuum_coeffs * psi_k(k, xi))[order]
-    d = np.gradient(fk, xi_s)
-    return float(math.sqrt(np.sum(np.abs(d) ** 2) * field.grid.dxi))
-
-
-def sobolev_norm(field: SpectralField, s: float) -> float:
-    """H^s norm of the physical field via the frequency-side quadrature."""
-    xi = field.grid.frequencies
-    w = (1.0 + xi * xi) ** s
-    return float(
-        math.sqrt(np.sum(w * np.abs(field.continuum_coeffs) ** 2) * field.grid.dxi)
-    )
-
-
 def dispersive_bound(
     field: SpectralField, k: int, t: float, s: float = 5.5
 ) -> DispersiveCaseBound:
@@ -246,21 +220,20 @@ def dispersive_bound(
     t- and k- scalings are asserted by the verification)."""
     case = classify_case(k, t)
     lam = 2.0**k
-    fsup = profile_sup(field)
+    fsup = diagnostics.linf_fhat(field)
     if case == 1:
-        rhs = lam ** (-(s - 1.0)) * sobolev_norm(field, s)
-    elif case == 2:
-        rhs = t**-0.5 * lam**1.5 * fsup + t**-0.75 * lam**2.25 * band_derivative_l2(
-            field, k
-        )
-    elif case == 3:
-        rhs = t ** (-1.0 / 3.0) * fsup + t**-0.5 * band_derivative_l2(field, k)
-    elif case == 4:
-        rhs = t**-0.5 * lam**-0.5 * fsup + t**-0.75 * lam**-0.75 * band_derivative_l2(
-            field, k
-        )
-    else:
+        rhs = lam ** (-(s - 1.0)) * diagnostics.sobolev(field, s)
+    elif case == 5:
         rhs = lam * fsup
+    else:
+        # L2 norm of d/dxi of the band-localized profile
+        dk = diagnostics.dxi_l2(field.grid, field.continuum_coeffs * psi_k(k, field.grid.frequencies))
+        if case == 2:
+            rhs = t**-0.5 * lam**1.5 * fsup + t**-0.75 * lam**2.25 * dk
+        elif case == 3:
+            rhs = t ** (-1.0 / 3.0) * fsup + t**-0.5 * dk
+        else:
+            rhs = t**-0.5 * lam**-0.5 * fsup + t**-0.75 * lam**-0.75 * dk
     lhs, _ = sup_norm_of_piece(field, k, t)
     return DispersiveCaseBound(k=k, t=t, case=case, lhs=lhs, rhs=rhs)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -242,10 +242,23 @@ class ResonanceRecord:
         return True
 
 
-def _residuals(points: Sequence[PhasePoint]) -> tuple[float, float]:
-    rp = max(abs(phase(p)) for p in points)
-    rg = max(float(np.linalg.norm(phase_gradient(p))) for p in points)
-    return rp, rg
+def _record(label, family, subfamily, kind, classification, sampler, params, **extra) -> ResonanceRecord:
+    """A census record whose representative points are sampler(p) for each
+    parameter p (the parameters are the points themselves when sampler is
+    None), with the worst phase and gradient residuals over those points."""
+    pts = list(params) if sampler is None else [sampler(p) for p in params]
+    return ResonanceRecord(
+        label=label,
+        family=family,
+        subfamily=subfamily,
+        kind=kind,
+        classification=classification,
+        representative_points=pts,
+        residual_phase=max(abs(phase(p)) for p in pts),
+        residual_gradient=max(float(np.linalg.norm(phase_gradient(p))) for p in pts),
+        sampler=sampler,
+        **extra,
+    )
 
 
 def anomalous_resonance(tol: float = CLASSIFY_TOL) -> ResonanceRecord:
@@ -259,17 +272,14 @@ def anomalous_resonance(tol: float = CLASSIFY_TOL) -> ResonanceRecord:
         )
     eta0 = roots[0]
     xi0 = 3.0 * eta0 - reflection(eta0)
-    pt = PhasePoint(eta0, eta0, eta0, xi0)
-    rp, rg = _residuals([pt])
-    rec = ResonanceRecord(
-        label="anomalous-point",
-        family=1,
-        subfamily="equal-signs, partner 3*eta - r(eta)",
-        kind="point",
-        classification="space_time",
-        representative_points=[pt, PhasePoint(-eta0, -eta0, -eta0, -xi0)],
-        residual_phase=rp,
-        residual_gradient=rg,
+    rec = _record(
+        "anomalous-point",
+        1,
+        "equal-signs, partner 3*eta - r(eta)",
+        "point",
+        "space_time",
+        None,
+        [PhasePoint(eta0, eta0, eta0, xi0), PhasePoint(-eta0, -eta0, -eta0, -xi0)],
     )
     if not rec.consistent(tol):
         raise ArithmeticError("anomalous resonance residuals exceed tolerance")
@@ -295,71 +305,51 @@ def _curve_sampler(permuted: bool) -> Callable[[float], PhasePoint]:
     return sample
 
 
-# Pure-space families parametrized by the output frequency xi.  Each entry:
-# (label, family, subfamily, sampler(xi), xi domain test, sample xi values).
-def _space_family_samplers():
-    def quarter(xi):
-        return PhasePoint(xi / 4.0, xi / 4.0, xi / 4.0, xi)
+def _swapped(sampler: Callable[[float], PhasePoint]) -> Callable[[float], PhasePoint]:
+    """The sampler with input slots 1 and 3 exchanged."""
 
-    def half(xi):
-        return PhasePoint(xi / 2.0, xi / 2.0, xi / 2.0, xi)
+    def sample(p: float) -> PhasePoint:
+        pt = sampler(p)
+        return PhasePoint(pt.eta3, pt.eta2, pt.eta1, pt.xi)
 
-    def half_mixed(xi):
-        return PhasePoint(-xi / 2.0, xi / 2.0, xi / 2.0, xi)
-
-    def half_reflected(xi):
-        return PhasePoint(xi / 2.0, xi / 2.0, reflection(xi / 2.0), xi)
-
-    def half_antireflected(xi):
-        return PhasePoint(xi / 2.0, xi / 2.0, -reflection(xi / 2.0), xi)
-
-    def reflected_pair(xi):
-        r = reflection(xi / 2.0)
-        return PhasePoint(-r, r, xi / 2.0, xi)
-
-    any_xi = [1.0, 4.0, -3.0]
-    big_xi = [3.0, 5.0, -4.0]
-    return [
-        ("space-quarter", 1, "(xi/4, xi/4, xi/4)", quarter, any_xi),
-        ("space-half", 1, "(xi/2, xi/2, xi/2)", half, any_xi),
-        ("space-half-mixed", 1, "(-xi/2, xi/2, xi/2)", half_mixed, any_xi),
-        ("space-half-reflected", 2, "(xi/2, xi/2, r(xi/2))", half_reflected, big_xi),
-        ("space-half-antireflected", 2, "(xi/2, xi/2, -r(xi/2))", half_antireflected, big_xi),
-        ("space-reflected-pair", 2, "(-r(xi/2), r(xi/2), xi/2)", reflected_pair, big_xi),
-    ]
+    return sample
 
 
-# Implicit one-parameter space families (eta is the parameter; xi follows).
-# Each entry: (label, family, constraint label, sampler(eta), scalar check id).
-def _implicit_family_samplers():
-    def triple_sum_pt(eta):
-        return PhasePoint(eta, eta, eta, 3.0 * eta + reflection(eta))
+#: Pure-space families parametrized by the output frequency xi:
+#: (label, family, subfamily, sampler(xi)).
+_SPACE_FAMILIES = (
+    ("space-quarter", 1, "(xi/4, xi/4, xi/4)", lambda xi: PhasePoint(xi / 4.0, xi / 4.0, xi / 4.0, xi)),
+    ("space-half", 1, "(xi/2, xi/2, xi/2)", lambda xi: PhasePoint(xi / 2.0, xi / 2.0, xi / 2.0, xi)),
+    ("space-half-mixed", 1, "(-xi/2, xi/2, xi/2)", lambda xi: PhasePoint(-xi / 2.0, xi / 2.0, xi / 2.0, xi)),
+    ("space-half-reflected", 2, "(xi/2, xi/2, r(xi/2))",
+     lambda xi: PhasePoint(xi / 2.0, xi / 2.0, reflection(xi / 2.0), xi)),
+    ("space-half-antireflected", 2, "(xi/2, xi/2, -r(xi/2))",
+     lambda xi: PhasePoint(xi / 2.0, xi / 2.0, -reflection(xi / 2.0), xi)),
+    ("space-reflected-pair", 2, "(-r(xi/2), r(xi/2), xi/2)",
+     lambda xi: PhasePoint(-reflection(xi / 2.0), reflection(xi / 2.0), xi / 2.0, xi)),
+)
 
-    def triple_diff_pt(eta):
-        return PhasePoint(eta, eta, eta, 3.0 * eta - reflection(eta))
+#: Sample xi values per family; family 2 needs |xi/2| > 1 for r(xi/2).
+_SPACE_XIS = {1: (1.0, 4.0, -3.0), 2: (3.0, 5.0, -4.0)}
 
-    def single_diff_pt(eta):
-        return PhasePoint(eta, -eta, -eta, -eta + reflection(eta))
+#: Implicit one-parameter space families (eta is the parameter; xi follows):
+#: (label, family, constraint, sampler(eta), scalar phase certifying them).
+_IMPLICIT_FAMILIES = (
+    ("implicit-triple-sum", 1, "3 eta + r(eta) = xi",
+     lambda eta: PhasePoint(eta, eta, eta, 3.0 * eta + reflection(eta)), "triple-sum"),
+    ("implicit-triple-diff", 1, "3 eta - r(eta) = xi",
+     lambda eta: PhasePoint(eta, eta, eta, 3.0 * eta - reflection(eta)), "triple-diff"),
+    ("implicit-single-diff", 1, "-eta + r(eta) = xi",
+     lambda eta: PhasePoint(eta, -eta, -eta, -eta + reflection(eta)), "single-diff"),
+    ("implicit-single-sum", 1, "-eta - r(eta) = xi",
+     lambda eta: PhasePoint(eta, -eta, -eta, -eta - reflection(eta)), "single-sum"),
+    ("implicit-double-sum", 2, "2(eta + r(eta)) = xi",
+     lambda eta: PhasePoint(eta, eta, reflection(eta), 2.0 * (eta + reflection(eta))), "double-sum"),
+    ("implicit-double-diff", 2, "2(eta - r(eta)) = xi",
+     lambda eta: PhasePoint(eta, eta, -reflection(eta), 2.0 * (eta - reflection(eta))), "double-diff"),
+)
 
-    def single_sum_pt(eta):
-        return PhasePoint(eta, -eta, -eta, -eta - reflection(eta))
-
-    def double_sum_pt(eta):
-        r = reflection(eta)
-        return PhasePoint(eta, eta, r, 2.0 * (eta + r))
-
-    def double_diff_pt(eta):
-        r = reflection(eta)
-        return PhasePoint(eta, eta, -r, 2.0 * (eta - r))
-
-    return [
-        ("implicit-triple-sum", 1, "3 eta + r(eta) = xi", triple_sum_pt, "triple-sum"),
-        ("implicit-triple-diff", 1, "3 eta - r(eta) = xi", triple_diff_pt, "triple-diff"),
-        ("implicit-single-diff", 1, "-eta + r(eta) = xi", single_diff_pt, "single-diff"),
-        ("implicit-single-sum", 1, "-eta - r(eta) = xi", single_sum_pt, "single-sum"),
-        ("implicit-double-sum", 2, "2(eta + r(eta)) = xi", double_sum_pt, "double-sum"),
-        ("implicit-double-diff", 2, "2(eta - r(eta)) = xi", double_diff_pt, "double-diff"),
-    ]
+_IMPLICIT_ETAS = (1.5, SQRT3, 2.5, 6.0, -4.0)
 
 
 def enumerate_resonances(tol: float = CLASSIFY_TOL) -> list[ResonanceRecord]:
@@ -373,147 +363,61 @@ def enumerate_resonances(tol: float = CLASSIFY_TOL) -> list[ResonanceRecord]:
     only; each implicit family carries the scalar function certifying that
     its phase does not vanish away from the already-counted points.
     """
-    records: list[ResonanceRecord] = []
-
     # Space-time resonant line and its sign permutations.
-    line_etas = [0.5, 2.0, SQRT3, 10.0, -7.0]
-    for pos, derived in ((0, False), (1, True), (2, True)):
-        sampler = _line_sampler(pos)
-        pts = [sampler(e) for e in line_etas]
-        rp, rg = _residuals(pts)
-        records.append(
-            ResonanceRecord(
-                label="line" if not derived else f"line-sign-{pos}",
-                family=1,
-                subfamily="one negated frequency, xi = 0",
-                kind="line",
-                classification="space_time",
-                representative_points=pts,
-                residual_phase=rp,
-                residual_gradient=rg,
-                symmetry_derived=derived,
-                sampler=sampler,
-            )
-        )
-
+    records = [
+        _record("line" if pos == 0 else f"line-sign-{pos}", 1, "one negated frequency, xi = 0", "line",
+                "space_time", _line_sampler(pos), (0.5, 2.0, SQRT3, 10.0, -7.0), symmetry_derived=pos > 0)
+        for pos in (0, 1, 2)
+    ]
     # Space-time resonant curve and its permuted variant.
-    curve_etas = [1.2, 2.0, SQRT3, 5.0, -3.0]
-    for permuted in (False, True):
-        sampler = _curve_sampler(permuted)
-        pts = [sampler(e) for e in curve_etas]
-        rp, rg = _residuals(pts)
-        records.append(
-            ResonanceRecord(
-                label="curve" if not permuted else "curve-permuted",
-                family=1,
-                subfamily="reflected pair, xi = 0",
-                kind="curve",
-                classification="space_time",
-                representative_points=pts,
-                residual_phase=rp,
-                residual_gradient=rg,
-                symmetry_derived=permuted,
-                sampler=sampler,
-            )
+    records += [
+        _record("curve-permuted" if permuted else "curve", 1, "reflected pair, xi = 0", "curve", "space_time",
+                _curve_sampler(permuted), (1.2, 2.0, SQRT3, 5.0, -3.0), symmetry_derived=permuted)
+        for permuted in (False, True)
+    ]
+    # Distinguished points on the line, then the isolated anomalous pair.
+    records += [
+        _record(label, 1, "on the resonant line", "point", "space_time", None, [pt])
+        for label, pt in (
+            ("origin-point", PhasePoint(0.0, 0.0, 0.0, 0.0)),
+            ("inflection-point", PhasePoint(-SQRT3, SQRT3, SQRT3, 0.0)),
         )
-
-    # Distinguished points on the line.
-    for label, pt in (
-        ("origin-point", PhasePoint(0.0, 0.0, 0.0, 0.0)),
-        ("inflection-point", PhasePoint(-SQRT3, SQRT3, SQRT3, 0.0)),
-    ):
-        rp, rg = _residuals([pt])
-        records.append(
-            ResonanceRecord(
-                label=label,
-                family=1,
-                subfamily="on the resonant line",
-                kind="point",
-                classification="space_time",
-                representative_points=[pt],
-                residual_phase=rp,
-                residual_gradient=rg,
-            )
-        )
-
-    # The isolated anomalous pair.
+    ]
     records.append(anomalous_resonance(tol))
-
-    # Pure-space families parametrized by xi.
-    for label, family, subfamily, sampler, xis in _space_family_samplers():
-        pts = [sampler(x) for x in xis]
-        rp, rg = _residuals(pts)
-        records.append(
-            ResonanceRecord(
-                label=label,
-                family=family,
-                subfamily=subfamily,
-                kind="implicit_family",
-                classification="space",
-                representative_points=pts,
-                residual_phase=rp,
-                residual_gradient=rg,
-                sampler=sampler,
-                notes="phase nonzero for xi != 0",
-            )
-        )
-
+    records += [
+        _record(label, family, subfamily, "implicit_family", "space", sampler, _SPACE_XIS[family],
+                notes="phase nonzero for xi != 0")
+        for label, family, subfamily, sampler in _SPACE_FAMILIES
+    ]
     # Implicit families with a scalar certificate of non-time-resonance.
-    scan = (1.0 + 1e-3, 50.0)
-    implicit_params = (1.5, SQRT3, 2.5, 6.0, -4.0)
-    family2_entries: list[tuple[ResonanceRecord, tuple[float, ...]]] = []
-    for label, family, subfamily, sampler, check in _implicit_family_samplers():
-        pts = [sampler(e) for e in implicit_params]
-        rp, rg = _residuals(pts)
-        roots = find_roots(check, scan, samples_per_unit=2000)
-        rec = ResonanceRecord(
-            label=label,
-            family=family,
-            subfamily=subfamily,
-            kind="implicit_family",
-            classification="space",
-            representative_points=pts,
-            residual_phase=rp,
-            residual_gradient=rg,
-            sampler=sampler,
-            notes=(
-                "no time resonance on the scan range"
-                if not roots
-                else "time-resonant only at "
-                + ", ".join(f"{r:.6g}" for r in roots)
-            ),
+    for label, family, subfamily, sampler, check in _IMPLICIT_FAMILIES:
+        roots = find_roots(check, (1.0 + 1e-3, 50.0), samples_per_unit=2000)
+        notes = (
+            "time-resonant only at " + ", ".join(f"{r:.6g}" for r in roots)
+            if roots
+            else "no time resonance on the scan range"
         )
-        records.append(rec)
-        if family == 2:
-            family2_entries.append((rec, implicit_params))
-    for rec in records:
-        if rec.family == 2 and rec.label.startswith("space-"):
-            family2_entries.append((rec, (3.0, 5.0, -4.0)))
+        records.append(
+            _record(label, family, subfamily, "implicit_family", "space", sampler, _IMPLICIT_ETAS, notes=notes)
+        )
 
     # Families 3 and 4 swap which slot carries the reflected frequency;
     # permutation symmetry of the phase makes them copies of family 2, so
     # record one representative permuted copy per family-2 entry.
-    for rec, params in family2_entries:
-        def swapped_sampler(p, base=rec.sampler):
-            pt = base(p)
-            return PhasePoint(pt.eta3, pt.eta2, pt.eta1, pt.xi)
-
-        pts = [swapped_sampler(p) for p in params]
-        rp, rg = _residuals(pts)
+    family2 = [(r, _IMPLICIT_ETAS) for r in records if r.family == 2 and r.label.startswith("implicit-")]
+    family2 += [(r, _SPACE_XIS[2]) for r in records if r.family == 2 and r.label.startswith("space-")]
+    for rec, params in family2:
         records.append(
-            ResonanceRecord(
-                label=f"{rec.label}-permuted",
-                family=3,
-                subfamily=rec.subfamily + " (slots 1 and 3 swapped)",
-                kind=rec.kind,
-                classification=rec.classification,
-                representative_points=pts,
-                residual_phase=rp,
-                residual_gradient=rg,
+            _record(
+                f"{rec.label}-permuted",
+                3,
+                rec.subfamily + " (slots 1 and 3 swapped)",
+                rec.kind,
+                rec.classification,
+                _swapped(rec.sampler),
+                params,
                 symmetry_derived=True,
-                sampler=swapped_sampler,
-                notes="permutation image of a family-2 record; family 4 "
-                "likewise swaps slots 2 and 3",
+                notes="permutation image of a family-2 record; family 4 likewise swaps slots 2 and 3",
             )
         )
 

@@ -31,8 +31,6 @@ class SolverConfig:
     t_end: float = 100.0
     dealias_pad: int = 3
     record_stride: int = 100
-    epsilon: float = 1e-2
-    s: float = 10.0
 
     def __post_init__(self):
         if self.dt == 0 or not np.isfinite(self.dt):
@@ -43,23 +41,6 @@ class SolverConfig:
             raise ValueError("dealias_pad must be 1, 2, or 3")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-
-
-def _pad_coeffs(c: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad fft-ordered coefficients to pad*n modes (spectral
-    interpolation onto the finer grid)."""
-    n = c.size
-    if pad == 1:
-        return c
-    m = pad * n
-    out = np.zeros(m, dtype=complex)
-    half = n // 2
-    out[:half] = c[:half]
-    out[m - half :] = c[half:]
-    # split the self-conjugate mode so the padded field stays real
-    out[half] = 0.5 * c[half]
-    out[m - half] += 0.5 * c[half]
-    return out
 
 
 def quartic_hat(c: np.ndarray, pad: int = 3) -> np.ndarray:

@@ -269,7 +269,7 @@ def epsilon_pair():
     for eps in (1e-2, 5e-3):
         u0 = S.gaussian_data(g, eps, width=0.5)
         rec = Recorder(discrete_dt=0.1)
-        S.evolve(u0, S.SolverConfig(dt=0.1, t_end=128.0, record_stride=10, epsilon=eps), rec)
+        S.evolve(u0, S.SolverConfig(dt=0.1, t_end=128.0, record_stride=10), rec)
         rows = scattering_test(rec.profiles)
         # recorded times carry accumulated step round-off; key by integer time
         diffs[eps] = {round(t): dl for t, dl, _ in rows}

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gbbmlab.cli import main, read_snapshot
+from gbbmlab.cli import _DEFAULTS, build_parser, main, read_snapshot
 
 
 def run_cli(args):
@@ -118,6 +119,37 @@ def test_unknown_config_key_rejected(tmp_path):
     cfgfile = tmp_path / "bad.ini"
     cfgfile.write_text("[figures]\nbogus = 1\n")
     assert run_cli(["figures", "--config", str(cfgfile), "--output-dir", str(tmp_path / "x")]) == 1
+
+
+_SMALL_EVOLVE = ["--t-end", "2", "--dt", "0.05", "--n-modes", "256", "--half-length", "32"]
+
+
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (["evolve"] + _SMALL_EVOLVE, "[evolve]\nsnapshots = bogus\n"),
+        (["evolve", "--snapshots", "bogus"] + _SMALL_EVOLVE, None),
+        (["linear-decay", "--profile", "bogus"], None),
+    ],
+    ids=["ini-snapshots", "flag-snapshots", "flag-profile"],
+)
+def test_unknown_string_value_exits_1(tmp_path, capsys, argv, ini):
+    if ini is not None:
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(ini)
+        argv = argv + ["--config", str(cfgfile)]
+    assert run_cli(argv + ["--output-dir", str(tmp_path / "x")]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+def test_flags_match_config_keys():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_DEFAULTS)
+    for name, sp in subparsers.choices.items():
+        flags = {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+        keys = {"--" + key.replace("_", "-") for key in _DEFAULTS[name]}
+        assert flags == keys | {"--config", "--output-dir"}
 
 
 def test_determinism_byte_identical_text_outputs(tmp_path):

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from gbbmlab.diagnostics import dxi_l2, linf_fhat, sobolev
 from gbbmlab.dispersion import omega, omega_prime
 from gbbmlab.linear_flow import (
     aggregate_sup_norm,
     classify_case,
     dispersive_bound,
     evaluate_lp_piece,
-    profile_sup,
     propagate_linear,
-    sobolev_norm,
-    band_derivative_l2,
     sup_norm_of_piece,
     verify_dispersive_estimate,
 )
+from gbbmlab.littlewood_paley import psi_k
 from gbbmlab.spectral import Grid, SpectralField
 
 
@@ -49,8 +48,6 @@ def test_aggregate_sup_at_t0(gaussian_field):
 def test_evaluate_piece_matches_analytic_quadrature(gaussian_field):
     # independent oracle: brute-force quadrature of the band integral with
     # the closed-form Gaussian transform, no interpolation involved
-    from gbbmlab.littlewood_paley import psi_k
-
     k, t = 2, 30.0
     xs = np.array([-3.0, 0.0, 4.0])
     nodes = np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), 200001)
@@ -120,10 +117,11 @@ def test_case_thresholds_monotone_in_k():
 
 def test_norm_helpers(gaussian_field):
     # closed forms for exp(-x^2/2): sup fhat = 1, L2 = pi^(1/4)... via H^0
-    assert profile_sup(gaussian_field) == pytest.approx(1.0, rel=1e-10)
-    l2 = sobolev_norm(gaussian_field, 0.0)
+    assert linf_fhat(gaussian_field) == pytest.approx(1.0, rel=1e-10)
+    l2 = sobolev(gaussian_field, 0.0)
     assert l2 == pytest.approx(math.pi**0.25, rel=1e-10)
-    assert band_derivative_l2(gaussian_field, 0) > 0.0
+    g = gaussian_field.grid
+    assert dxi_l2(g, gaussian_field.continuum_coeffs * psi_k(0, g.frequencies)) > 0.0
 
 
 def test_dispersive_bound_rows(gaussian_field):
@@ -138,4 +136,4 @@ def test_dispersive_bound_rows(gaussian_field):
 def test_dispersive_bound_case5_trivial(gaussian_field):
     b = dispersive_bound(gaussian_field, -10, 1e6)
     assert b.case == 5
-    assert b.rhs == pytest.approx(2.0**-10 * profile_sup(gaussian_field), rel=1e-12)
+    assert b.rhs == pytest.approx(2.0**-10 * linf_fhat(gaussian_field), rel=1e-12)

@@ -74,3 +74,11 @@ def test_copy_is_independent():
     c = f.copy()
     c.coeffs[0] = 99.0
     assert f.coeffs[0] != 99.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 256, 2**12, 2**16])
+def test_fftshift_sorts_frequencies(n):
+    # the package orders frequencies for output and interpolation by fftshift
+    xi = Grid(n, 10.0).frequencies
+    assert np.array_equal(np.fft.fftshift(xi), xi[np.argsort(xi)])
+    assert np.array_equal(np.fft.ifftshift(np.fft.fftshift(xi)), xi)
