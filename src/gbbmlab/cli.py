@@ -107,7 +107,10 @@ def _load_config(path: str | None, subcommand: str) -> dict:
                 if key not in merged:
                     raise ValidationError(f"unknown config key '{key}' in [{subcommand}]")
                 kind = type(merged[key])
-                merged[key] = raw if kind is str else kind(float(raw))
+                try:
+                    merged[key] = kind(raw)
+                except ValueError:
+                    raise ValidationError(f"[{subcommand}] {key} = {raw} is not a valid {kind.__name__}") from None
     return merged
 
 
@@ -306,7 +309,7 @@ def run_evolve(cfg: dict, sink: OutputSink) -> int:
         u0 = solver.gaussian_data(grid, epsilon, float(cfg["width"]), SQRT3)
     else:
         raise ValidationError(f"unknown initial-data family '{profile_kind}'")
-    rec = diagnostics.Recorder(s=float(cfg["s"]), discrete_dt=scfg.dt)
+    rec = diagnostics.Recorder(s=float(cfg["s"]))
     final = solver.evolve(u0, scfg, rec)
     lines = ["t,linf_fhat,weighted_l2,sobolev_s,sup_u"]
     for smp in rec.samples:
@@ -327,7 +330,7 @@ def run_scatter(cfg: dict, sink: OutputSink) -> int:
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     scfg = solver.SolverConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=1)
     u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), float(cfg["width"]))
-    rec = diagnostics.Recorder(discrete_dt=scfg.dt)
+    rec = diagnostics.Recorder()
     solver.evolve(u0, scfg, rec)
     rows = diagnostics.scattering_test(rec.profiles)
     lines = ["t,diff_linf,diff_l2"]

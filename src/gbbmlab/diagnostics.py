@@ -149,37 +149,23 @@ def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
 
 
 class Recorder:
-    """Solver callback: tracks bootstrap-norm samples at every recorded
-    step and keeps full profile snapshots at the requested times (default:
-    dyadic).  A snapshot exists only where a recorded step lands on a
-    requested time (within 1e-9); a requested time between recorded steps
-    gets none."""
+    """Solver callback ``recorder(field, profile)``: tracks the
+    bootstrap-norm samples of every recorded profile and keeps the profile
+    itself at dyadic times 1, 2, 4, ...  ``solver.evolve`` stamps each
+    recorded field with its exact lattice time, so a dyadic time gets a
+    snapshot exactly when the record lattice (t0 + record_stride * dt * j)
+    lands on it; no nearest-state matching is done."""
 
-    def __init__(self, s: float = 10.0, snapshot_times=None, discrete_dt: float | None = None, t_start: float = 1.0):
+    def __init__(self, s: float = 10.0):
         self.s = s
-        self.snapshot_times = sorted(snapshot_times) if snapshot_times is not None else None
-        self.discrete_dt = discrete_dt
-        self.t_start = t_start
         self.samples: list[NormSample] = []
         self.profiles: list[tuple[float, SpectralField]] = []
 
-    def _wants_snapshot(self, t: float) -> bool:
-        if self.snapshot_times is None:
-            # dyadic: 1, 2, 4, ... within floating-point slop
-            m = math.log2(t) if t > 0 else -1.0
-            return t > 0 and abs(m - round(m)) < 1e-9
-        return any(math.isclose(t, w, rel_tol=1e-9, abs_tol=1e-9) for w in self.snapshot_times)
-
-    def __call__(self, field: SpectralField):
-        from .solver import discrete_profile_of, profile_of
-
-        if self.discrete_dt is not None:
-            prof = discrete_profile_of(field, self.discrete_dt, self.t_start)
-        else:
-            prof = profile_of(field)
-        self.samples.append(compute_norms(prof, self.s, physical=field))
-        if self._wants_snapshot(field.time):
-            self.profiles.append((field.time, prof))
+    def __call__(self, field: SpectralField, profile: SpectralField):
+        self.samples.append(compute_norms(profile, self.s, physical=field))
+        m = math.log2(field.time) if field.time > 0 else -1.0
+        if field.time > 0 and abs(m - round(m)) < 1e-9:
+            self.profiles.append((field.time, profile))
 
 
 def bootstrap_report(samples: list[NormSample], budget: GrowthBudget = GrowthBudget()) -> dict:

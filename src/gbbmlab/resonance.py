@@ -48,9 +48,6 @@ class PhasePoint:
     def eta4(self) -> float:
         return self.xi - self.eta1 - self.eta2 - self.eta3
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.eta1, self.eta2, self.eta3, self.xi)
-
 
 def phase(p: PhasePoint) -> float:
     """Interaction phase at a quadruple; symmetric in (e1, e2, e3)."""

@@ -24,12 +24,15 @@ from .spectral import Grid, SpectralField
 #: Any coefficient magnitude above this trips the blow-up guard.
 BLOWUP_GUARD = 1e10
 
+#: The quartic product is formed on a grid this many times finer: a 4-fold
+#: product needs a padded size >= 2.5n, so 3 removes aliasing exactly.
+DEALIAS_PAD = 3
+
 
 @dataclass
 class SolverConfig:
     dt: float = 0.01
     t_end: float = 100.0
-    dealias_pad: int = 3
     record_stride: int = 100
 
     def __post_init__(self):
@@ -37,53 +40,47 @@ class SolverConfig:
             raise ValueError("dt must be nonzero and finite")
         if abs(self.dt) > 0.1:
             raise ValueError("dt exceeds the 0.1 stability budget")
-        if self.dealias_pad not in (1, 2, 3):
-            raise ValueError("dealias_pad must be 1, 2, or 3")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
 
-def quartic_hat(c: np.ndarray, pad: int = 3) -> np.ndarray:
+def quartic_hat(c: np.ndarray) -> np.ndarray:
     """Fourier coefficients of u^4 from those of u, with aliasing removed by
-    zero-padding (a 4-fold product needs padded size >= 2.5n; pad 3 is
-    exact, smaller pads are provided only to demonstrate aliasing).
+    zero-padding to DEALIAS_PAD * n points.
 
     Works through rfft/irfft: the field is real, so only half the spectrum
     needs transforming, and the round trip re-Hermitianizes roundoff.
     """
     n = c.size
-    m = pad * n
+    m = DEALIAS_PAD * n
     half = n // 2
     ph = np.zeros(m // 2 + 1, dtype=complex)
     ph[:half] = c[:half]
-    if pad == 1:
-        ph[half] = c[half]
-    else:
-        ph[half] = 0.5 * c[half]
-    u = np.fft.irfft(ph, m) * pad  # same field sampled on the fine grid
-    w = np.fft.rfft(u**4) / pad
+    ph[half] = 0.5 * c[half]
+    u = np.fft.irfft(ph, m) * DEALIAS_PAD  # same field sampled on the fine grid
+    w = np.fft.rfft(u**4) / DEALIAS_PAD
     out = np.empty(n, dtype=complex)
     out[:half] = w[:half]
-    out[half] = w[half].real if pad == 1 else w[half].real * 2.0
+    out[half] = w[half].real * 2.0
     out[half + 1 :] = np.conj(w[half - 1 : 0 : -1])
     return out
 
 
-def rhs(field: SpectralField, pad: int = 3, nonlinear: bool = True) -> np.ndarray:
+def rhs(field: SpectralField, nonlinear: bool = True) -> np.ndarray:
     """Time derivative of the coefficients: -i omega (uhat + (u^4)^)."""
     c = field.coeffs
     if np.max(np.abs(c)) > BLOWUP_GUARD:
         raise OverflowError("blow-up guard tripped: coefficients exceed 1e10")
-    total = c + quartic_hat(c, pad) if nonlinear else c
+    total = c + quartic_hat(c) if nonlinear else c
     return -1j * omega(field.grid.frequencies) * total
 
 
-def step(field: SpectralField, dt: float, pad: int = 3, nonlinear: bool = True) -> SpectralField:
+def step(field: SpectralField, dt: float, nonlinear: bool = True) -> SpectralField:
     """One classical RK4 step of size dt (dt may be negative)."""
     g = field.grid
 
     def f(c):
-        return rhs(SpectralField(g, c, field.time), pad, nonlinear)
+        return rhs(SpectralField(g, c, field.time), nonlinear)
 
     c = field.coeffs
     k1 = f(c)
@@ -99,29 +96,39 @@ def evolve(
     recorder=None,
     nonlinear: bool = True,
 ) -> SpectralField:
-    """Advance u0 to cfg.t_end, invoking ``recorder(field)`` on the initial
-    state and every record_stride-th step (and at the final time).
+    """Advance u0 to cfg.t_end in n steps of dt = (t_end - t0) / n, calling
+    ``recorder(field, profile)`` on the initial state, on every
+    record_stride-th step and at the final time.  ``profile`` is
+    ``discrete_profile_of(field, dt, t0)`` for the step actually taken.
 
-    The number of steps is rounded so the final time lands on cfg.t_end
-    exactly (the step size is adjusted by at most one part in 10^12)."""
-    span = cfg.t_end - u0.time
+    cfg.dt must divide the span t_end - t0: a dt that misses it by more than
+    one part in 10^9 raises ValueError before anything is recorded, so the
+    step taken differs from cfg.dt by round-off only.  The state after step
+    i is stamped with the lattice time t0 + span * i / n (not a sum of
+    dt's), so lattice points such as t_end and dyadic times carry their exact
+    values."""
+    t0 = u0.time
+    span = cfg.t_end - t0
     if span == 0:
         if recorder is not None:
-            recorder(u0)
+            recorder(u0, discrete_profile_of(u0, cfg.dt, t0))
         return u0
     if span * cfg.dt < 0:
         raise ValueError("dt sign inconsistent with t_end")
     n_steps = max(1, round(span / cfg.dt))
+    if abs(n_steps * cfg.dt - span) > 1e-9 * abs(span):
+        raise ValueError(f"dt = {cfg.dt:g} does not divide t_end - t0 = {span:g} into whole steps")
     dt = span / n_steps
     state = u0
     if recorder is not None:
-        recorder(state)
+        recorder(state, discrete_profile_of(state, dt, t0))
     for i in range(n_steps):
-        state = step(state, dt, cfg.dealias_pad, nonlinear)
+        state = step(state, dt, nonlinear)
         if not np.all(np.isfinite(state.coeffs)):
             raise OverflowError(f"non-finite state at t={state.time}")
+        state.time = t0 + span * (i + 1) / n_steps
         if recorder is not None and ((i + 1) % cfg.record_stride == 0 or i + 1 == n_steps):
-            recorder(state)
+            recorder(state, discrete_profile_of(state, dt, t0))
     return state
 
 

@@ -238,7 +238,7 @@ def test_criterion_5_solver_correctness():
     m = g.n_modes // 16
     c[1 : m + 1] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     c[-m:] = np.conj(c[1 : m + 1][::-1])
-    q = S.quartic_hat(c, 3)
+    q = S.quartic_hat(c)
     data_max = (m + 1) * g.dxi
     spurious = np.abs(g.frequencies) > 4.0 * data_max
     frac = float(np.sum(np.abs(q[spurious]) ** 2) / np.sum(np.abs(q) ** 2))
@@ -257,7 +257,7 @@ def test_criterion_5_solver_correctness():
 def long_run():
     g = Grid(2**14, 2048.0)
     u0 = S.gaussian_data(g, 1e-2, width=0.5)
-    rec = Recorder(s=10.0, discrete_dt=0.1)
+    rec = Recorder(s=10.0)
     S.evolve(u0, S.SolverConfig(dt=0.1, t_end=1000.0, record_stride=10), rec)
     return rec
 
@@ -268,7 +268,7 @@ def epsilon_pair():
     g = Grid(2**12, 512.0)
     for eps in (1e-2, 5e-3):
         u0 = S.gaussian_data(g, eps, width=0.5)
-        rec = Recorder(discrete_dt=0.1)
+        rec = Recorder()
         S.evolve(u0, S.SolverConfig(dt=0.1, t_end=128.0, record_stride=10), rec)
         rows = scattering_test(rec.profiles)
         # recorded times carry accumulated step round-off; key by integer time

@@ -143,6 +143,24 @@ def test_unknown_string_value_exits_1(tmp_path, capsys, argv, ini):
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (["figures"], "[figures]\nid = 4.7\n"),
+        (["evolve"] + _SMALL_EVOLVE, "[evolve]\nrecord_stride = 2.5\n"),
+        (["figures", "--id", "4.7"], None),
+    ],
+    ids=["ini-id", "ini-record-stride", "flag-id"],
+)
+def test_non_integer_value_for_int_key_exits_1(tmp_path, argv, ini):
+    if ini is not None:
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(ini)
+        argv = argv + ["--config", str(cfgfile)]
+    assert run_cli(argv + ["--output-dir", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
 def test_flags_match_config_keys():
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(subparsers.choices) == set(_DEFAULTS)
@@ -188,3 +206,14 @@ def test_scatter_summary(tmp_path):
     assert "fitted_exponent" in summary
     lines = (out / "scattering.csv").read_text().strip().splitlines()
     assert lines[0] == "t,diff_linf,diff_l2"
+
+
+def test_scatter_non_dividing_dt_exits_1(tmp_path, capsys):
+    out = tmp_path / "sc"
+    rc = run_cli(
+        ["scatter", "--dt", "0.07", "--t-end", "16", "--n-modes", "256", "--half-length", "32",
+         "--output-dir", str(out)]
+    )
+    assert rc == 1
+    assert "divide" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gbbmlab import diagnostics
 from gbbmlab.diagnostics import (
     DecayFit,
     GrowthBudget,
@@ -147,7 +150,20 @@ def test_bootstrap_report_linear_flow(grid):
 
 def test_recorder_collects_samples_and_dyadic_profiles(grid):
     u0 = gaussian_data(grid, 1e-2)
-    rec = Recorder(s=5.0, discrete_dt=0.05)
+    rec = Recorder(s=5.0)
     evolve(u0, SolverConfig(dt=0.05, t_end=4.0, record_stride=20), rec)
     assert [s.t for s in rec.samples] == pytest.approx([1.0, 2.0, 3.0, 4.0])
     assert [t for t, _ in rec.profiles] == pytest.approx([1.0, 2.0, 4.0])
+
+
+def test_diagnostics_does_not_import_solver():
+    # the solver hands profiles to the Recorder, so the dependency runs one way
+    tree = ast.parse(Path(diagnostics.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        assert not any("solver" in m.split(".") for m in modules), ast.dump(node)

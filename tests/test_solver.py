@@ -36,8 +36,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.2)
     with pytest.raises(ValueError):
-        SolverConfig(dealias_pad=4)
-    with pytest.raises(ValueError):
         SolverConfig(record_stride=0)
 
 
@@ -63,7 +61,7 @@ def test_quartic_cos_identity(grid):
     j = 40
     a = j * grid.dxi
     f = SpectralField.from_function(grid, lambda x: np.cos(a * x))
-    u4 = np.fft.ifft(quartic_hat(f.coeffs, 3)).real
+    u4 = np.fft.ifft(quartic_hat(f.coeffs)).real
     x = grid.points
     exact = 3.0 / 8.0 + 0.5 * np.cos(2 * a * x) + np.cos(4 * a * x) / 8.0
     assert np.max(np.abs(u4 - exact)) < 1e-13
@@ -77,7 +75,7 @@ def test_quartic_spurious_band_energy(grid):
     m = grid.n_modes // 16
     c[1 : m + 1] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     c[-m:] = np.conj(c[1 : m + 1][::-1])
-    q = quartic_hat(c, 3)
+    q = quartic_hat(c)
     xi = grid.frequencies
     data_max = (m + 1) * grid.dxi
     spurious = np.abs(xi) > 4.0 * data_max
@@ -136,10 +134,24 @@ def test_evolve_reversal(small_data):
 
 def test_evolve_recorder_called(small_data):
     times = []
-    evolve(small_data, SolverConfig(dt=0.05, t_end=2.0, record_stride=10), lambda f: times.append(f.time))
+    evolve(small_data, SolverConfig(dt=0.05, t_end=2.0, record_stride=10), lambda f, p: times.append(f.time))
     assert times[0] == 1.0
     assert times[-1] == pytest.approx(2.0, abs=1e-12)
     assert len(times) == 3  # t = 1, 1.5, 2
+
+
+def test_evolve_records_exact_lattice_times(small_data):
+    times = []
+    evolve(small_data, SolverConfig(dt=0.1, t_end=16.0, record_stride=1), lambda f, p: times.append(f.time))
+    assert times == [1 + 15 * i / 150 for i in range(151)]
+    assert 8.0 in times and times[-1] == 16.0
+
+
+def test_evolve_rejects_non_dividing_dt(small_data):
+    calls = []
+    with pytest.raises(ValueError, match="divide"):
+        evolve(small_data, SolverConfig(dt=0.07, t_end=16.0), lambda f, p: calls.append(f.time))
+    assert calls == []
 
 
 def test_evolve_realness(small_data):
