@@ -339,14 +339,16 @@ def run_scatter(cfg: dict, sink: OutputSink) -> int:
     sink.write_text("scattering.csv", "\n".join(lines) + "\n")
     late = [(t, d) for t, d, _ in rows if t >= 8.0]
     fit = diagnostics.fit_decay(late if len(late) >= 4 else [(t, d) for t, d, _ in rows])
+    late_pairs = [(a, b) for (ta, a, _), (_, b, _) in zip(rows, rows[1:]) if ta >= 8.0]
     sink.write_json(
         "scattering_summary.json",
         {
             "fitted_exponent": fit.exponent,
             "r_squared": fit.r_squared,
-            "monotone_from_8": all(
-                b < a for (ta, a, _), (_, b, _) in zip(rows, rows[1:]) if ta >= 8.0
-            ),
+            "monotone_from_8": all(b < a for a, b in late_pairs),
+            "fit_window": list(fit.window),
+            "fit_points": fit.n_points,
+            "late_pairs": len(late_pairs),
         },
     )
     return 0

@@ -50,34 +50,31 @@ class GrowthBudget:
             raise ValueError("budget requires 0 < p1 and 0 < p0 < 1/6")
 
 
-def linf_fhat(field: SpectralField) -> float:
-    """sup |fhat| in the continuum normalization."""
-    return float(np.max(np.abs(field.continuum_coeffs)))
+def linf_fhat(fhat: np.ndarray) -> float:
+    """sup |fhat| of continuum coefficients."""
+    return float(np.max(np.abs(fhat)))
 
 
 def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
     """L2 norm of d fhat/d xi for continuum coefficients in fft order:
     centered finite differences on the sorted frequency grid (one-sided at
-    the ends)."""
+    the ends).  For a profile's own coefficients this is the weighted norm
+    ||x f||_2, by Plancherel."""
     d = np.gradient(np.fft.fftshift(fhat), np.fft.fftshift(grid.frequencies))
     return float(math.sqrt(np.sum(np.abs(d) ** 2) * grid.dxi))
 
 
-def weighted_l2(field: SpectralField) -> float:
-    """||x f||_2 via Plancherel: the L2 norm of d fhat/d xi."""
-    return dxi_l2(field.grid, field.continuum_coeffs)
-
-
-def sobolev(field: SpectralField, s: float) -> float:
-    """H^s norm of the physical field via the frequency-side quadrature."""
-    xi = field.grid.frequencies
+def sobolev(grid: Grid, fhat: np.ndarray, s: float) -> float:
+    """H^s norm of the field with continuum coefficients fhat, via the
+    frequency-side quadrature."""
+    xi = grid.frequencies
     w = (1.0 + xi * xi) ** s
-    return float(math.sqrt(np.sum(w * np.abs(field.continuum_coeffs) ** 2) * field.grid.dxi))
+    return float(math.sqrt(np.sum(w * np.abs(fhat) ** 2) * grid.dxi))
 
 
 def h1_norm(field: SpectralField) -> float:
     """Conserved energy norm sqrt(integral of u^2 + u_x^2)."""
-    return sobolev(field, 1.0)
+    return sobolev(field.grid, field.continuum_coeffs, 1.0)
 
 
 def compute_norms(profile: SpectralField, s: float = 10.0, physical: SpectralField | None = None) -> NormSample:
@@ -85,11 +82,12 @@ def compute_norms(profile: SpectralField, s: float = 10.0, physical: SpectralFie
     corresponding solution field for sup_u; when omitted the profile's own
     physical max is used (correct only at t = 0)."""
     phys = physical if physical is not None else profile
+    fhat = profile.continuum_coeffs
     return NormSample(
         t=profile.time,
-        linf_fhat=linf_fhat(profile),
-        weighted_l2=weighted_l2(profile),
-        sobolev=sobolev(profile, s),
+        linf_fhat=linf_fhat(fhat),
+        weighted_l2=dxi_l2(profile.grid, fhat),
+        sobolev=sobolev(profile.grid, fhat, s),
         sup_u=float(np.max(np.abs(phys.physical()))),
     )
 

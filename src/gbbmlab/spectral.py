@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,14 @@ class Grid:
     @property
     def frequencies(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_modes, d=self.dx)
+
+    @cached_property
+    def continuum_phase(self) -> np.ndarray:
+        """exp(i xi L), the phase moving the fft's x = -L origin to x = 0;
+        computed once per grid and read-only, since every field shares it."""
+        phase = np.exp(1j * self.frequencies * self.half_length)
+        phase.flags.writeable = False
+        return phase
 
 
 @dataclass
@@ -91,10 +100,7 @@ class SpectralField:
         the continuum convention; without it the coefficients alternate in
         sign and off-grid interpolation is meaningless.
         """
-        xi = self.grid.frequencies
-        return self.coeffs * (self.grid.dx / _TWO_PI_SQRT) * np.exp(
-            1j * xi * self.grid.half_length
-        )
+        return self.coeffs * (self.grid.dx / _TWO_PI_SQRT) * self.grid.continuum_phase
 
     def hermitian_defect(self) -> float:
         """Max |c(-xi) - conj(c(xi))| over the grid; 0 for a real field."""

@@ -206,6 +206,11 @@ def test_scatter_summary(tmp_path):
     assert "fitted_exponent" in summary
     lines = (out / "scattering.csv").read_text().strip().splitlines()
     assert lines[0] == "t,diff_linf,diff_l2"
+    # rows t = 1, 2, 4, 8: a single late row, so the fit falls back to all
+    # rows and no pair from t = 8 on is compared; the summary says so
+    assert summary["fit_window"] == [1.0, 8.0]
+    assert summary["fit_points"] == len(lines) - 1 == 4
+    assert summary["late_pairs"] == 0
 
 
 def test_scatter_non_dividing_dt_exits_1(tmp_path, capsys):

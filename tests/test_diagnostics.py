@@ -13,11 +13,11 @@ from gbbmlab.diagnostics import (
     Recorder,
     bootstrap_report,
     compute_norms,
+    dxi_l2,
     fit_decay,
     h1_norm,
     scattering_test,
     sobolev,
-    weighted_l2,
 )
 from gbbmlab.linear_flow import propagate_linear
 from gbbmlab.solver import SolverConfig, evolve, gaussian_data
@@ -41,7 +41,7 @@ def test_weighted_l2_gaussian_closed_form():
     # fine frequency grid (dxi ~ 1.5e-3).
     g = Grid(2**17, 2048.0)
     f = SpectralField.from_function(g, lambda x: np.exp(-x * x / 2.0))
-    assert weighted_l2(f) == pytest.approx(math.sqrt(math.sqrt(math.pi) / 2.0), rel=1e-6)
+    assert dxi_l2(g, f.continuum_coeffs) == pytest.approx(math.sqrt(math.sqrt(math.pi) / 2.0), rel=1e-6)
 
 
 def test_weighted_l2_gaussian_converges_quadratically(grid):
@@ -50,14 +50,14 @@ def test_weighted_l2_gaussian_converges_quadratically(grid):
     for n, L in ((2**12, 128.0), (2**14, 256.0)):
         g = Grid(n, L)
         f = SpectralField.from_function(g, lambda x: np.exp(-x * x / 2.0))
-        errs.append(abs(weighted_l2(f) - exact))
+        errs.append(abs(dxi_l2(g, f.continuum_coeffs) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
 def test_sobolev_s0_is_plancherel_l2(grid):
     f = SpectralField.from_function(grid, lambda x: np.exp(-x * x / 2.0))
     # ||f||_2^2 = sqrt(pi)
-    assert sobolev(f, 0.0) == pytest.approx(math.pi**0.25, rel=1e-10)
+    assert sobolev(grid, f.continuum_coeffs, 0.0) == pytest.approx(math.pi**0.25, rel=1e-10)
 
 
 def test_h1_gaussian_closed_form(grid):

@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from gbbmlab import linear_flow
 from gbbmlab.diagnostics import dxi_l2, linf_fhat, sobolev
 from gbbmlab.dispersion import omega, omega_prime
 from gbbmlab.linear_flow import (
+    _piece_on_nodes,
+    _profile_interpolator,
+    _quadrature_nodes,
+    _uniform_points,
     aggregate_sup_norm,
     classify_case,
     dispersive_bound,
     evaluate_lp_piece,
     propagate_linear,
+    stationary_cone,
     sup_norm_of_piece,
     verify_dispersive_estimate,
 )
@@ -72,6 +78,53 @@ def test_evaluate_piece_band_beyond_nyquist(gaussian_field):
         evaluate_lp_piece(gaussian_field, 12, 10.0, 0.0)
 
 
+def test_chirp_z_matches_dense_sum_on_largest_estimates_row():
+    # criterion 7's largest row: 3365 scan points x 38681 fine nodes.  The
+    # dense sum is the reference, taken at 64 scattered points (and the
+    # peak) so the test stays fast.
+    g = Grid(2**16, 512.0)
+    w = 0.03125
+    field = SpectralField.from_function(g, lambda x: np.exp(-(x * x) / (2.0 * w * w)))
+    k, t = 0, 4096.0
+    a, b = stationary_cone(k, t)
+    xs = np.linspace(a, b, int(math.ceil((b - a) / (2.0 * math.pi / 8))) + 1)
+    nodes = _quadrature_nodes(k, t, float(np.max(np.abs(xs))), refine=2)
+    assert (xs.size, nodes.size) == (3365, 38681)
+    fhat = _profile_interpolator(field)
+    chirp = _piece_on_nodes(fhat, k, t, xs, nodes)
+    idx = np.union1d(np.random.default_rng(0).choice(xs.size, 64, replace=False), [np.argmax(np.abs(chirp))])
+    assert not _uniform_points(xs[idx])
+    dense = _piece_on_nodes(fhat, k, t, xs[idx], nodes)
+    assert np.max(np.abs(chirp[idx] - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def _no_dense_sum(*args, **kwargs):
+    raise AssertionError("uniform scan fell back to the dense O(N M) sum")
+
+
+def test_two_point_scan_agrees_across_paths(gaussian_field, monkeypatch):
+    # one point at a time takes the dense sum; two points form a uniform
+    # grid and must take the chirp-z sum with the same result
+    k, t = 2, 30.0
+    xs = np.array([-3.0, 4.0])
+    fhat = _profile_interpolator(gaussian_field)
+    nodes = _quadrature_nodes(k, t, 4.0)
+    dense = np.array([_piece_on_nodes(fhat, k, t, x, nodes)[0] for x in xs])
+    monkeypatch.setattr(linear_flow, "_dense_sum", _no_dense_sum)
+    chirp = _piece_on_nodes(fhat, k, t, xs, nodes)
+    assert np.max(np.abs(chirp - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_uniform_scans_never_take_the_dense_sum(gaussian_field, monkeypatch):
+    # a structural guard instead of a timing gate: if uniform-grid detection
+    # breaks, the scan silently reverts to the dense sum and this fails
+    monkeypatch.setattr(linear_flow, "_dense_sum", _no_dense_sum)
+    sup, _ = sup_norm_of_piece(gaussian_field, 1, 40.0)
+    assert sup > 0.0
+    for k in (-3, 0, 2):
+        assert dispersive_bound(gaussian_field, k, 32.0).lhs > 0.0
+
+
 def test_sup_norm_piece_vs_fft_propagation(gaussian_field):
     # the band sup from direct quadrature must agree with exact periodic
     # propagation of the band-projected field
@@ -117,10 +170,10 @@ def test_case_thresholds_monotone_in_k():
 
 def test_norm_helpers(gaussian_field):
     # closed forms for exp(-x^2/2): sup fhat = 1, L2 = pi^(1/4)... via H^0
-    assert linf_fhat(gaussian_field) == pytest.approx(1.0, rel=1e-10)
-    l2 = sobolev(gaussian_field, 0.0)
-    assert l2 == pytest.approx(math.pi**0.25, rel=1e-10)
     g = gaussian_field.grid
+    assert linf_fhat(gaussian_field.continuum_coeffs) == pytest.approx(1.0, rel=1e-10)
+    l2 = sobolev(g, gaussian_field.continuum_coeffs, 0.0)
+    assert l2 == pytest.approx(math.pi**0.25, rel=1e-10)
     assert dxi_l2(g, gaussian_field.continuum_coeffs * psi_k(0, g.frequencies)) > 0.0
 
 
@@ -136,4 +189,4 @@ def test_dispersive_bound_rows(gaussian_field):
 def test_dispersive_bound_case5_trivial(gaussian_field):
     b = dispersive_bound(gaussian_field, -10, 1e6)
     assert b.case == 5
-    assert b.rhs == pytest.approx(2.0**-10 * linf_fhat(gaussian_field), rel=1e-12)
+    assert b.rhs == pytest.approx(2.0**-10 * linf_fhat(gaussian_field.continuum_coeffs), rel=1e-12)

@@ -47,6 +47,19 @@ def test_continuum_coeffs_match_gaussian_transform():
     assert err < 1e-12
 
 
+def test_continuum_coeffs_cached_phase_is_bit_identical():
+    # the per-grid phase must reproduce the formula it replaced bit for bit,
+    # and no field may write into the array every field of the grid shares
+    g = Grid(2**10, 40.0)
+    f = SpectralField.from_physical(g, np.random.default_rng(5).standard_normal(g.n_modes))
+    uncached = f.coeffs * (g.dx / math.sqrt(2.0 * math.pi)) * np.exp(1j * g.frequencies * g.half_length)
+    assert np.array_equal(f.continuum_coeffs, uncached)
+    assert g.continuum_phase is g.continuum_phase
+    assert not g.continuum_phase.flags.writeable
+    with pytest.raises(ValueError):
+        g.continuum_phase[0] = 0.0
+
+
 def test_continuum_coeffs_translation_phase():
     # shifting the data by a multiplies the transform by exp(-i a xi)
     g = Grid(2**12, 128.0)
