@@ -204,7 +204,7 @@ def run_resonances(cfg: dict, sink: OutputSink) -> int:
     if tol <= 0:
         raise ValidationError("tol must be positive")
     records = resonance.enumerate_resonances(tol)
-    anom = resonance.anomalous_resonance(tol)
+    anom = next(r for r in records if r.label == "anomalous-point")
     eta0 = anom.representative_points[0].eta1
     census = {
         "tolerance": tol,

@@ -6,11 +6,17 @@ The interaction phase for the quartic nonlinearity is
                             + omega(e4),   e4 = xi - e1 - e2 - e3.
 
 Critical points in (e1, e2, e3) require all four frequencies to share a group
-velocity, which by the group-velocity census means each |e_j| equals |e_1| or
-|r(e_1)|.  Working through the sign/reflection configurations reduces every
-candidate family to a scalar function of one frequency whose roots mark time
-resonances; those scalar functions are collected in SCALAR_PHASE_FUNCTIONS
-and root-found by dense scan plus bisection.
+velocity, so by the group-velocity census each e_j is one of eta, -eta,
+r(eta), -r(eta).  Their counts (n_eta, n_-eta, n_r, n_-r) form 35 patterns
+in 11 orbits under negation and eta <-> r(eta).  With signed counts
+a = n_eta - n_-eta and b = n_r - n_-r, xi = a eta + b r(eta) and the phase
+restricted to the family is a omega(eta) + b omega(r) - omega(xi).  It
+vanishes identically only for a = b = 0 (the space-time resonant line and
+curve); with one of a, b zero it vanishes only where the other frequency is
+0 (pure space families).  The rest are SCALAR_PHASE_FUNCTIONS, whose roots,
+found by dense scan plus bisection, mark time resonances.  The census
+samples each family through linear forms a q + b r(q) of one parameter q,
+and the tests check that it covers all 11 orbits.
 """
 
 from __future__ import annotations
@@ -76,46 +82,34 @@ def phase_gradient(p: PhasePoint) -> np.ndarray:
 # Scalar phase-vanishing functions on {|eta| > 1}
 # ---------------------------------------------------------------------------
 
-def _triple_sum(eta):
-    r = reflection(eta)
-    return 3.0 * omega(eta) + omega(r) - omega(3.0 * eta + r)
+def _restricted_phase(a: int, b: int) -> Callable:
+    """The phase on a family whose four input frequencies hold eta and r(eta)
+    with signed counts a and b: a omega(eta) + b omega(r) - omega(a eta + b r)."""
+
+    def fn(eta):
+        r = reflection(eta)
+        return a * omega(eta) + b * omega(r) - omega(a * eta + b * r)
+
+    return fn
 
 
-def _triple_diff(eta):
-    r = reflection(eta)
-    return 3.0 * omega(eta) - omega(r) - omega(3.0 * eta - r)
+#: Implicit one-parameter space families, keyed by the scalar phase that
+#: certifies them: (family, constraint, forms of (eta1, eta2, eta3, xi)).  A
+#: form (a, b) stands for a eta + b r(eta), so the xi form holds the signed
+#: counts that give the family's restricted phase.
+_IMPLICIT_FAMILIES = {
+    "triple-sum": (1, "3 eta + r(eta) = xi", ((1, 0), (1, 0), (1, 0), (3, 1))),  # no roots
+    "triple-diff": (1, "3 eta - r(eta) = xi", ((1, 0), (1, 0), (1, 0), (3, -1))),  # roots near +-5.08
+    "single-diff": (1, "-eta + r(eta) = xi", ((1, 0), (-1, 0), (-1, 0), (-1, 1))),  # roots at +-sqrt(3)
+    "single-sum": (1, "-eta - r(eta) = xi", ((1, 0), (-1, 0), (-1, 0), (-1, -1))),  # no roots
+    "double-sum": (2, "2(eta + r(eta)) = xi", ((1, 0), (1, 0), (0, 1), (2, 2))),  # no roots
+    "double-diff": (2, "2(eta - r(eta)) = xi", ((1, 0), (1, 0), (0, -1), (2, -2))),  # roots at +-sqrt(3)
+}
 
-
-def _single_diff(eta):
-    r = reflection(eta)
-    return -omega(eta) + omega(r) - omega(-eta + r)
-
-
-def _single_sum(eta):
-    r = reflection(eta)
-    return -omega(eta) - omega(r) + omega(eta + r)
-
-
-def _double_sum(eta):
-    r = reflection(eta)
-    return 2.0 * omega(eta) + 2.0 * omega(r) - omega(2.0 * eta + 2.0 * r)
-
-
-def _double_diff(eta):
-    r = reflection(eta)
-    return 2.0 * omega(eta) - 2.0 * omega(r) - omega(2.0 * eta - 2.0 * r)
-
-
-#: Phase restricted to each one-parameter critical family.  Keys name the
-#: frequency combination fed to omega; values are vectorized callables
-#: defined on {|eta| > 1}.
+#: Phase restricted to each implicit family; vectorized callables defined on
+#: {|eta| > 1}.
 SCALAR_PHASE_FUNCTIONS: dict[str, Callable] = {
-    "triple-sum": _triple_sum,      # family 3 eta + r(eta); no roots
-    "triple-diff": _triple_diff,    # family 3 eta - r(eta); roots near +-5.08
-    "single-diff": _single_diff,    # family -eta + r(eta); roots at +-sqrt(3)
-    "single-sum": _single_sum,      # family eta + r(eta); no roots
-    "double-sum": _double_sum,      # family 2(eta + r(eta)); no roots
-    "double-diff": _double_diff,    # family 2(eta - r(eta)); roots at +-sqrt(3)
+    name: _restricted_phase(*forms[3]) for name, (_, _, forms) in _IMPLICIT_FAMILIES.items()
 }
 
 
@@ -258,95 +252,76 @@ def _record(label, family, subfamily, kind, classification, sampler, params, **e
     )
 
 
+def _sampler(forms) -> Callable[[float], PhasePoint]:
+    """The PhasePoint whose (eta1, eta2, eta3, xi) are the linear forms
+    a q + b r(q), given as (a, b), of the parameter q.  r(q) is evaluated
+    only when a form uses it, so forms in q alone take any q; adding 0.0
+    turns the -0.0 of 0 * q at negative q into 0.0."""
+    uses_r = any(b for _, b in forms)
+
+    def sample(q: float) -> PhasePoint:
+        r = reflection(q) if uses_r else 0.0
+        return PhasePoint(*(a * q + b * r + 0.0 for a, b in forms))
+
+    return sample
+
+
 def anomalous_resonance(tol: float = CLASSIFY_TOL) -> ResonanceRecord:
     """The isolated space-time resonance (eta0, eta0, eta0; xi0) with
     xi0 = 3 eta0 - r(eta0), found by root-finding the triple-diff scalar
-    phase on [4, 7]."""
+    phase on [4, 7], and its negative twin."""
     roots = find_roots("triple-diff", (4.0, 7.0), tol=ROOT_TOL)
     if len(roots) != 1:
         raise ArithmeticError(
             f"expected one positive root of the triple-diff phase on [4, 7], got {roots}"
         )
-    eta0 = roots[0]
-    xi0 = 3.0 * eta0 - reflection(eta0)
-    rec = _record(
-        "anomalous-point",
-        1,
-        "equal-signs, partner 3*eta - r(eta)",
-        "point",
-        "space_time",
-        None,
-        [PhasePoint(eta0, eta0, eta0, xi0), PhasePoint(-eta0, -eta0, -eta0, -xi0)],
-    )
+    sample = _sampler(_IMPLICIT_FAMILIES["triple-diff"][2])
+    rec = _record("anomalous-point", 1, "equal-signs, partner 3*eta - r(eta)", "point", "space_time", None,
+                  [sample(roots[0]), sample(-roots[0])])
     if not rec.consistent(tol):
         raise ArithmeticError("anomalous resonance residuals exceed tolerance")
     return rec
 
 
-def _line_sampler(sign_pos: int) -> Callable[[float], PhasePoint]:
-    def sample(eta: float) -> PhasePoint:
-        etas = [eta, eta, eta]
-        etas[sign_pos] = -eta
-        return PhasePoint(etas[0], etas[1], etas[2], 0.0)
+#: Space-time resonant families on xi = 0: (label, kind, forms of
+#: (eta1, eta2, eta3, xi) in q).  The rows labelled by their kind are the base
+#: line and curve; the others are their sign and slot images.
+_SPACE_TIME_FAMILIES = (
+    ("line", "line", ((-1, 0), (1, 0), (1, 0), (0, 0))),
+    ("line-sign-1", "line", ((1, 0), (-1, 0), (1, 0), (0, 0))),
+    ("line-sign-2", "line", ((1, 0), (1, 0), (-1, 0), (0, 0))),
+    ("curve", "curve", ((1, 0), (0, 1), (0, -1), (0, 0))),
+    ("curve-permuted", "curve", ((1, 0), (-1, 0), (0, -1), (0, 0))),
+)
 
-    return sample
+#: Subfamily and sample parameters of each space-time kind.
+_SPACE_TIME_KINDS = {
+    "line": ("one negated frequency, xi = 0", (0.5, 2.0, SQRT3, 10.0, -7.0)),
+    "curve": ("reflected pair, xi = 0", (1.2, 2.0, SQRT3, 5.0, -3.0)),
+}
 
-
-def _curve_sampler(permuted: bool) -> Callable[[float], PhasePoint]:
-    def sample(eta: float) -> PhasePoint:
-        r = reflection(eta)
-        if permuted:
-            return PhasePoint(eta, -eta, -r, 0.0)
-        return PhasePoint(eta, r, -r, 0.0)
-
-    return sample
-
-
-def _swapped(sampler: Callable[[float], PhasePoint]) -> Callable[[float], PhasePoint]:
-    """The sampler with input slots 1 and 3 exchanged."""
-
-    def sample(p: float) -> PhasePoint:
-        pt = sampler(p)
-        return PhasePoint(pt.eta3, pt.eta2, pt.eta1, pt.xi)
-
-    return sample
-
-
-#: Pure-space families parametrized by the output frequency xi:
-#: (label, family, subfamily, sampler(xi)).
+#: Pure-space families parametrized by q = xi / 2, whose phase is nonzero
+#: for xi != 0: (label, family, subfamily, forms of (eta1, eta2, eta3, xi)).
 _SPACE_FAMILIES = (
-    ("space-quarter", 1, "(xi/4, xi/4, xi/4)", lambda xi: PhasePoint(xi / 4.0, xi / 4.0, xi / 4.0, xi)),
-    ("space-half", 1, "(xi/2, xi/2, xi/2)", lambda xi: PhasePoint(xi / 2.0, xi / 2.0, xi / 2.0, xi)),
-    ("space-half-mixed", 1, "(-xi/2, xi/2, xi/2)", lambda xi: PhasePoint(-xi / 2.0, xi / 2.0, xi / 2.0, xi)),
-    ("space-half-reflected", 2, "(xi/2, xi/2, r(xi/2))",
-     lambda xi: PhasePoint(xi / 2.0, xi / 2.0, reflection(xi / 2.0), xi)),
-    ("space-half-antireflected", 2, "(xi/2, xi/2, -r(xi/2))",
-     lambda xi: PhasePoint(xi / 2.0, xi / 2.0, -reflection(xi / 2.0), xi)),
-    ("space-reflected-pair", 2, "(-r(xi/2), r(xi/2), xi/2)",
-     lambda xi: PhasePoint(-reflection(xi / 2.0), reflection(xi / 2.0), xi / 2.0, xi)),
+    ("space-quarter", 1, "(xi/4, xi/4, xi/4)", ((0.5, 0), (0.5, 0), (0.5, 0), (2, 0))),
+    ("space-half", 1, "(xi/2, xi/2, xi/2)", ((1, 0), (1, 0), (1, 0), (2, 0))),
+    ("space-half-mixed", 1, "(-xi/2, xi/2, xi/2)", ((-1, 0), (1, 0), (1, 0), (2, 0))),
+    ("space-half-reflected", 2, "(xi/2, xi/2, r(xi/2))", ((1, 0), (1, 0), (0, 1), (2, 0))),
+    ("space-half-antireflected", 2, "(xi/2, xi/2, -r(xi/2))", ((1, 0), (1, 0), (0, -1), (2, 0))),
+    ("space-reflected-pair", 2, "(-r(xi/2), r(xi/2), xi/2)", ((0, -1), (0, 1), (1, 0), (2, 0))),
 )
 
-#: Sample xi values per family; family 2 needs |xi/2| > 1 for r(xi/2).
-_SPACE_XIS = {1: (1.0, 4.0, -3.0), 2: (3.0, 5.0, -4.0)}
-
-#: Implicit one-parameter space families (eta is the parameter; xi follows):
-#: (label, family, constraint, sampler(eta), scalar phase certifying them).
-_IMPLICIT_FAMILIES = (
-    ("implicit-triple-sum", 1, "3 eta + r(eta) = xi",
-     lambda eta: PhasePoint(eta, eta, eta, 3.0 * eta + reflection(eta)), "triple-sum"),
-    ("implicit-triple-diff", 1, "3 eta - r(eta) = xi",
-     lambda eta: PhasePoint(eta, eta, eta, 3.0 * eta - reflection(eta)), "triple-diff"),
-    ("implicit-single-diff", 1, "-eta + r(eta) = xi",
-     lambda eta: PhasePoint(eta, -eta, -eta, -eta + reflection(eta)), "single-diff"),
-    ("implicit-single-sum", 1, "-eta - r(eta) = xi",
-     lambda eta: PhasePoint(eta, -eta, -eta, -eta - reflection(eta)), "single-sum"),
-    ("implicit-double-sum", 2, "2(eta + r(eta)) = xi",
-     lambda eta: PhasePoint(eta, eta, reflection(eta), 2.0 * (eta + reflection(eta))), "double-sum"),
-    ("implicit-double-diff", 2, "2(eta - r(eta)) = xi",
-     lambda eta: PhasePoint(eta, eta, -reflection(eta), 2.0 * (eta - reflection(eta))), "double-diff"),
-)
+#: Sample q = xi / 2 per family; family 2 needs |q| > 1 for r(q).
+_SPACE_QS = {1: (0.5, 2.0, -1.5), 2: (1.5, 2.5, -2.0)}
 
 _IMPLICIT_ETAS = (1.5, SQRT3, 2.5, 6.0, -4.0)
+
+
+def _root_notes(name: str) -> str:
+    roots = find_roots(name, (1.0 + 1e-3, 50.0), samples_per_unit=2000)
+    if not roots:
+        return "no time resonance on the scan range"
+    return "time-resonant only at " + ", ".join(f"{r:.6g}" for r in roots)
 
 
 def enumerate_resonances(tol: float = CLASSIFY_TOL) -> list[ResonanceRecord]:
@@ -360,17 +335,10 @@ def enumerate_resonances(tol: float = CLASSIFY_TOL) -> list[ResonanceRecord]:
     only; each implicit family carries the scalar function certifying that
     its phase does not vanish away from the already-counted points.
     """
-    # Space-time resonant line and its sign permutations.
     records = [
-        _record("line" if pos == 0 else f"line-sign-{pos}", 1, "one negated frequency, xi = 0", "line",
-                "space_time", _line_sampler(pos), (0.5, 2.0, SQRT3, 10.0, -7.0), symmetry_derived=pos > 0)
-        for pos in (0, 1, 2)
-    ]
-    # Space-time resonant curve and its permuted variant.
-    records += [
-        _record("curve-permuted" if permuted else "curve", 1, "reflected pair, xi = 0", "curve", "space_time",
-                _curve_sampler(permuted), (1.2, 2.0, SQRT3, 5.0, -3.0), symmetry_derived=permuted)
-        for permuted in (False, True)
+        _record(label, 1, _SPACE_TIME_KINDS[kind][0], kind, "space_time", _sampler(forms),
+                _SPACE_TIME_KINDS[kind][1], symmetry_derived=label != kind)
+        for label, kind, forms in _SPACE_TIME_FAMILIES
     ]
     # Distinguished points on the line, then the isolated anomalous pair.
     records += [
@@ -382,41 +350,28 @@ def enumerate_resonances(tol: float = CLASSIFY_TOL) -> list[ResonanceRecord]:
     ]
     records.append(anomalous_resonance(tol))
     records += [
-        _record(label, family, subfamily, "implicit_family", "space", sampler, _SPACE_XIS[family],
+        _record(label, family, subfamily, "implicit_family", "space", _sampler(forms), _SPACE_QS[family],
                 notes="phase nonzero for xi != 0")
-        for label, family, subfamily, sampler in _SPACE_FAMILIES
+        for label, family, subfamily, forms in _SPACE_FAMILIES
     ]
-    # Implicit families with a scalar certificate of non-time-resonance.
-    for label, family, subfamily, sampler, check in _IMPLICIT_FAMILIES:
-        roots = find_roots(check, (1.0 + 1e-3, 50.0), samples_per_unit=2000)
-        notes = (
-            "time-resonant only at " + ", ".join(f"{r:.6g}" for r in roots)
-            if roots
-            else "no time resonance on the scan range"
-        )
-        records.append(
-            _record(label, family, subfamily, "implicit_family", "space", sampler, _IMPLICIT_ETAS, notes=notes)
-        )
-
+    records += [
+        _record(f"implicit-{name}", family, subfamily, "implicit_family", "space", _sampler(forms),
+                _IMPLICIT_ETAS, notes=_root_notes(name))
+        for name, (family, subfamily, forms) in _IMPLICIT_FAMILIES.items()
+    ]
     # Families 3 and 4 swap which slot carries the reflected frequency;
     # permutation symmetry of the phase makes them copies of family 2, so
-    # record one representative permuted copy per family-2 entry.
-    family2 = [(r, _IMPLICIT_ETAS) for r in records if r.family == 2 and r.label.startswith("implicit-")]
-    family2 += [(r, _SPACE_XIS[2]) for r in records if r.family == 2 and r.label.startswith("space-")]
-    for rec, params in family2:
-        records.append(
-            _record(
-                f"{rec.label}-permuted",
-                3,
-                rec.subfamily + " (slots 1 and 3 swapped)",
-                rec.kind,
-                rec.classification,
-                _swapped(rec.sampler),
-                params,
-                symmetry_derived=True,
-                notes="permutation image of a family-2 record; family 4 likewise swaps slots 2 and 3",
-            )
-        )
+    # record each family-2 entry, implicit ones first, with slots 1 and 3 swapped.
+    family2 = [(f"implicit-{name}", subfamily, forms, _IMPLICIT_ETAS)
+               for name, (family, subfamily, forms) in _IMPLICIT_FAMILIES.items() if family == 2]
+    family2 += [(label, subfamily, forms, _SPACE_QS[2])
+                for label, family, subfamily, forms in _SPACE_FAMILIES if family == 2]
+    records += [
+        _record(f"{label}-permuted", 3, subfamily + " (slots 1 and 3 swapped)", "implicit_family", "space",
+                _sampler((f3, f2, f1, fxi)), params, symmetry_derived=True,
+                notes="permutation image of a family-2 record; family 4 likewise swaps slots 2 and 3")
+        for label, subfamily, (f1, f2, f3, fxi), params in family2
+    ]
 
     for rec in records:
         if not rec.consistent(tol):

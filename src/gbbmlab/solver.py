@@ -14,6 +14,7 @@ which the reversal test exploits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +133,7 @@ def evolve(
     return state
 
 
-def profile_of(field: SpectralField) -> SpectralField:
-    """Interaction-picture profile: coefficients times exp(+i omega t).
-    Constant in time for pure linear flow; its drift is the signature of the
-    nonlinearity."""
-    factor = np.exp(1j * omega(field.grid.frequencies) * field.time)
-    return SpectralField(field.grid, field.coeffs * factor, field.time)
-
-
+@functools.cache
 def rk4_linear_log_factor(grid: Grid, dt: float) -> np.ndarray:
     """log of the RK4 amplification factor for the linear part, per mode.
 
@@ -148,9 +142,14 @@ def rk4_linear_log_factor(grid: Grid, dt: float) -> np.ndarray:
     of by e^{-i omega t} gives a profile that is exactly constant for the
     discrete linear flow, so its drift isolates the nonlinearity instead of
     being swamped by the integrator's O(dt^5) linear phase error.
+
+    Computed once per (grid, dt) and read-only, since every record of a run
+    divides by the same factor.
     """
     z = -1j * omega(grid.frequencies) * dt
-    return np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+    log_factor = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+    log_factor.flags.writeable = False
+    return log_factor
 
 
 def discrete_profile_of(field: SpectralField, dt: float, t_start: float = 1.0) -> SpectralField:

@@ -19,7 +19,6 @@ from gbbmlab.diagnostics import (
     scattering_test,
     sobolev,
 )
-from gbbmlab.linear_flow import propagate_linear
 from gbbmlab.solver import SolverConfig, evolve, gaussian_data
 from gbbmlab.spectral import Grid, SpectralField
 
@@ -108,13 +107,10 @@ def test_fit_decay_validation():
 
 
 def test_scattering_linear_flow_is_silent(grid):
-    from gbbmlab.solver import profile_of
-
-    u0 = gaussian_data(grid, 1e-2)
-    snaps = []
-    for t in (1.0, 2.0, 4.0, 8.0, 16.0):
-        snaps.append((t, profile_of(propagate_linear(u0, t))))
-    rows = scattering_test(snaps)
+    rec = Recorder()
+    evolve(gaussian_data(grid, 1e-2), SolverConfig(dt=0.05, t_end=16.0, record_stride=20), rec, nonlinear=False)
+    assert [t for t, _ in rec.profiles] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    rows = scattering_test(rec.profiles)
     assert all(dl < 1e-12 and d2 < 1e-12 for _, dl, d2 in rows)
 
 
@@ -134,13 +130,10 @@ def test_growth_budget_validation():
 
 
 def test_bootstrap_report_linear_flow(grid):
-    from gbbmlab.solver import profile_of
-
-    u0 = gaussian_data(grid, 1e-2)
-    samples = [
-        compute_norms(profile_of(propagate_linear(u0, t)), physical=propagate_linear(u0, t))
-        for t in (1.0, 4.0, 16.0, 64.0, 256.0)
-    ]
+    rec = Recorder()
+    evolve(gaussian_data(grid, 1e-2), SolverConfig(dt=0.1, t_end=256.0, record_stride=30), rec, nonlinear=False)
+    samples = [s for s in rec.samples if s.t in (1.0, 4.0, 16.0, 64.0, 256.0)]
+    assert len(samples) == 5
     rep = bootstrap_report(samples)
     assert abs(rep["weighted_growth_exponent"]) < 1e-8
     assert abs(rep["sobolev_growth_exponent"]) < 1e-8

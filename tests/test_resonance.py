@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +186,75 @@ def test_census_symmetry_flags():
     recs = enumerate_resonances()
     assert any(r.symmetry_derived for r in recs)
     assert any(r.family == 3 for r in recs)
+
+
+# ---------------------------------------------------------------------------
+# Census completeness: sign/reflection patterns (n_eta, n_-eta, n_r, n_-r)
+# ---------------------------------------------------------------------------
+
+def _orbit(pattern):
+    """Orbit of a pattern under negation and the swap eta <-> r(eta)."""
+    a, b, c, d = pattern
+    return frozenset({(a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)})
+
+
+def _pattern(p):
+    """Counts of eta1, -eta1, r(eta1), -r(eta1) among the four frequencies."""
+    basis = np.array([p.eta1, -p.eta1, reflection(p.eta1), -reflection(p.eta1)])
+    counts = [0, 0, 0, 0]
+    for e in (p.eta1, p.eta2, p.eta3, p.eta4):
+        j = int(np.argmin(np.abs(basis - e)))
+        assert abs(basis[j] - e) < 1e-9, p
+        counts[j] += 1
+    return tuple(counts)
+
+
+def test_census_covers_every_sign_reflection_orbit():
+    patterns = [p for p in itertools.product(range(5), repeat=4) if sum(p) == 4]
+    orbits = {_orbit(p) for p in patterns}
+    assert (len(patterns), len(orbits)) == (35, 11)
+    recs = enumerate_resonances()
+    # q = 2.5 is generic: q and q / 2 exceed 1, and none of q, r(q), q / 2 is sqrt(3)
+    covered = {r.label: _orbit(_pattern(r.sampler(2.5))) for r in recs if r.sampler is not None}
+    anomalous = next(r for r in recs if r.label == "anomalous-point")
+    covered["anomalous-point"] = _orbit(_pattern(anomalous.representative_points[0]))
+    assert set(covered.values()) == orbits
+    # the phase a omega(eta) + b omega(r) - omega(a eta + b r) of a pattern
+    # vanishes identically exactly when its signed counts a, b are both 0
+    null_orbits = {o for o in orbits if all(n[0] == n[1] and n[2] == n[3] for n in o)}
+    assert null_orbits == {covered[r.label] for r in recs if r.kind in ("line", "curve")}
+
+
+def test_census_phase_vanishes_on_line_and_curve_only():
+    # sample parameters away from the roots +-sqrt(3) and +-5.076 of the
+    # scalar phases
+    qs = (1.5, 2.5, 6.0, -4.0)
+    for rec in enumerate_resonances():
+        if rec.sampler is not None:
+            vanishes = [abs(phase(rec.sampler(q))) < 1e-9 for q in qs]
+            assert vanishes == [rec.kind in ("line", "curve")] * len(qs), rec.label
+
+
+def test_implicit_families_certified_by_their_scalar_phase():
+    etas = np.concatenate([np.linspace(-30.0, -1.1, 40), np.linspace(1.1, 30.0, 40)])
+    implicit = [r for r in enumerate_resonances() if r.label.startswith("implicit-")]
+    assert len(implicit) == 8
+    for rec in implicit:
+        fn = SCALAR_PHASE_FUNCTIONS[rec.label.removeprefix("implicit-").removesuffix("-permuted")]
+        for eta in etas:
+            assert abs(phase(rec.sampler(float(eta))) - float(fn(eta))) < 1e-12, (rec.label, eta)
+
+
+def test_census_shape_matches_benchmark_reference():
+    # order, labels and point counts of the census as the benchmark recorded
+    # them; the benchmark's census check fails on any drift
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "quick-cli.json"
+    reference = json.loads(path.read_text())["references"][0]["census"]
+    shape = [
+        [r.label, r.family, r.subfamily, r.kind, r.classification, len(r.representative_points)]
+        for r in enumerate_resonances()
+    ]
+    assert shape == reference
 
 
 @given(st.floats(min_value=-20.0, max_value=20.0))

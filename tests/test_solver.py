@@ -11,7 +11,6 @@ from gbbmlab.solver import (
     discrete_profile_of,
     evolve,
     gaussian_data,
-    profile_of,
     quartic_hat,
     rhs,
     rk4_linear_log_factor,
@@ -160,18 +159,6 @@ def test_evolve_realness(small_data):
     assert out.hermitian_defect() < 1e-12
 
 
-def test_profile_constant_under_linear_flow(small_data):
-    a = profile_of(propagate_linear(small_data, 7.0))
-    b = profile_of(propagate_linear(small_data, 19.0))
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
-
-
-def test_profile_identity_at_t0(grid):
-    f = SpectralField.from_function(grid, lambda x: np.exp(-x * x), time=0.0)
-    p = profile_of(f)
-    assert np.max(np.abs(p.coeffs - f.coeffs)) == 0.0
-
-
 def test_discrete_profile_constant_under_rk4_linear_flow(small_data):
     dt = 0.05
     state = small_data
@@ -196,3 +183,5 @@ def test_rk4_factor_near_exact_symbol(grid):
     logR = rk4_linear_log_factor(grid, dt)
     exact = -1j * omega(grid.frequencies) * dt
     assert np.max(np.abs(logR - exact)) < 1e-12
+    assert rk4_linear_log_factor(grid, dt) is logR
+    assert not logR.flags.writeable
