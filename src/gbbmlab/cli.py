@@ -141,6 +141,12 @@ class OutputSink:
             f.write(text)
         self.checksums[name] = hashlib.sha256(text.encode()).hexdigest()
 
+    def write_csv(self, name: str, header: str, rows):
+        """CSV text: the header line, then one line per row; a float cell is
+        written with ``fmt``, any other cell with ``str``."""
+        lines = [header] + [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+        self.write_text(name, "\n".join(lines) + "\n")
+
     def write_json(self, name: str, obj):
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -233,17 +239,23 @@ def run_resonances(cfg: dict, sink: OutputSink) -> int:
     return 0
 
 
-def _make_profile(kind: str, grid: Grid, width: float, k: int) -> SpectralField:
-    if kind == "gaussian":
-        return SpectralField.from_function(grid, lambda x: np.exp(-(x * x) / (2.0 * width * width)))
-    if kind == "band":
-        sigma = 2.0 ** (-k) / 2.0  # narrow spike => flat transform across the band
-        return SpectralField.from_function(grid, lambda x: np.exp(-(x * x) / (2.0 * sigma * sigma)))
-    if kind == "near-sqrt3":
-        return SpectralField.from_function(
-            grid, lambda x: np.exp(-(x * x) * width * width / 2.0) * np.cos(SQRT3 * x)
-        )
-    raise ValidationError(f"unknown profile '{kind}'")
+#: Initial-data family -> (width, carrier) of its Gaussian, from the config.
+_DATA_FAMILIES = {
+    "gaussian": lambda cfg: (cfg["width"], cfg.get("carrier", 0.0)),
+    # a narrow spike has a flat transform across the band 2^k
+    "band": lambda cfg: (2.0 ** -cfg["k"] / 2.0, 0.0),
+    # transform of width `width` about +-sqrt(3)
+    "near-sqrt3": lambda cfg: (1.0 / cfg["width"], SQRT3),
+}
+
+
+def _initial_data(cfg: dict, grid: Grid, amplitude: float, time: float) -> SpectralField:
+    """The configured family's Gaussian, scaled by amplitude, at the given time."""
+    try:
+        width, carrier = _DATA_FAMILIES[cfg["profile"]](cfg)
+    except KeyError:  # an unknown name, or a family reading a key the subcommand lacks (band's k)
+        raise ValidationError(f"unknown profile '{cfg['profile']}' for this subcommand") from None
+    return solver.gaussian_data(grid, amplitude, width, carrier, time)
 
 
 def _dyadic_times(t_min: float, t_max: float) -> list[float]:
@@ -255,40 +267,39 @@ def _dyadic_times(t_min: float, t_max: float) -> list[float]:
     return ts
 
 
+def _require_dyadic_records(scfg: solver.SolverConfig) -> None:
+    """Reject a run from t = 1 whose record lattice (every record_stride-th step) misses
+    a dyadic snapshot time 2, 4, ... below t_end; t_end itself is always recorded."""
+    stride, t = scfg.dt * scfg.record_stride, 2.0
+    while t < scfg.t_end:
+        j = (t - 1.0) / stride
+        if abs(j - round(j)) > 1e-9 * abs(j):
+            raise ValidationError(f"dt * record_stride = {stride:g} does not divide {t - 1:g}: no snapshot at {t:g}")
+        t *= 2.0
+
+
 def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
     if cfg["t_min"] <= 0 or cfg["t_max"] < cfg["t_min"]:
         raise ValidationError("need 0 < t_min <= t_max")
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     k = int(cfg["k"])
-    profile = _make_profile(str(cfg["profile"]), grid, float(cfg["width"]), k)
+    profile = _initial_data(cfg, grid, 1.0, 0.0)
     times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
-    lines = ["t,k,case_id,lhs,rhs,ratio"]
-    sups = []
+    rows = []
     summary: dict = {"profile": cfg["profile"], "times": times}
     if cfg["profile"] == "band":
         for t in times:
             row = linear_flow.dispersive_bound(profile, k, t)
-            lines.append(
-                f"{fmt(t)},{k},{row.case},{fmt(row.lhs)},{fmt(row.rhs)},{fmt(row.ratio)}"
-            )
-            sups.append((t, row.lhs))
+            rows.append((t, k, row.case, row.lhs, row.rhs, row.ratio))
     else:
-        for t in times:
-            sup = linear_flow.aggregate_sup_norm(profile, t)
-            lines.append(f"{fmt(t)},,aggregate,{fmt(sup)},,")
-            sups.append((t, sup))
+        rows = [(t, "", "aggregate", linear_flow.aggregate_sup_norm(profile, t), "", "") for t in times]
         if cfg["profile"] == "near-sqrt3":
-            f = linear_flow.propagate_linear(profile, times[-1])
-            u = np.abs(f.physical())
-            x_max = float(grid.points[int(np.argmax(u))])
-            ray = -times[-1] / 8.0
-            summary["argmax_x"] = x_max
-            summary["ray_x"] = ray
-            summary["ray_relative_error"] = abs(x_max - ray) / abs(ray)
-    fit = diagnostics.fit_decay(sups)
-    summary["fitted_exponent"] = fit.exponent
-    summary["r_squared"] = fit.r_squared
-    sink.write_text("decay.csv", "\n".join(lines) + "\n")
+            u = np.abs(linear_flow.propagate_linear(profile, times[-1]).physical())
+            x_max, ray = float(grid.points[int(np.argmax(u))]), -times[-1] / 8.0
+            summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
+    fit = diagnostics.fit_decay([(t, sup) for t, _, _, sup, _, _ in rows])
+    summary.update(fitted_exponent=fit.exponent, r_squared=fit.r_squared)
+    sink.write_csv("decay.csv", "t,k,case_id,lhs,rhs,ratio", rows)
     sink.write_json("decay_summary.json", summary)
     return 0
 
@@ -302,41 +313,32 @@ def run_evolve(cfg: dict, sink: OutputSink) -> int:
     )
     if scfg.t_end <= 1.0:
         raise ValidationError("t_end must exceed the initial time 1")
-    epsilon, profile_kind = float(cfg["epsilon"]), str(cfg["profile"])
-    if profile_kind == "gaussian":
-        u0 = solver.gaussian_data(grid, epsilon, float(cfg["width"]), float(cfg["carrier"]))
-    elif profile_kind == "near-sqrt3":
-        u0 = solver.gaussian_data(grid, epsilon, float(cfg["width"]), SQRT3)
-    else:
-        raise ValidationError(f"unknown initial-data family '{profile_kind}'")
+    if cfg["snapshots"] == "dyadic":
+        _require_dyadic_records(scfg)
+    u0 = _initial_data(cfg, grid, float(cfg["epsilon"]), 1.0)
     rec = diagnostics.Recorder(s=float(cfg["s"]))
     final = solver.evolve(u0, scfg, rec)
-    lines = ["t,linf_fhat,weighted_l2,sobolev_s,sup_u"]
-    for smp in rec.samples:
-        lines.append(
-            ",".join(fmt(v) for v in (smp.t, smp.linf_fhat, smp.weighted_l2, smp.sobolev, smp.sup_u))
-        )
-    sink.write_text("diagnostics.csv", "\n".join(lines) + "\n")
+    cells = [(smp.t, smp.linf_fhat, smp.weighted_l2, smp.sobolev, smp.sup_u) for smp in rec.samples]
+    sink.write_csv("diagnostics.csv", "t,linf_fhat,weighted_l2,sobolev_s,sup_u", cells)
     if cfg["snapshots"] != "none":
         for t, prof in rec.profiles:
             sink.write_snapshot(f"profile_t{t:g}.bin", prof)
         sink.write_snapshot("final_state.bin", final)
-    report = diagnostics.bootstrap_report(rec.samples)
-    sink.write_json("bootstrap_summary.json", report)
+    sink.write_json("bootstrap_summary.json", diagnostics.bootstrap_report(rec.samples))
     return 0
 
 
 def run_scatter(cfg: dict, sink: OutputSink) -> int:
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     scfg = solver.SolverConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=1)
-    u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), float(cfg["width"]))
+    if scfg.t_end < 16.0:
+        raise ValidationError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
+    _require_dyadic_records(scfg)
+    u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), float(cfg["width"]), time=1.0)
     rec = diagnostics.Recorder()
     solver.evolve(u0, scfg, rec)
     rows = diagnostics.scattering_test(rec.profiles)
-    lines = ["t,diff_linf,diff_l2"]
-    for t, dl, d2 in rows:
-        lines.append(f"{fmt(t)},{fmt(dl)},{fmt(d2)}")
-    sink.write_text("scattering.csv", "\n".join(lines) + "\n")
+    sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", rows)
     late = [(t, d) for t, d, _ in rows if t >= 8.0]
     fit = diagnostics.fit_decay(late if len(late) >= 4 else [(t, d) for t, d, _ in rows])
     late_pairs = [(a, b) for (ta, a, _), (_, b, _) in zip(rows, rows[1:]) if ta >= 8.0]
@@ -361,14 +363,11 @@ def run_verify_estimates(cfg: dict, sink: OutputSink) -> int:
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     if 2.0 ** (k_max + 1) > grid.nyquist:
         raise ValidationError("grid Nyquist too small for k_max")
-    width = float(cfg["width"])
-    profile = SpectralField.from_function(grid, lambda x: np.exp(-(x * x) / (2.0 * width * width)))
+    profile = solver.gaussian_data(grid, 1.0, float(cfg["width"]), time=0.0)
     times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
     rows = linear_flow.verify_dispersive_estimate(profile, range(k_min, k_max + 1), times, float(cfg["s"]))
-    lines = ["t,k,case_id,lhs,rhs,ratio"]
-    for r in rows:
-        lines.append(f"{fmt(r.t)},{r.k},{r.case},{fmt(r.lhs)},{fmt(r.rhs)},{fmt(r.ratio)}")
-    sink.write_text("estimates.csv", "\n".join(lines) + "\n")
+    cells = [(r.t, r.k, r.case, r.lhs, r.rhs, r.ratio) for r in rows]
+    sink.write_csv("estimates.csv", "t,k,case_id,lhs,rhs,ratio", cells)
     ratios = [r.ratio for r in rows]
     by_t: dict[float, float] = {}
     for r in rows:
@@ -454,10 +453,7 @@ def run_figures(cfg: dict, sink: OutputSink) -> int:
     if n_points < 2:
         raise ValidationError("n_points must be >= 2")
     header, cols = _figure_data(fig_id, n_points)
-    lines = [header]
-    for row in zip(*[np.asarray(c) for c in cols]):
-        lines.append(",".join(fmt(v) for v in row))
-    sink.write_text(f"figure_{fig_id:02d}.csv", "\n".join(lines) + "\n")
+    sink.write_csv(f"figure_{fig_id:02d}.csv", header, zip(*[np.asarray(c) for c in cols]))
     return 0
 
 
@@ -505,6 +501,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         sub = args.subcommand
         cfg = _merge_flags(_load_config(args.config, sub), args)
+        if "width" in cfg and not cfg["width"] > 0:
+            raise ValidationError(f"width must be positive, got {cfg['width']:g}")
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"
         sink = OutputSink(out_dir, sub, cfg)
         status = _RUNNERS[sub][0](cfg, sink)

@@ -2,8 +2,8 @@
 
 The bootstrap norm has three components: sup|fhat|, the weighted norm
 ||x f||_2 (computed spectrally as ||d fhat / d xi||_2), and a Sobolev norm.
-The budget allows the weighted norm to grow like t^p0 with p0 just below 1/6
-and the Sobolev norm like t^p1 with p1 = 1e-3; decay exponents are recovered
+The budget allows the weighted norm to grow like t^P0 with P0 just below 1/6
+and the Sobolev norm like t^P1 with P1 = 1e-3; decay exponents are recovered
 by least squares in log-log coordinates over dyadic time samples.
 """
 
@@ -37,17 +37,11 @@ class DecayFit:
     n_points: int
 
 
-@dataclass(frozen=True)
-class GrowthBudget:
-    """Allowed growth rates of the weighted and Sobolev components."""
-
-    p0: float = 1.0 / 6.0 - 1e-3
-    p1: float = 1e-3
-    slack: float = 0.05
-
-    def __post_init__(self):
-        if not (0.0 < self.p1 and 0.0 < self.p0 < 1.0 / 6.0):
-            raise ValueError("budget requires 0 < p1 and 0 < p0 < 1/6")
+#: Growth budget t^P0 of the weighted norm, t^P1 of the Sobolev norm, and
+#: the slack a fitted exponent may exceed its budget by.
+P0 = 1.0 / 6.0 - 1e-3
+P1 = 1e-3
+BUDGET_SLACK = 0.05
 
 
 def linf_fhat(fhat: np.ndarray) -> float:
@@ -77,18 +71,16 @@ def h1_norm(field: SpectralField) -> float:
     return sobolev(field.grid, field.continuum_coeffs, 1.0)
 
 
-def compute_norms(profile: SpectralField, s: float = 10.0, physical: SpectralField | None = None) -> NormSample:
-    """Bootstrap-norm components of a profile snapshot.  ``physical`` is the
-    corresponding solution field for sup_u; when omitted the profile's own
-    physical max is used (correct only at t = 0)."""
-    phys = physical if physical is not None else profile
+def compute_norms(profile: SpectralField, field: SpectralField, s: float = 10.0) -> NormSample:
+    """Bootstrap-norm components of a profile snapshot; ``field`` is the
+    solution it is the profile of, whose sup is sup_u."""
     fhat = profile.continuum_coeffs
     return NormSample(
         t=profile.time,
         linf_fhat=linf_fhat(fhat),
         weighted_l2=dxi_l2(profile.grid, fhat),
         sobolev=sobolev(profile.grid, fhat, s),
-        sup_u=float(np.max(np.abs(phys.physical()))),
+        sup_u=float(np.max(np.abs(field.physical()))),
     )
 
 
@@ -160,13 +152,13 @@ class Recorder:
         self.profiles: list[tuple[float, SpectralField]] = []
 
     def __call__(self, field: SpectralField, profile: SpectralField):
-        self.samples.append(compute_norms(profile, self.s, physical=field))
+        self.samples.append(compute_norms(profile, field, self.s))
         m = math.log2(field.time) if field.time > 0 else -1.0
         if field.time > 0 and abs(m - round(m)) < 1e-9:
             self.profiles.append((field.time, profile))
 
 
-def bootstrap_report(samples: list[NormSample], budget: GrowthBudget = GrowthBudget()) -> dict:
+def bootstrap_report(samples: list[NormSample]) -> dict:
     """Sup of each budgeted component and fitted growth exponents of the
     weighted and Sobolev norms, with violation flags when a fitted exponent
     exceeds its budget by more than the slack."""
@@ -177,12 +169,12 @@ def bootstrap_report(samples: list[NormSample], budget: GrowthBudget = GrowthBud
     fit_s = fit_decay([(s.t, s.sobolev) for s in samples])
     return {
         "sup_linf_fhat": max(s.linf_fhat for s in samples),
-        "sup_weighted_budgeted": max(s.weighted_l2 * s.t ** -budget.p0 for s in samples),
-        "sup_sobolev_budgeted": max(s.sobolev * s.t ** -budget.p1 for s in samples),
+        "sup_weighted_budgeted": max(s.weighted_l2 * s.t**-P0 for s in samples),
+        "sup_sobolev_budgeted": max(s.sobolev * s.t**-P1 for s in samples),
         "weighted_growth_exponent": fit_w.exponent,
         "sobolev_growth_exponent": fit_s.exponent,
-        "weighted_violation": fit_w.exponent > budget.p0 + budget.slack,
-        "sobolev_violation": fit_s.exponent > budget.p1 + budget.slack,
+        "weighted_violation": fit_w.exponent > P0 + BUDGET_SLACK,
+        "sobolev_violation": fit_s.exponent > P1 + BUDGET_SLACK,
         "window": (min(ts), max(ts)),
         "n_samples": len(samples),
     }

@@ -1,4 +1,4 @@
-"""Smooth dyadic bump functions and Littlewood-Paley projections.
+"""Smooth dyadic bump functions: the Littlewood-Paley cutoffs.
 
 The base cutoff phi is 1 on [-1, 1], 0 outside [-2, 2], and uses the standard
 smooth transition h(s) = g(s) / (g(s) + g(1 - s)) with g(s) = exp(-1/s) on the
@@ -10,11 +10,7 @@ floating point.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .spectral import SpectralField
 
 
 def _smooth_step(s):
@@ -47,30 +43,3 @@ def psi_k(k: int, xi):
     """Annular cutoff at dyadic scale k, supported in {2^(k-1) <= |xi| <= 2^(k+1)}."""
     xi = np.asarray(xi, dtype=float)
     return bump(xi / 2.0**k) - bump(xi / 2.0 ** (k - 1))
-
-
-def dyadic_range(grid) -> range:
-    """Dyadic indices representable on a grid, from ceil(log2(dxi)) to
-    floor(log2(nyquist)).  Derived from the grid so the partition of unity is
-    never silently truncated."""
-    k_lo = math.ceil(math.log2(grid.dxi))
-    k_hi = math.floor(math.log2(grid.nyquist))
-    return range(k_lo, k_hi + 1)
-
-
-def project(field: SpectralField, k: int, mode: str = "annular") -> SpectralField:
-    """Littlewood-Paley projection of a spectral field.
-
-    mode "annular" multiplies by psi_k, "low_pass" by phi_{<=k}.  Raises
-    ValueError when the band 2^(k+1) exceeds the grid Nyquist frequency.
-    Hermitian symmetry is preserved (the multipliers are real and even).
-    """
-    if mode not in ("annular", "low_pass"):
-        raise ValueError(f"unknown projection mode {mode!r}")
-    if 2.0 ** (k + 1) > field.grid.nyquist:
-        raise ValueError(
-            f"band k={k} exceeds grid Nyquist frequency {field.grid.nyquist:g}"
-        )
-    xi = field.grid.frequencies
-    mult = psi_k(k, xi) if mode == "annular" else phi_le_k(k, xi)
-    return SpectralField(field.grid, field.coeffs * mult, field.time)

@@ -163,11 +163,15 @@ def discrete_profile_of(field: SpectralField, dt: float, t_start: float = 1.0) -
     return SpectralField(field.grid, field.coeffs * factor, field.time)
 
 
-def gaussian_data(grid: Grid, epsilon: float, width: float = 1.0, carrier: float = 0.0) -> SpectralField:
-    """Initial data epsilon * exp(-x^2 / (2 width^2)) * cos(carrier x) at
-    time 1; carrier != 0 concentrates the transform near +-carrier."""
-    x = grid.points
-    u = epsilon * np.exp(-(x * x) / (2.0 * width * width))
-    if carrier != 0.0:
-        u = u * np.cos(carrier * x)
-    return SpectralField.from_physical(grid, u, time=1.0)
+def gaussian_data(
+    grid: Grid, epsilon: float, width: float = 1.0, carrier: float = 0.0, time: float = 1.0
+) -> SpectralField:
+    """Initial data epsilon * exp(-x^2 / (2 width^2)) * cos(carrier x) at the
+    given time; carrier != 0 concentrates the transform near +-carrier.  Built
+    inside ``from_function``, so no grid-sized temporary lives through the FFT."""
+
+    def u(x):
+        envelope = epsilon * np.exp(-(x * x) / (2.0 * width * width))
+        return envelope * np.cos(carrier * x) if carrier != 0.0 else envelope
+
+    return SpectralField.from_function(grid, u, time)

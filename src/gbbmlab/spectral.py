@@ -107,6 +107,3 @@ class SpectralField:
         c = self.coeffs
         mirrored = np.conj(np.roll(c[::-1], 1))
         return float(np.max(np.abs(c - mirrored)))
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.time)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gbbmlab import solver
 from gbbmlab.cli import _DEFAULTS, build_parser, main, read_snapshot
+from gbbmlab.dispersion import SQRT3
 
 
 def run_cli(args):
@@ -186,13 +188,53 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "figure_01.csv").exists()
 
 
-def test_seventeen_digit_floats(tmp_path):
-    out = tmp_path / "fig"
-    run_cli(["figures", "--id", "4", "--n-points", "11", "--output-dir", str(out)])
-    lines = (out / "figure_04.csv").read_text().strip().splitlines()[1:]
-    for line in lines:
-        for tok in line.split(","):
+_SMALL_GRID = ["--n-modes", "256", "--half-length", "32"]
+#: Records t = 1, 1.5, ..., 4: the four samples the bootstrap fit needs.
+_SMALL_EVOLVE_4 = ["evolve", "--t-end", "4", "--dt", "0.05"] + _SMALL_GRID
+
+#: One small run per CSV writer: (argv, file, header, has aggregate rows).
+_CSV_RUNS = {
+    "decay-gaussian": (
+        ["linear-decay", "--t-min", "1", "--t-max", "16", "--n-modes", "4096", "--half-length", "256"],
+        "decay.csv", "t,k,case_id,lhs,rhs,ratio", True,
+    ),
+    "decay-band": (
+        ["linear-decay", "--profile", "band", "--k", "1", "--t-min", "1", "--t-max", "16",
+         "--n-modes", "4096", "--half-length", "256"],
+        "decay.csv", "t,k,case_id,lhs,rhs,ratio", False,
+    ),
+    "estimates": (
+        ["verify-estimates", "--k-min", "0", "--k-max", "1", "--t-max", "32", "--width", "0.5",
+         "--n-modes", "1024", "--half-length", "64"],
+        "estimates.csv", "t,k,case_id,lhs,rhs,ratio", False,
+    ),
+    "scattering": (["scatter", "--t-end", "16"] + _SMALL_GRID, "scattering.csv", "t,diff_linf,diff_l2", False),
+    "diagnostics": (
+        _SMALL_EVOLVE_4, "diagnostics.csv", "t,linf_fhat,weighted_l2,sobolev_s,sup_u", False,
+    ),
+    "figure_04": (["figures", "--id", "4", "--n-points", "11"], "figure_04.csv", "eta,reflection", False),
+}
+
+
+@pytest.mark.parametrize("argv, name, header, aggregate", _CSV_RUNS.values(), ids=_CSV_RUNS.keys())
+def test_seventeen_digit_floats(tmp_path, argv, name, header, aggregate):
+    out = tmp_path / "run"
+    assert run_cli(argv + ["--output-dir", str(out)]) == 0
+    lines = (out / name).read_text().strip().splitlines()
+    assert lines[0] == header
+    assert len(lines) > 2
+    for line in lines[1:]:
+        cells = dict(zip(header.split(","), line.split(","), strict=True))
+        if aggregate:
+            # an aggregate row belongs to no band: k, rhs and ratio are empty
+            assert [cells.pop(c) for c in ("k", "case_id", "rhs", "ratio")] == ["", "aggregate", "", ""]
+        for col in ("k", "case_id"):
+            if col in cells:
+                tok = cells.pop(col)
+                assert tok == str(int(tok))
+        for tok in cells.values():
             assert float(tok) == float(f"{float(tok):.17g}")
+            assert tok == f"{float(tok):.17g}"
 
 
 def test_scatter_summary(tmp_path):
@@ -222,3 +264,49 @@ def test_scatter_non_dividing_dt_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "divide" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
+    # evolve's near-sqrt3 data is linear-decay's: a transform of width
+    # `width` about +-sqrt(3), not a spatial Gaussian of width `width`
+    out = tmp_path / "ev"
+    assert run_cli(_SMALL_EVOLVE_4 + ["--profile", "near-sqrt3", "--output-dir", str(out)]) == 0
+    f = read_snapshot(str(out / "profile_t1.bin"))
+    peak = f.grid.frequencies[int(np.argmax(np.abs(f.coeffs)))]
+    assert abs(abs(peak) - SQRT3) <= f.grid.dxi
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["linear-decay", "--width", "0"], "width must be positive"),
+        (["linear-decay", "--profile", "near-sqrt3", "--width", "0"], "width must be positive"),
+        (["evolve", "--width", "-0.5"] + _SMALL_EVOLVE, "width must be positive"),
+        (["evolve", "--profile", "near-sqrt3", "--width", "0"] + _SMALL_EVOLVE, "width must be positive"),
+        (["scatter", "--width", "-0.5"] + _SMALL_GRID, "width must be positive"),
+        (["verify-estimates", "--width", "0"], "width must be positive"),
+        (["evolve", "--t-end", "5", "--record-stride", "3"] + _SMALL_GRID, "no snapshot at 2"),
+        (["scatter", "--t-end", "8"] + _SMALL_GRID, "t_end must be >= 16"),
+        (["scatter", "--t-end", "16", "--dt", "0.06"] + _SMALL_GRID, "no snapshot at 2"),
+        (["evolve", "--profile", "band"] + _SMALL_EVOLVE, "unknown profile 'band'"),
+    ],
+    ids=[
+        "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
+        "evolve-near-sqrt3-width-0", "scatter-width-negative", "verify-estimates-width-0",
+        "evolve-stride-misses-dyadic", "scatter-short", "scatter-dt-misses-dyadic", "evolve-band",
+    ],
+)
+def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message):
+    # every runner that integrates or scans builds its data with gaussian_data
+    monkeypatch.setattr(solver, "gaussian_data", lambda *a, **k: pytest.fail("data built before rejection"))
+    out = tmp_path / "x"
+    assert run_cli(argv + ["--output-dir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_off_lattice_dyadic_time_allowed_without_snapshots(tmp_path):
+    out = tmp_path / "ev"
+    argv = ["evolve", "--t-end", "5", "--record-stride", "3", "--snapshots", "none"] + _SMALL_GRID
+    assert run_cli(argv + ["--output-dir", str(out)]) == 0
+    assert (out / "manifest.json").exists()

@@ -1,15 +1,6 @@
 import numpy as np
-import pytest
 
-from gbbmlab.littlewood_paley import (
-    annular_bump,
-    bump,
-    dyadic_range,
-    phi_le_k,
-    project,
-    psi_k,
-)
-from gbbmlab.spectral import Grid, SpectralField
+from gbbmlab.littlewood_paley import annular_bump, bump, phi_le_k, psi_k
 
 
 def test_bump_plateau_and_support():
@@ -55,49 +46,3 @@ def test_psi_k_is_scaled_annulus():
     xs = np.linspace(-70.0, 70.0, 2001)
     for k in (-2, 0, 3, 5):
         assert np.allclose(psi_k(k, xs), annular_bump(xs / 2.0**k), atol=1e-15)
-
-
-def test_dyadic_range_from_grid():
-    g = Grid(2**10, 64.0)  # dxi ~ 0.049, nyquist ~ 25.1
-    ks = dyadic_range(g)
-    assert ks.start == -4
-    assert ks.stop - 1 == 4
-    assert 2.0**ks.start >= g.dxi
-    assert 2.0 ** (ks.stop - 1) <= g.nyquist
-
-
-def test_project_annular_scales_single_frequency():
-    g = Grid(2**10, 64.0)
-    xi0 = 100 * g.dxi  # ~4.9, inside band k=2
-    f = SpectralField.from_function(g, lambda x: np.cos(xi0 * x))
-    band = project(f, 2)
-    expected = float(psi_k(2, xi0)) * np.cos(xi0 * g.points)
-    assert np.max(np.abs(band.physical() - expected)) < 1e-12
-    # a far band sees nothing
-    assert np.max(np.abs(project(f, -2).physical())) < 1e-12
-
-
-def test_project_low_pass():
-    g = Grid(2**11, 64.0)
-    f = SpectralField.from_function(g, lambda x: np.exp(-x * x))
-    # content beyond |xi| = 16 is ~exp(-64); the plateau keeps everything
-    low = project(f, 4, mode="low_pass")
-    assert np.max(np.abs(low.physical() - f.physical())) < 1e-12
-
-
-def test_project_preserves_realness():
-    g = Grid(2**9, 32.0)
-    rng = np.random.default_rng(7)
-    f = SpectralField.from_physical(g, rng.standard_normal(g.n_modes))
-    p = project(f, 1)
-    assert p.max_imag() < 1e-12
-    assert p.hermitian_defect() < 1e-12
-
-
-def test_project_validates():
-    g = Grid(2**8, 16.0)
-    f = SpectralField.from_function(g, lambda x: np.exp(-x * x))
-    with pytest.raises(ValueError):
-        project(f, 99)
-    with pytest.raises(ValueError):
-        project(f, 1, mode="bandpass")

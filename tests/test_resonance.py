@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gbbmlab.dispersion import SQRT3, omega, omega_prime, reflection
+from gbbmlab.dispersion import SQRT3, omega, omega_prime, reflection, solve_group_velocity
 from gbbmlab.resonance import (
     PhasePoint,
     SCALAR_PHASE_FUNCTIONS,
@@ -199,8 +199,13 @@ def _orbit(pattern):
 
 
 def _pattern(p):
-    """Counts of eta1, -eta1, r(eta1), -r(eta1) among the four frequencies."""
-    basis = np.array([p.eta1, -p.eta1, reflection(p.eta1), -reflection(p.eta1)])
+    """Counts of eta1, -eta1, r(eta1), -r(eta1) among the four frequencies,
+    with the basis taken from the group-velocity census: the four
+    frequencies whose group velocity is omega'(eta1)."""
+    roots = solve_group_velocity(float(omega_prime(p.eta1)))
+    assert len(roots) == 4, p
+    partner = max((x for x in roots if x * p.eta1 > 0), key=lambda x: abs(x - p.eta1))
+    basis = np.array([p.eta1, -p.eta1, partner, -partner])
     counts = [0, 0, 0, 0]
     for e in (p.eta1, p.eta2, p.eta3, p.eta4):
         j = int(np.argmin(np.abs(basis - e)))

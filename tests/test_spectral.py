@@ -81,14 +81,6 @@ def test_field_validation():
         SpectralField(g, bad)
 
 
-def test_copy_is_independent():
-    g = Grid(64, 8.0)
-    f = SpectralField.from_function(g, lambda x: np.exp(-x * x))
-    c = f.copy()
-    c.coeffs[0] = 99.0
-    assert f.coeffs[0] != 99.0
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 256, 2**12, 2**16])
 def test_fftshift_sorts_frequencies(n):
     # the package orders frequencies for output and interpolation by fftshift
