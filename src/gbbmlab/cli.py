@@ -249,42 +249,52 @@ _DATA_FAMILIES = {
 }
 
 
-def _initial_data(cfg: dict, grid: Grid, amplitude: float, time: float) -> SpectralField:
-    """The configured family's Gaussian, scaled by amplitude, at the given time."""
+def _data_family(cfg: dict) -> tuple[float, float]:
+    """(width, carrier) of the configured family's Gaussian."""
     try:
-        width, carrier = _DATA_FAMILIES[cfg["profile"]](cfg)
+        return _DATA_FAMILIES[cfg["profile"]](cfg)
     except KeyError:  # an unknown name, or a family reading a key the subcommand lacks (band's k)
         raise ValidationError(f"unknown profile '{cfg['profile']}' for this subcommand") from None
-    return solver.gaussian_data(grid, amplitude, width, carrier, time)
 
 
 def _dyadic_times(t_min: float, t_max: float) -> list[float]:
+    """t_min, 2 t_min, 4 t_min, ... up to t_max within one part in 10^9; a NaN fails
+    the range check, and t overflowing to inf ends the list."""
+    if not 0.0 < t_min <= t_max < math.inf:
+        raise ValidationError(f"need 0 < t_min <= t_max < inf, got t_min = {t_min:g}, t_max = {t_max:g}")
     ts = []
     t = t_min
-    while t <= t_max * (1 + 1e-9):
+    while t <= t_max or math.isclose(t, t_max, rel_tol=1e-9):
         ts.append(t)
         t *= 2.0
     return ts
 
 
-def _require_dyadic_records(scfg: solver.SolverConfig) -> None:
-    """Reject a run from t = 1 whose record lattice (every record_stride-th step) misses
-    a dyadic snapshot time 2, 4, ... below t_end; t_end itself is always recorded."""
-    stride, t = scfg.dt * scfg.record_stride, 2.0
-    while t < scfg.t_end:
+def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
+    """Reject a run from t = 1 that records (at t = 1, every record_stride-th step and
+    t_end) fewer than the 4 samples a fit needs or, if dyadic, whose record lattice misses
+    a dyadic snapshot time 2, 4, ... below t_end."""
+    if scfg.dt <= 0:
+        raise ValidationError(f"dt = {scfg.dt:g} must be positive: the run goes forward from t = 1")
+    n_steps = max(1, round((scfg.t_end - 1.0) / scfg.dt))
+    n_records = 1 + -(-n_steps // scfg.record_stride)
+    if n_records < 4:
+        raise ValidationError(f"{n_records} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
+    if not dyadic:
+        return
+    stride = scfg.dt * scfg.record_stride
+    for t in _dyadic_times(1.0, scfg.t_end):
         j = (t - 1.0) / stride
-        if abs(j - round(j)) > 1e-9 * abs(j):
+        if t < scfg.t_end and abs(j - round(j)) > 1e-9 * abs(j):
             raise ValidationError(f"dt * record_stride = {stride:g} does not divide {t - 1:g}: no snapshot at {t:g}")
-        t *= 2.0
 
 
 def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
-    if cfg["t_min"] <= 0 or cfg["t_max"] < cfg["t_min"]:
-        raise ValidationError("need 0 < t_min <= t_max")
+    times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
+    width, carrier = _data_family(cfg)
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     k = int(cfg["k"])
-    profile = _initial_data(cfg, grid, 1.0, 0.0)
-    times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
+    profile = solver.gaussian_data(grid, 1.0, width, carrier, time=0.0)
     rows = []
     summary: dict = {"profile": cfg["profile"], "times": times}
     if cfg["profile"] == "band":
@@ -313,9 +323,9 @@ def run_evolve(cfg: dict, sink: OutputSink) -> int:
     )
     if scfg.t_end <= 1.0:
         raise ValidationError("t_end must exceed the initial time 1")
-    if cfg["snapshots"] == "dyadic":
-        _require_dyadic_records(scfg)
-    u0 = _initial_data(cfg, grid, float(cfg["epsilon"]), 1.0)
+    width, carrier = _data_family(cfg)
+    _require_records(scfg, cfg["snapshots"] == "dyadic")
+    u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), width, carrier, time=1.0)
     rec = diagnostics.Recorder(s=float(cfg["s"]))
     final = solver.evolve(u0, scfg, rec)
     cells = [(smp.t, smp.linf_fhat, smp.weighted_l2, smp.sobolev, smp.sup_u) for smp in rec.samples]
@@ -333,7 +343,7 @@ def run_scatter(cfg: dict, sink: OutputSink) -> int:
     scfg = solver.SolverConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=1)
     if scfg.t_end < 16.0:
         raise ValidationError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
-    _require_dyadic_records(scfg)
+    _require_records(scfg, dyadic=True)
     u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), float(cfg["width"]), time=1.0)
     rec = diagnostics.Recorder()
     solver.evolve(u0, scfg, rec)
@@ -363,8 +373,8 @@ def run_verify_estimates(cfg: dict, sink: OutputSink) -> int:
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     if 2.0 ** (k_max + 1) > grid.nyquist:
         raise ValidationError("grid Nyquist too small for k_max")
-    profile = solver.gaussian_data(grid, 1.0, float(cfg["width"]), time=0.0)
     times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
+    profile = solver.gaussian_data(grid, 1.0, float(cfg["width"]), time=0.0)
     rows = linear_flow.verify_dispersive_estimate(profile, range(k_min, k_max + 1), times, float(cfg["s"]))
     cells = [(r.t, r.k, r.case, r.lhs, r.rhs, r.ratio) for r in rows]
     sink.write_csv("estimates.csv", "t,k,case_id,lhs,rhs,ratio", cells)
@@ -400,8 +410,9 @@ def _scalar(name: str):
     return lambda x, anomalous: resonance.scalar_function(name, x)
 
 
-def _aux_anomalous(signs: tuple[int, int, int]):
-    return lambda x, anomalous: resonance.aux_phase_anomalous(signs, x, anomalous().eta1)
+def _aux_phase(signs: tuple[int, int, int], eta0: float | None = None):
+    """Column of the auxiliary phase at eta0, by default the anomalous eta0."""
+    return lambda x, anomalous: resonance.aux_phase(signs, x, anomalous().eta1 if eta0 is None else eta0)
 
 
 #: Figure id -> (header, x range, columns).  A column maps (x, anomalous) to
@@ -410,15 +421,8 @@ def _aux_anomalous(signs: tuple[int, int, int]):
 #: anomalous.  Functions of ``resonance`` are looked up at call time.
 _FIGURES = {
     1: ("xi,group_velocity", (-10.0, 10.0), [lambda x, anomalous: omega_prime(x)]),
-    2: (
-        "xi,phase_ppp,phase_mpp",
-        (-20.0, 20.0),
-        [
-            lambda x, anomalous: resonance.aux_phase_sqrt3((1, 1, 1), x),
-            lambda x, anomalous: resonance.aux_phase_sqrt3((-1, 1, 1), x),
-        ],
-    ),
-    3: ("xi,phase_ppp,phase_pmm", (-40.0, 40.0), [_aux_anomalous((1, 1, 1)), _aux_anomalous((1, -1, -1))]),
+    2: ("xi,phase_ppp,phase_mpp", (-20.0, 20.0), [_aux_phase((1, 1, 1), SQRT3), _aux_phase((-1, 1, 1), SQRT3)]),
+    3: ("xi,phase_ppp,phase_pmm", (-40.0, 40.0), [_aux_phase((1, 1, 1)), _aux_phase((1, -1, -1))]),
     4: ("eta,reflection", _ETA_NEAR, [lambda x, anomalous: reflection(x)]),
     5: ("eta,partner_sum", _ETA_NEAR, [lambda x, anomalous: 3.0 * x + reflection(x)]),
     6: ("eta,triple_sum_phase", _ETA_FAR, [_scalar("triple-sum")]),
@@ -429,7 +433,7 @@ _FIGURES = {
     11: ("eta,single_diff_phase", _ETA_FAR, [_scalar("single-diff")]),
     12: ("eta,partner_neg_sum", _ETA_NEAR, [lambda x, anomalous: -x - reflection(x)]),
     13: ("eta,single_sum_phase", _ETA_FAR, [_scalar("single-sum")]),
-    14: ("xi,phase_ppp", lambda anomalous: (anomalous().xi - 2.0, anomalous().xi + 2.0), [_aux_anomalous((1, 1, 1))]),
+    14: ("xi,phase_ppp", lambda anomalous: (anomalous().xi - 2.0, anomalous().xi + 2.0), [_aux_phase((1, 1, 1))]),
     15: ("eta,triple_diff_phase", (5.05, 5.22), [_scalar("triple-diff")]),
     16: ("eta,double_sum_phase", _ETA_FAR, [_scalar("double-sum")]),
     17: ("eta,double_diff_phase", _ETA_FAR, [_scalar("double-diff")]),
@@ -511,7 +515,7 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ArithmeticError, OverflowError) as e:
+    except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
 

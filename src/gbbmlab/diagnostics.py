@@ -126,13 +126,7 @@ def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
         if not math.isclose(t2, 2.0 * t1, rel_tol=1e-9):
             raise ValueError(f"snapshots not dyadic: {t1} followed by {t2}")
         d = f2.continuum_coeffs - f1.continuum_coeffs
-        rows.append(
-            (
-                t1,
-                float(np.max(np.abs(d))),
-                float(math.sqrt(np.sum(np.abs(d) ** 2) * f1.grid.dxi)),
-            )
-        )
+        rows.append((t1, linf_fhat(d), sobolev(f1.grid, d, 0.0)))
     if len(rows) < 3:
         raise ValueError("need at least 3 dyadic pairs for the scattering test")
     return rows

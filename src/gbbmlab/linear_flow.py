@@ -41,6 +41,9 @@ PHASE_STEP = math.pi / 10.0
 #: Relative agreement demanded between a quadrature and its refinement.
 CONVERGENCE_RTOL = 1e-6
 
+#: Fixed padding of the sup-norm scan beyond the group-velocity cone.
+CONE_MARGIN = 20.0
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -150,19 +153,13 @@ def _piece_on_nodes(fhat, k, t, x, nodes):
     return 2.0 * out.real / _SQRT_2PI
 
 
-def evaluate_lp_piece(
-    field: SpectralField,
-    k: int,
-    t: float,
-    x,
-    rtol: float = CONVERGENCE_RTOL,
-) -> np.ndarray:
+def evaluate_lp_piece(field: SpectralField, k: int, t: float, x) -> np.ndarray:
     """Dyadic piece u_k(t, x) of the linear solution with profile data
     ``field`` (interpreted at time 0), by direct oscillatory quadrature.
 
     Returns real values at the requested points.  Raises ArithmeticError if
-    doubling the quadrature resolution moves the answer by more than rtol
-    relative to the overall sup of the piece.
+    doubling the quadrature resolution moves the answer by more than
+    CONVERGENCE_RTOL relative to the overall sup of the piece.
     """
     if 2.0 ** (k + 1) > field.grid.nyquist:
         raise ValueError(f"band k={k} exceeds the grid Nyquist frequency")
@@ -173,7 +170,7 @@ def evaluate_lp_piece(
     coarse = _piece_on_nodes(fhat, k, t, x_arr, nodes)
     fine = _piece_on_nodes(fhat, k, t, x_arr, _quadrature_nodes(k, t, xmax, refine=2))
     scale = max(float(np.max(np.abs(fine))), 1e-300)
-    if float(np.max(np.abs(fine - coarse))) > rtol * scale:
+    if float(np.max(np.abs(fine - coarse))) > CONVERGENCE_RTOL * scale:
         raise ArithmeticError(
             f"band quadrature failed to self-converge at k={k}, t={t}"
         )
@@ -182,26 +179,22 @@ def evaluate_lp_piece(
     return fine
 
 
-def stationary_cone(k: int, t: float, margin: float = 20.0) -> tuple[float, float]:
+def stationary_cone(k: int, t: float) -> tuple[float, float]:
     """Spatial interval containing the stationary points of the band phase,
-    padded by 5% of the travel distance plus a fixed margin."""
+    padded by 5% of the travel distance plus CONE_MARGIN."""
     vlo, vhi = _band_velocity_range(k)
     return (
-        min(1.05 * t * vlo, t * vlo) - margin,
-        max(1.05 * t * vhi, t * vhi) + margin,
+        min(1.05 * t * vlo, t * vlo) - CONE_MARGIN,
+        max(1.05 * t * vhi, t * vhi) + CONE_MARGIN,
     )
 
 
 def sup_norm_of_piece(
-    field: SpectralField,
-    k: int,
-    t: float,
-    margin: float = 20.0,
-    points_per_wavelength: int = 8,
+    field: SpectralField, k: int, t: float, points_per_wavelength: int = 8
 ) -> tuple[float, float]:
     """(sup_x |u_k(t, x)|, argmax x), scanning the group-velocity cone of the
     band at a spacing of 1/points_per_wavelength of the band wavelength."""
-    a, b = stationary_cone(k, t, margin)
+    a, b = stationary_cone(k, t)
     spacing = 2.0 * math.pi * 2.0 ** (-k) / points_per_wavelength
     n = max(16, int(math.ceil((b - a) / spacing)))
     xs = np.linspace(a, b, n + 1)
@@ -214,27 +207,25 @@ def sup_norm_of_piece(
 # Five-regime decay bounds
 # ---------------------------------------------------------------------------
 
-def classify_case(
-    k: int, t: float, c_hi: float = CASE_C_HI, c_lo: float = CASE_C_LO
-) -> int:
+def classify_case(k: int, t: float) -> int:
     """Which of the five decay regimes the pair (band k, time t) falls in.
 
-    1: 2^k >= c_hi t^(1/9)        (very high frequency; Sobolev tail)
-    2: 8 <= 2^k < c_hi t^(1/9)    (high frequency)
-    3: 1/2 <= 2^k < 8             (intermediate, includes the inflection)
-    4: c_lo t^(-1/3) <= 2^k < 1/2 (low frequency)
-    5: 2^k < c_lo t^(-1/3)        (very low frequency; trivial bound)
+    1: 2^k >= CASE_C_HI t^(1/9)        (very high frequency; Sobolev tail)
+    2: 8 <= 2^k < CASE_C_HI t^(1/9)    (high frequency)
+    3: 1/2 <= 2^k < 8                  (intermediate, includes the inflection)
+    4: CASE_C_LO t^(-1/3) <= 2^k < 1/2 (low frequency)
+    5: 2^k < CASE_C_LO t^(-1/3)        (very low frequency; trivial bound)
     """
     if t <= 0:
         raise ValueError("t must be positive")
     lam = 2.0**k
-    if lam >= c_hi * t ** (1.0 / 9.0):
+    if lam >= CASE_C_HI * t ** (1.0 / 9.0):
         return 1
     if lam >= 8.0:
         return 2
     if lam >= 0.5:
         return 3
-    if lam >= c_lo * t ** (-1.0 / 3.0):
+    if lam >= CASE_C_LO * t ** (-1.0 / 3.0):
         return 4
     return 5
 

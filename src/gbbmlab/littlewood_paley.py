@@ -3,9 +3,9 @@
 The base cutoff phi is 1 on [-1, 1], 0 outside [-2, 2], and uses the standard
 smooth transition h(s) = g(s) / (g(s) + g(1 - s)) with g(s) = exp(-1/s) on the
 shoulder, so phi is C-infinity with phi(1) = 1 and phi(2) = 0 exactly.  The
-annular bump is psi(xi) = phi(xi) - phi(2 xi); computing psi_k as a difference
-of low-pass cutoffs makes the dyadic partition of unity telescope exactly in
-floating point.
+annular cutoff psi_k is the difference phi_le_k(k) - phi_le_k(k - 1) of
+low-pass cutoffs, which makes the dyadic partition of unity telescope exactly
+in floating point.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ def bump(xi):
     return _smooth_step(2.0 - np.abs(xi))
 
 
-def annular_bump(xi):
-    """psi(xi) = phi(xi) - phi(2 xi), supported in {1/2 <= |xi| <= 2}."""
-    xi = np.asarray(xi, dtype=float)
-    return bump(xi) - bump(2.0 * xi)
-
-
 def phi_le_k(k: int, xi):
     """Low-pass cutoff at dyadic scale k: phi(xi / 2^k)."""
     return bump(np.asarray(xi, dtype=float) / 2.0**k)
@@ -41,5 +35,4 @@ def phi_le_k(k: int, xi):
 
 def psi_k(k: int, xi):
     """Annular cutoff at dyadic scale k, supported in {2^(k-1) <= |xi| <= 2^(k+1)}."""
-    xi = np.asarray(xi, dtype=float)
-    return bump(xi / 2.0**k) - bump(xi / 2.0 ** (k - 1))
+    return phi_le_k(k, xi) - phi_le_k(k - 1, xi)

@@ -181,22 +181,13 @@ def find_roots(
 # Auxiliary phases near the degenerate and anomalous frequencies
 # ---------------------------------------------------------------------------
 
-def aux_phase_sqrt3(signs: tuple[int, int, int], xi):
+def aux_phase(signs: tuple[int, int, int], xi, eta0: float):
     """Leading-order phase when all three input frequencies sit at
-    sigma_j * sqrt(3):  (sqrt(3)/4) sum(sigma) - omega(xi)
-    + omega(xi - sum(sigma) sqrt(3)).
+    sigma_j * eta0 (eta0 = sqrt(3), or the anomalous eta0):
+    -omega(xi) + omega(xi - sum(sigma) eta0) + sum(sigma) omega(eta0).
 
-    Satisfies aux_phase_sqrt3(-signs, xi) = -aux_phase_sqrt3(signs, -xi).
+    Satisfies aux_phase(-signs, xi, eta0) = -aux_phase(signs, -xi, eta0).
     """
-    s = sum(signs)
-    xi = np.asarray(xi, dtype=float)
-    return SQRT3 / 4.0 * s - omega(xi) + omega(xi - s * SQRT3)
-
-
-def aux_phase_anomalous(signs: tuple[int, int, int], xi, eta0: float):
-    """Leading-order phase when all three input frequencies sit at
-    sigma_j * eta0:  -omega(xi) + omega(xi - sum(sigma) eta0)
-    + sum(sigma) omega(eta0)."""
     s = sum(signs)
     xi = np.asarray(xi, dtype=float)
     return -omega(xi) + omega(xi - s * eta0) + s * omega(eta0)

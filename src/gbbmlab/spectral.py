@@ -3,15 +3,15 @@
 The domain is [-L, L) sampled at n points (n a power of two), with
 frequencies xi_j = pi j / L in numpy fft ordering.  Coefficients are stored
 in the raw ``np.fft.fft`` convention; ``continuum_coeffs`` rescales them by
-dx / sqrt(2 pi) so they approximate the unitary Fourier transform on the
-line, which is the normalization used by all norm diagnostics.
+dx / sqrt(2 pi) and moves the origin from x = -L to x = 0, so they
+approximate the unitary Fourier transform on the line, which is the
+normalization used by all norm diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +51,6 @@ class Grid:
     def frequencies(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_modes, d=self.dx)
 
-    @cached_property
-    def continuum_phase(self) -> np.ndarray:
-        """exp(i xi L), the phase moving the fft's x = -L origin to x = 0;
-        computed once per grid and read-only, since every field shares it."""
-        phase = np.exp(1j * self.frequencies * self.half_length)
-        phase.flags.writeable = False
-        return phase
-
 
 @dataclass
 class SpectralField:
@@ -96,11 +88,14 @@ class SpectralField:
     def continuum_coeffs(self) -> np.ndarray:
         """Coefficients scaled to the unitary continuous Fourier transform.
 
-        The fft indexes samples from x = -L, so a phase exp(i xi L) restores
+        The fft indexes samples from x = -L, so a phase exp(i xi_j L) restores
         the continuum convention; without it the coefficients alternate in
-        sign and off-grid interpolation is meaningless.
+        sign and off-grid interpolation is meaningless.  As xi_j L = pi j,
+        that phase is exactly (-1)^j: the odd fft indices are negated.
         """
-        return self.coeffs * (self.grid.dx / _TWO_PI_SQRT) * self.grid.continuum_phase
+        c = self.coeffs * (self.grid.dx / _TWO_PI_SQRT)
+        np.negative(c[1::2], out=c[1::2])
+        return c
 
     def hermitian_defect(self) -> float:
         """Max |c(-xi) - conj(c(xi))| over the grid; 0 for a real field."""

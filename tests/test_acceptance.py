@@ -1,8 +1,8 @@
 """End-to-end acceptance checks for the laboratory.
 
 Each numbered criterion prints exactly one PASS/FAIL line.  The nonlinear
-long-horizon checks share a single module-scoped evolution run; expect a
-total runtime of tens of minutes.
+long-horizon checks share a single module-scoped evolution run, which
+takes most of the suite's few minutes.
 """
 
 import math
@@ -271,7 +271,7 @@ def epsilon_pair():
         rec = Recorder()
         S.evolve(u0, S.SolverConfig(dt=0.1, t_end=128.0, record_stride=10), rec)
         rows = scattering_test(rec.profiles)
-        # recorded times carry accumulated step round-off; key by integer time
+        # recorded times are exact lattice times, so each dyadic row is keyed by its integer time
         diffs[eps] = {round(t): dl for t, dl, _ in rows}
     return diffs
 

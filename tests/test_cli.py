@@ -289,11 +289,18 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         (["scatter", "--t-end", "8"] + _SMALL_GRID, "t_end must be >= 16"),
         (["scatter", "--t-end", "16", "--dt", "0.06"] + _SMALL_GRID, "no snapshot at 2"),
         (["evolve", "--profile", "band"] + _SMALL_EVOLVE, "unknown profile 'band'"),
+        (["linear-decay", "--t-max", "inf"], "need 0 < t_min <= t_max < inf"),
+        (["verify-estimates", "--t-min", "0"], "need 0 < t_min <= t_max < inf"),
+        (["verify-estimates", "--t-max", "nan"], "need 0 < t_min <= t_max < inf"),
+        (["evolve", "--t-end", "2", "--dt", "0.05"] + _SMALL_GRID, "3 records"),
+        (["evolve", "--t-end", "4", "--dt", "-0.05"] + _SMALL_GRID, "dt = -0.05 must be positive"),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
         "evolve-near-sqrt3-width-0", "scatter-width-negative", "verify-estimates-width-0",
         "evolve-stride-misses-dyadic", "scatter-short", "scatter-dt-misses-dyadic", "evolve-band",
+        "linear-decay-t-max-inf", "verify-estimates-t-min-0", "verify-estimates-t-max-nan", "evolve-short",
+        "evolve-dt-negative",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message):

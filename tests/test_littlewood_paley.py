@@ -1,6 +1,6 @@
 import numpy as np
 
-from gbbmlab.littlewood_paley import annular_bump, bump, phi_le_k, psi_k
+from gbbmlab.littlewood_paley import bump, phi_le_k, psi_k
 
 
 def test_bump_plateau_and_support():
@@ -25,10 +25,10 @@ def test_bump_even():
 
 def test_annular_bump_support():
     xs = np.linspace(-0.5, 0.5, 101)
-    assert np.all(annular_bump(xs) == 0.0)
-    assert np.all(annular_bump(np.linspace(2.0, 8.0, 50)) == 0.0)
-    assert annular_bump(1.0) == 1.0
-    assert annular_bump(-1.0) == 1.0
+    assert np.all(psi_k(0, xs) == 0.0)
+    assert np.all(psi_k(0, np.linspace(2.0, 8.0, 50)) == 0.0)
+    assert psi_k(0, 1.0) == 1.0
+    assert psi_k(0, -1.0) == 1.0
 
 
 def test_partition_of_unity_telescopes():
@@ -45,4 +45,4 @@ def test_partition_of_unity_telescopes():
 def test_psi_k_is_scaled_annulus():
     xs = np.linspace(-70.0, 70.0, 2001)
     for k in (-2, 0, 3, 5):
-        assert np.allclose(psi_k(k, xs), annular_bump(xs / 2.0**k), atol=1e-15)
+        assert np.allclose(psi_k(k, xs), psi_k(0, xs / 2.0**k), atol=1e-15)

@@ -12,8 +12,7 @@ from gbbmlab.resonance import (
     PhasePoint,
     SCALAR_PHASE_FUNCTIONS,
     anomalous_resonance,
-    aux_phase_anomalous,
-    aux_phase_sqrt3,
+    aux_phase,
     enumerate_resonances,
     find_roots,
     phase,
@@ -266,8 +265,8 @@ def test_census_shape_matches_benchmark_reference():
 def test_aux_phase_sqrt3_sign_symmetry(xi):
     for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1)):
         neg = tuple(-s for s in signs)
-        a = float(aux_phase_sqrt3(neg, xi))
-        b = -float(aux_phase_sqrt3(signs, -xi))
+        a = float(aux_phase(neg, xi, SQRT3))
+        b = -float(aux_phase(signs, -xi, SQRT3))
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -275,4 +274,4 @@ def test_aux_phase_anomalous_vanishes_at_xi0():
     rec = anomalous_resonance()
     eta0 = rec.representative_points[0].eta1
     xi0 = rec.representative_points[0].xi
-    assert abs(float(aux_phase_anomalous((1, 1, 1), xi0, eta0))) < 1e-9
+    assert abs(float(aux_phase((1, 1, 1), xi0, eta0))) < 1e-9
