@@ -207,7 +207,7 @@ def _point_dict(p: resonance.PhasePoint) -> dict:
 
 def run_resonances(cfg: dict, sink: OutputSink) -> int:
     tol = float(cfg["tol"])
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     records = resonance.enumerate_resonances(tol)
     anom = next(r for r in records if r.label == "anomalous-point")
@@ -271,12 +271,12 @@ def _dyadic_times(t_min: float, t_max: float) -> list[float]:
 
 
 def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
-    """Reject a run from t = 1 that records (at t = 1, every record_stride-th step and
-    t_end) fewer than the 4 samples a fit needs or, if dyadic, whose record lattice misses
-    a dyadic snapshot time 2, 4, ... below t_end."""
+    """Reject a run from t = 1 whose dt does not divide t_end - 1 (``SolverConfig.n_steps``), that
+    records (at t = 1, every record_stride-th step and t_end) fewer than the 4 samples a fit needs
+    or, if dyadic, whose record lattice misses a dyadic snapshot time 2, 4, ... below t_end."""
     if scfg.dt <= 0:
         raise ValidationError(f"dt = {scfg.dt:g} must be positive: the run goes forward from t = 1")
-    n_steps = max(1, round((scfg.t_end - 1.0) / scfg.dt))
+    n_steps = scfg.n_steps(1.0)
     n_records = 1 + -(-n_steps // scfg.record_stride)
     if n_records < 4:
         raise ValidationError(f"{n_records} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
@@ -284,8 +284,11 @@ def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
         return
     stride = scfg.dt * scfg.record_stride
     for t in _dyadic_times(1.0, scfg.t_end):
-        j = (t - 1.0) / stride
-        if t < scfg.t_end and abs(j - round(j)) > 1e-9 * abs(j):
+        try:  # t is step n - n_steps(t) from t = 1, recorded if that is a whole number of strides
+            missed = t < scfg.t_end and (n_steps - scfg.n_steps(t)) % scfg.record_stride
+        except ValueError:  # dt does not divide t_end - t: t is not a step at all
+            missed = True
+        if missed:
             raise ValidationError(f"dt * record_stride = {stride:g} does not divide {t - 1:g}: no snapshot at {t:g}")
 
 
@@ -294,6 +297,8 @@ def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
     width, carrier = _data_family(cfg)
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
     k = int(cfg["k"])
+    if cfg["profile"] == "band":
+        linear_flow.require_band_on_grid(grid, k)
     profile = solver.gaussian_data(grid, 1.0, width, carrier, time=0.0)
     rows = []
     summary: dict = {"profile": cfg["profile"], "times": times}
@@ -318,11 +323,7 @@ def run_evolve(cfg: dict, sink: OutputSink) -> int:
     if cfg["snapshots"] not in ("dyadic", "none"):
         raise ValidationError(f"snapshots must be 'dyadic' or 'none', got '{cfg['snapshots']}'")
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
-    scfg = solver.SolverConfig(
-        dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=int(cfg["record_stride"])
-    )
-    if scfg.t_end <= 1.0:
-        raise ValidationError("t_end must exceed the initial time 1")
+    scfg = solver.SolverConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=int(cfg["record_stride"]))
     width, carrier = _data_family(cfg)
     _require_records(scfg, cfg["snapshots"] == "dyadic")
     u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), width, carrier, time=1.0)
@@ -371,8 +372,7 @@ def run_verify_estimates(cfg: dict, sink: OutputSink) -> int:
     if k_max < k_min:
         raise ValidationError("k_max must be >= k_min")
     grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
-    if 2.0 ** (k_max + 1) > grid.nyquist:
-        raise ValidationError("grid Nyquist too small for k_max")
+    linear_flow.require_band_on_grid(grid, k_max)
     times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
     profile = solver.gaussian_data(grid, 1.0, float(cfg["width"]), time=0.0)
     rows = linear_flow.verify_dispersive_estimate(profile, range(k_min, k_max + 1), times, float(cfg["s"]))
@@ -507,6 +507,8 @@ def main(argv=None) -> int:
         cfg = _merge_flags(_load_config(args.config, sub), args)
         if "width" in cfg and not cfg["width"] > 0:
             raise ValidationError(f"width must be positive, got {cfg['width']:g}")
+        if "s" in cfg and not math.isfinite(cfg["s"]):
+            raise ValidationError(f"s must be finite, got {cfg['s']:g}")
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"
         sink = OutputSink(out_dir, sub, cfg)
         status = _RUNNERS[sub][0](cfg, sink)

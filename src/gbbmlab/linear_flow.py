@@ -29,7 +29,8 @@ import numpy as np
 from . import diagnostics
 from .dispersion import omega, omega_prime
 from .littlewood_paley import psi_k
-from .spectral import SpectralField
+from .solver import linear_symbol
+from .spectral import Grid, SpectralField
 
 #: Frequency-band constants separating the five decay regimes.
 CASE_C_HI = 2.0**4
@@ -50,8 +51,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def propagate_linear(field: SpectralField, t: float) -> SpectralField:
     """Evolve a spectral field exactly under the linear equation from
     field.time to t (multiplication by exp(-i omega (t - time)))."""
-    dt = t - field.time
-    factor = np.exp(-1j * omega(field.grid.frequencies) * dt)
+    factor = np.exp(linear_symbol(field.grid) * (t - field.time))
     return SpectralField(field.grid, field.coeffs * factor, t)
 
 
@@ -60,6 +60,12 @@ def aggregate_sup_norm(field: SpectralField, t: float) -> float:
     propagation and an inverse FFT.  The domain must outrun the fastest
     group velocity (|omega'| <= 1) for the periodic image to be negligible."""
     return float(np.max(np.abs(propagate_linear(field, t).physical())))
+
+
+def require_band_on_grid(grid: Grid, k: int) -> None:
+    """Raise ValueError unless band k, which reaches 2^(k+1), lies below the grid Nyquist frequency."""
+    if 2.0 ** (k + 1) > grid.nyquist:
+        raise ValueError(f"grid Nyquist {grid.nyquist:g} too small for band k = {k}")
 
 
 def _band_interval(k: int) -> tuple[float, float]:
@@ -161,8 +167,7 @@ def evaluate_lp_piece(field: SpectralField, k: int, t: float, x) -> np.ndarray:
     doubling the quadrature resolution moves the answer by more than
     CONVERGENCE_RTOL relative to the overall sup of the piece.
     """
-    if 2.0 ** (k + 1) > field.grid.nyquist:
-        raise ValueError(f"band k={k} exceeds the grid Nyquist frequency")
+    require_band_on_grid(field.grid, k)
     fhat = _profile_interpolator(field)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     xmax = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
@@ -272,15 +277,6 @@ def dispersive_bound(
     return DispersiveCaseBound(k=k, t=t, case=case, lhs=lhs, rhs=rhs)
 
 
-def verify_dispersive_estimate(
-    field: SpectralField,
-    bands,
-    times,
-    s: float = 5.5,
-) -> list[DispersiveCaseBound]:
+def verify_dispersive_estimate(field: SpectralField, bands, times, s: float = 5.5) -> list[DispersiveCaseBound]:
     """Decay-bound table over a sweep of bands and times, sorted by (k, t)."""
-    rows = []
-    for k in bands:
-        for t in times:
-            rows.append(dispersive_bound(field, k, t, s))
-    return rows
+    return [dispersive_bound(field, k, t, s) for k in bands for t in times]

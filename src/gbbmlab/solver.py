@@ -41,8 +41,21 @@ class SolverConfig:
             raise ValueError("dt must be nonzero and finite")
         if abs(self.dt) > 0.1:
             raise ValueError("dt exceeds the 0.1 stability budget")
+        if not np.isfinite(self.t_end):
+            raise ValueError(f"t_end = {self.t_end:g} must be finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+
+    def n_steps(self, t0: float) -> int:
+        """Number of dt-steps from t0 to t_end (0 if they coincide); ValueError if dt
+        points away from t_end or misses the span by more than one part in 10^9."""
+        span = self.t_end - t0
+        if span * self.dt < 0:
+            raise ValueError("dt sign inconsistent with t_end")
+        n = round(span / self.dt)
+        if abs(n * self.dt - span) > 1e-9 * abs(span):
+            raise ValueError(f"dt = {self.dt:g} does not divide t_end - t0 = {span:g} into whole steps")
+        return n
 
 
 def quartic_hat(c: np.ndarray) -> np.ndarray:
@@ -67,69 +80,55 @@ def quartic_hat(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def rhs(field: SpectralField, nonlinear: bool = True) -> np.ndarray:
-    """Time derivative of the coefficients: -i omega (uhat + (u^4)^)."""
-    c = field.coeffs
+def linear_symbol(grid: Grid) -> np.ndarray:
+    """The linear symbol -i omega(xi) on the grid frequencies."""
+    return -1j * omega(grid.frequencies)
+
+
+def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool = True) -> np.ndarray:
+    """Time derivative of the coefficients c: symbol * (c + (u^4)^)."""
     if np.max(np.abs(c)) > BLOWUP_GUARD:
         raise OverflowError("blow-up guard tripped: coefficients exceed 1e10")
     total = c + quartic_hat(c) if nonlinear else c
-    return -1j * omega(field.grid.frequencies) * total
+    return symbol * total
 
 
-def step(field: SpectralField, dt: float, nonlinear: bool = True) -> SpectralField:
-    """One classical RK4 step of size dt (dt may be negative)."""
-    g = field.grid
-
-    def f(c):
-        return rhs(SpectralField(g, c, field.time), nonlinear)
-
-    c = field.coeffs
-    k1 = f(c)
-    k2 = f(c + 0.5 * dt * k1)
-    k3 = f(c + 0.5 * dt * k2)
-    k4 = f(c + dt * k3)
-    return SpectralField(g, c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), field.time + dt)
+def step(c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool = True) -> np.ndarray:
+    """Coefficients after one classical RK4 step of size dt (dt may be negative)."""
+    k1 = rhs(c, symbol, nonlinear)
+    k2 = rhs(c + 0.5 * dt * k1, symbol, nonlinear)
+    k3 = rhs(c + 0.5 * dt * k2, symbol, nonlinear)
+    k4 = rhs(c + dt * k3, symbol, nonlinear)
+    return c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def evolve(
-    u0: SpectralField,
-    cfg: SolverConfig,
-    recorder=None,
-    nonlinear: bool = True,
-) -> SpectralField:
-    """Advance u0 to cfg.t_end in n steps of dt = (t_end - t0) / n, calling
-    ``recorder(field, profile)`` on the initial state, on every
-    record_stride-th step and at the final time.  ``profile`` is
-    ``discrete_profile_of(field, dt, t0)`` for the step actually taken.
+def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool = True) -> SpectralField:
+    """Advance u0 to cfg.t_end in n = cfg.n_steps(t0) steps of dt = (t_end -
+    t0) / n, calling ``recorder(field, profile)`` on the initial state, on
+    every record_stride-th step and at the final time.  ``profile`` is
+    ``discrete_profile_of(field, dt, i)`` after i steps of the dt taken.
 
-    cfg.dt must divide the span t_end - t0: a dt that misses it by more than
-    one part in 10^9 raises ValueError before anything is recorded, so the
-    step taken differs from cfg.dt by round-off only.  The state after step
-    i is stamped with the lattice time t0 + span * i / n (not a sum of
-    dt's), so lattice points such as t_end and dyadic times carry their exact
-    values."""
-    t0 = u0.time
+    A cfg.dt that does not divide the span raises ValueError before anything
+    is recorded, so the step taken differs from cfg.dt by round-off only.
+    The state after step i is stamped with the lattice time t0 + span * i /
+    n (not a sum of dt's), so lattice points such as t_end and dyadic times
+    carry their exact values."""
+    t0, grid = u0.time, u0.grid
+    n = cfg.n_steps(t0)
     span = cfg.t_end - t0
-    if span == 0:
-        if recorder is not None:
-            recorder(u0, discrete_profile_of(u0, cfg.dt, t0))
-        return u0
-    if span * cfg.dt < 0:
-        raise ValueError("dt sign inconsistent with t_end")
-    n_steps = max(1, round(span / cfg.dt))
-    if abs(n_steps * cfg.dt - span) > 1e-9 * abs(span):
-        raise ValueError(f"dt = {cfg.dt:g} does not divide t_end - t0 = {span:g} into whole steps")
-    dt = span / n_steps
-    state = u0
+    dt = span / n if n else cfg.dt
     if recorder is not None:
-        recorder(state, discrete_profile_of(state, dt, t0))
-    for i in range(n_steps):
-        state = step(state, dt, nonlinear)
-        if not np.all(np.isfinite(state.coeffs)):
-            raise OverflowError(f"non-finite state at t={state.time}")
-        state.time = t0 + span * (i + 1) / n_steps
-        if recorder is not None and ((i + 1) % cfg.record_stride == 0 or i + 1 == n_steps):
-            recorder(state, discrete_profile_of(state, dt, t0))
+        recorder(u0, discrete_profile_of(u0, dt, 0))
+    symbol = linear_symbol(grid)
+    state = u0
+    for i in range(1, n + 1):
+        c = step(state.coeffs, symbol, dt, nonlinear)
+        t = t0 + span * i / n
+        if not np.all(np.isfinite(c)):
+            raise OverflowError(f"non-finite state at t={t}")
+        state = SpectralField(grid, c, t)
+        if recorder is not None and (i % cfg.record_stride == 0 or i == n):
+            recorder(state, discrete_profile_of(state, dt, i))
     return state
 
 
@@ -146,19 +145,16 @@ def rk4_linear_log_factor(grid: Grid, dt: float) -> np.ndarray:
     Computed once per (grid, dt) and read-only, since every record of a run
     divides by the same factor.
     """
-    z = -1j * omega(grid.frequencies) * dt
+    z = linear_symbol(grid) * dt
     log_factor = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
     log_factor.flags.writeable = False
     return log_factor
 
 
-def discrete_profile_of(field: SpectralField, dt: float, t_start: float = 1.0) -> SpectralField:
+def discrete_profile_of(field: SpectralField, dt: float, n: int) -> SpectralField:
     """Interaction-picture profile relative to the discrete (RK4) linear
-    flow: coefficients times R(xi)^{-n} with n the number of dt-steps taken
-    since t_start.  field.time must sit on the step lattice."""
-    n = round((field.time - t_start) / dt)
-    if abs(field.time - t_start - n * dt) > 1e-9 * max(1.0, abs(field.time)):
-        raise ValueError("field time is not on the step lattice")
+    flow: coefficients times R(xi)^{-n}, for a field n dt-steps from the
+    start of its run."""
     factor = np.exp(-n * rk4_linear_log_factor(field.grid, dt))
     return SpectralField(field.grid, field.coeffs * factor, field.time)
 

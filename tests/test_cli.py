@@ -294,13 +294,21 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         (["verify-estimates", "--t-max", "nan"], "need 0 < t_min <= t_max < inf"),
         (["evolve", "--t-end", "2", "--dt", "0.05"] + _SMALL_GRID, "3 records"),
         (["evolve", "--t-end", "4", "--dt", "-0.05"] + _SMALL_GRID, "dt = -0.05 must be positive"),
+        (["evolve", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite"),
+        (["scatter", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite"),
+        (["resonances", "--tol", "nan"], "tol must be positive"),
+        (_SMALL_EVOLVE_4 + ["--s", "nan"], "s must be finite"),
+        (["verify-estimates", "--s", "nan"], "s must be finite"),
+        (["linear-decay", "--profile", "band", "--k", "20"], "too small for band k = 20"),
+        (["evolve", "--t-end", "16", "--dt", "0.07", "--snapshots", "none"] + _SMALL_GRID, "does not divide"),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
         "evolve-near-sqrt3-width-0", "scatter-width-negative", "verify-estimates-width-0",
         "evolve-stride-misses-dyadic", "scatter-short", "scatter-dt-misses-dyadic", "evolve-band",
         "linear-decay-t-max-inf", "verify-estimates-t-min-0", "verify-estimates-t-max-nan", "evolve-short",
-        "evolve-dt-negative",
+        "evolve-dt-negative", "evolve-t-end-inf", "scatter-t-end-inf", "resonances-tol-nan", "evolve-s-nan",
+        "verify-estimates-s-nan", "linear-decay-band-k-above-nyquist", "evolve-dt-not-dividing",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message):

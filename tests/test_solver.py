@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbbmlab import solver
 from gbbmlab.diagnostics import h1_norm
 from gbbmlab.linear_flow import propagate_linear
 from gbbmlab.littlewood_paley import psi_k
@@ -11,6 +12,7 @@ from gbbmlab.solver import (
     discrete_profile_of,
     evolve,
     gaussian_data,
+    linear_symbol,
     quartic_hat,
     rhs,
     rk4_linear_log_factor,
@@ -40,7 +42,7 @@ def test_config_validation():
 
 def test_rhs_zero_field(grid):
     z = SpectralField(grid, np.zeros(grid.n_modes, dtype=complex))
-    assert np.max(np.abs(rhs(z))) == 0.0
+    assert np.max(np.abs(rhs(z.coeffs, linear_symbol(grid)))) == 0.0
 
 
 def test_rhs_linear_single_mode(grid):
@@ -49,8 +51,7 @@ def test_rhs_linear_single_mode(grid):
     c = np.zeros(grid.n_modes, dtype=complex)
     c[5] = 1.0
     c[-5] = 1.0
-    f = SpectralField(grid, c)
-    d = rhs(f, nonlinear=False)
+    d = rhs(c, linear_symbol(grid), nonlinear=False)
     xi5 = grid.frequencies[5]
     assert d[5] == pytest.approx(-1j * float(omega(xi5)) * 1.0, abs=1e-15)
 
@@ -85,20 +86,20 @@ def test_quartic_spurious_band_energy(grid):
 def test_blowup_guard(grid):
     c = np.full(grid.n_modes, 1e11, dtype=complex)
     with pytest.raises(OverflowError):
-        rhs(SpectralField(grid, c))
+        rhs(c, linear_symbol(grid))
 
 
 def test_step_dt_zero_identity(small_data):
-    out = step(small_data, 0.0)
-    assert np.max(np.abs(out.coeffs - small_data.coeffs)) == 0.0
+    out = step(small_data.coeffs, linear_symbol(small_data.grid), 0.0)
+    assert np.max(np.abs(out - small_data.coeffs)) == 0.0
 
 
 def test_step_linear_matches_exact_multiplier(small_data):
-    state = small_data
+    state, symbol = small_data.coeffs, linear_symbol(small_data.grid)
     for _ in range(1000):
-        state = step(state, 1e-3, nonlinear=False)
+        state = step(state, symbol, 1e-3, nonlinear=False)
     exact = propagate_linear(small_data, small_data.time + 1.0)
-    assert np.max(np.abs(state.coeffs - exact.coeffs)) < 1e-10
+    assert np.max(np.abs(state - exact.coeffs)) < 1e-10
 
 
 def test_step_halving_is_fourth_order(small_data):
@@ -153,6 +154,30 @@ def test_evolve_rejects_non_dividing_dt(small_data):
     assert calls == []
 
 
+def test_evolve_evaluates_omega_once_per_run(small_data, monkeypatch):
+    from gbbmlab.dispersion import omega
+
+    # the symbol once, plus the first rk4_linear_log_factor of this (grid, dt)
+    calls = []
+    monkeypatch.setattr(solver, "omega", lambda xi: calls.append(xi) or omega(xi))
+    records = []
+    evolve(small_data, SolverConfig(dt=0.05, t_end=1.5, record_stride=5), lambda f, p: records.append(f.time))
+    assert records == [1.0, 1.25, 1.5]
+    assert len(calls) <= 2
+
+
+def test_n_steps_is_the_step_lattice():
+    assert SolverConfig(dt=0.1, t_end=16.0).n_steps(1.0) == 150
+    assert SolverConfig(dt=-0.1, t_end=1.0).n_steps(6.0) == 50
+    assert SolverConfig(dt=0.1, t_end=1.0).n_steps(1.0) == 0
+    with pytest.raises(ValueError, match="divide"):
+        SolverConfig(dt=0.07, t_end=16.0).n_steps(1.0)
+    with pytest.raises(ValueError, match="sign"):
+        SolverConfig(dt=0.1, t_end=0.5).n_steps(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(t_end=math.inf)
+
+
 def test_evolve_realness(small_data):
     out = evolve(small_data, SolverConfig(dt=0.05, t_end=3.0))
     assert out.max_imag() < 1e-12
@@ -161,19 +186,12 @@ def test_evolve_realness(small_data):
 
 def test_discrete_profile_constant_under_rk4_linear_flow(small_data):
     dt = 0.05
-    state = small_data
+    state, symbol = small_data.coeffs, linear_symbol(small_data.grid)
     for _ in range(100):
-        state = step(state, dt, nonlinear=False)
-    a = discrete_profile_of(small_data, dt)
-    b = discrete_profile_of(state, dt)
+        state = step(state, symbol, dt, nonlinear=False)
+    a = discrete_profile_of(small_data, dt, 0)
+    b = discrete_profile_of(SpectralField(small_data.grid, state), dt, 100)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
-
-
-def test_discrete_profile_lattice_check(small_data):
-    with pytest.raises(ValueError):
-        discrete_profile_of(
-            SpectralField(small_data.grid, small_data.coeffs, time=1.37), 0.5
-        )
 
 
 def test_rk4_factor_near_exact_symbol(grid):
