@@ -54,8 +54,8 @@ def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
     centered finite differences on the sorted frequency grid (one-sided at
     the ends).  For a profile's own coefficients this is the weighted norm
     ||x f||_2, by Plancherel."""
-    d = np.gradient(np.fft.fftshift(fhat), np.fft.fftshift(grid.frequencies))
-    return float(math.sqrt(np.sum(np.abs(d) ** 2) * grid.dxi))
+    d = np.gradient(np.fft.fftshift(fhat), grid.dxi)
+    return float(math.sqrt(np.vdot(d, d).real * grid.dxi))
 
 
 def sobolev(grid: Grid, fhat: np.ndarray, s: float) -> float:

@@ -60,23 +60,23 @@ class SolverConfig:
 
 def quartic_hat(c: np.ndarray) -> np.ndarray:
     """Fourier coefficients of u^4 from those of u, with aliasing removed by
-    zero-padding to DEALIAS_PAD * n points.
-
-    Works through rfft/irfft: the field is real, so only half the spectrum
-    needs transforming, and the round trip re-Hermitianizes roundoff.
-    """
+    zero-padding (irfft pads the half-spectrum) to DEALIAS_PAD * n points.
+    The field is real, so rfft/irfft transform half the spectrum and the
+    round trip re-Hermitianizes roundoff.  u^4 is two in-place squarings:
+    ``u**4`` takes numpy's slow generic pow when samples are negative."""
     n = c.size
-    m = DEALIAS_PAD * n
     half = n // 2
-    ph = np.zeros(m // 2 + 1, dtype=complex)
-    ph[:half] = c[:half]
-    ph[half] = 0.5 * c[half]
-    u = np.fft.irfft(ph, m) * DEALIAS_PAD  # same field sampled on the fine grid
-    w = np.fft.rfft(u**4) / DEALIAS_PAD
+    ph = c[: half + 1] * DEALIAS_PAD
+    ph[half] *= 0.5  # the Nyquist mode is split evenly between +-n/2
+    u = np.fft.irfft(ph, DEALIAS_PAD * n)  # same field sampled on the fine grid
+    u *= u
+    u *= u
+    w = np.fft.rfft(u)
     out = np.empty(n, dtype=complex)
     out[:half] = w[:half]
     out[half] = w[half].real * 2.0
     out[half + 1 :] = np.conj(w[half - 1 : 0 : -1])
+    out /= DEALIAS_PAD
     return out
 
 

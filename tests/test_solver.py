@@ -83,6 +83,31 @@ def test_quartic_spurious_band_energy(grid):
     assert float(np.sum(np.abs(q[spurious]) ** 2)) < 1e-14 * total
 
 
+def test_quartic_hat_matches_padded_complex_product():
+    # reference: full complex transforms on the 3n grid, the Nyquist mode split
+    # evenly between +-n/2 and the outputs there folded back onto it
+    n = 64
+    half, m = n // 2, 3 * n
+    rng = np.random.default_rng(11)
+    c = np.empty(n, dtype=complex)
+    c[0] = rng.standard_normal()
+    c[1:half] = rng.standard_normal(half - 1) + 1j * rng.standard_normal(half - 1)
+    c[half] = 0.7
+    c[half + 1 :] = np.conj(c[half - 1 : 0 : -1])
+    u = np.fft.ifft(c).real
+    assert np.min(u) < 0.0 < np.max(u)
+    before = c.copy()
+    q = quartic_hat(c)
+    assert np.array_equal(c, before)
+    padded = np.zeros(m, dtype=complex)
+    padded[:half] = c[:half]
+    padded[half] = padded[m - half] = 0.5 * c[half]
+    padded[m - half + 1 :] = c[half + 1 :]
+    w = np.fft.fft((3.0 * np.fft.ifft(padded)) ** 4) / 3.0
+    ref = np.concatenate([w[:half], [w[half] + w[m - half]], w[m - half + 1 :]])
+    assert np.max(np.abs(q - ref)) < 1e-13 * np.max(np.abs(q))
+
+
 def test_blowup_guard(grid):
     c = np.full(grid.n_modes, 1e11, dtype=complex)
     with pytest.raises(OverflowError):
