@@ -9,6 +9,7 @@ by least squares in log-log coordinates over dyadic time samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,12 +59,20 @@ def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
     return float(math.sqrt(np.vdot(d, d).real * grid.dxi))
 
 
+@functools.cache
+def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """The H^s weight (1 + xi^2)^s on the grid frequencies, computed once per
+    (grid, s) and read-only, since every record of a run uses the same one."""
+    xi = grid.frequencies
+    w = (1.0 + xi * xi) ** s
+    w.flags.writeable = False
+    return w
+
+
 def sobolev(grid: Grid, fhat: np.ndarray, s: float) -> float:
     """H^s norm of the field with continuum coefficients fhat, via the
     frequency-side quadrature."""
-    xi = grid.frequencies
-    w = (1.0 + xi * xi) ** s
-    return float(math.sqrt(np.sum(w * np.abs(fhat) ** 2) * grid.dxi))
+    return float(math.sqrt(np.sum(sobolev_weight(grid, s) * np.abs(fhat) ** 2) * grid.dxi))
 
 
 def h1_norm(field: SpectralField) -> float:

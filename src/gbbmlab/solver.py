@@ -6,7 +6,11 @@ on a periodic box, written on the Fourier side as
 
     d/dt uhat = -i omega(xi) (uhat + (u^4)^),
 
-with the quartic product dealiased by zero-padding.  The symbol is bounded
+with the quartic product dealiased by zero-padding to 5n/2 points, the
+(p + 1) n / 2 of Orszag's rule for a p = 4-fold product of n modes.  On that
+grid the one alias that reaches a kept mode is 4 x (-n/2) == +n/2 (mod 5n/2),
+and quartic_hat subtracts it exactly, so the product is alias-free for any
+Nyquist coefficient, real or complex.  The symbol is bounded
 (|omega| <= 1/2), so the system is non-stiff and plain RK4 on uhat is
 adequate; stepping with -dt is the exact adjoint of stepping with +dt,
 which the reversal test exploits.
@@ -25,9 +29,10 @@ from .spectral import Grid, SpectralField
 #: Any coefficient magnitude above this trips the blow-up guard.
 BLOWUP_GUARD = 1e10
 
-#: The quartic product is formed on a grid this many times finer: a 4-fold
-#: product needs a padded size >= 2.5n, so 3 removes aliasing exactly.
-DEALIAS_PAD = 3
+#: The quartic product is formed on a grid this many times finer.  A 4-fold
+#: product of n modes needs 5n/2 points (Orszag's rule), which removes every
+#: alias except 4 x (-n/2) onto +n/2; quartic_hat subtracts that one term.
+DEALIAS_PAD = 2.5
 
 
 @dataclass
@@ -58,24 +63,41 @@ class SolverConfig:
         return n
 
 
-def quartic_hat(c: np.ndarray) -> np.ndarray:
+def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays of quartic_hat on n modes: the scaled half-spectrum, the
+    field on the DEALIAS_PAD * n-point grid and that field's rfft.  ``evolve``
+    makes one set per run, so the fine-grid pages are not faulted in anew on
+    every call."""
+    m = int(DEALIAS_PAD * n)
+    return np.empty(n // 2 + 1, dtype=complex), np.empty(m), np.empty(m // 2 + 1, dtype=complex)
+
+
+def quartic_hat(c: np.ndarray, buffers=None) -> np.ndarray:
     """Fourier coefficients of u^4 from those of u, with aliasing removed by
-    zero-padding (irfft pads the half-spectrum) to DEALIAS_PAD * n points.
+    zero-padding (irfft pads the half-spectrum) to m = DEALIAS_PAD * n points.
     The field is real, so rfft/irfft transform half the spectrum and the
     round trip re-Hermitianizes roundoff.  u^4 is two in-place squarings:
-    ``u**4`` takes numpy's slow generic pow when samples are negative."""
+    ``u**4`` takes numpy's slow generic pow when samples are negative.
+
+    ``buffers`` is a ``quartic_buffers(n)`` triple, reused across calls;
+    without it the call makes its own.  The result is always a new array."""
     n = c.size
     half = n // 2
-    ph = c[: half + 1] * DEALIAS_PAD
+    ph, u, w = quartic_buffers(n) if buffers is None else buffers
+    m = u.size
+    np.multiply(c[: half + 1], DEALIAS_PAD, out=ph)
     ph[half] *= 0.5  # the Nyquist mode is split evenly between +-n/2
-    u = np.fft.irfft(ph, DEALIAS_PAD * n)  # same field sampled on the fine grid
+    np.fft.irfft(ph, m, out=u)  # same field sampled on the fine grid
     u *= u
     u *= u
-    w = np.fft.rfft(u)
+    np.fft.rfft(u, out=w)
+    # the one alias on m = 5n/2 points, 4 x (-n/2) == +n/2 (mod m): irfft puts
+    # conj(a) at -n/2 for the halved Nyquist entry a, so it adds conj(a)^4 / m^3
+    w[half] -= np.conj(ph[half]) ** 4 / m**3
     out = np.empty(n, dtype=complex)
     out[:half] = w[:half]
     out[half] = w[half].real * 2.0
-    out[half + 1 :] = np.conj(w[half - 1 : 0 : -1])
+    np.conj(w[half - 1 : 0 : -1], out=out[half + 1 :])
     out /= DEALIAS_PAD
     return out
 
@@ -85,20 +107,21 @@ def linear_symbol(grid: Grid) -> np.ndarray:
     return -1j * omega(grid.frequencies)
 
 
-def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool = True) -> np.ndarray:
-    """Time derivative of the coefficients c: symbol * (c + (u^4)^)."""
+def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool = True, buffers=None) -> np.ndarray:
+    """Time derivative of the coefficients c: symbol * (c + (u^4)^), the
+    quartic formed in ``buffers`` (see quartic_hat)."""
     if np.max(np.abs(c)) > BLOWUP_GUARD:
         raise OverflowError("blow-up guard tripped: coefficients exceed 1e10")
-    total = c + quartic_hat(c) if nonlinear else c
+    total = c + quartic_hat(c, buffers) if nonlinear else c
     return symbol * total
 
 
-def step(c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool = True) -> np.ndarray:
+def step(c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool = True, buffers=None) -> np.ndarray:
     """Coefficients after one classical RK4 step of size dt (dt may be negative)."""
-    k1 = rhs(c, symbol, nonlinear)
-    k2 = rhs(c + 0.5 * dt * k1, symbol, nonlinear)
-    k3 = rhs(c + 0.5 * dt * k2, symbol, nonlinear)
-    k4 = rhs(c + dt * k3, symbol, nonlinear)
+    k1 = rhs(c, symbol, nonlinear, buffers)
+    k2 = rhs(c + 0.5 * dt * k1, symbol, nonlinear, buffers)
+    k3 = rhs(c + 0.5 * dt * k2, symbol, nonlinear, buffers)
+    k4 = rhs(c + dt * k3, symbol, nonlinear, buffers)
     return c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -120,9 +143,10 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
     if recorder is not None:
         recorder(u0, discrete_profile_of(u0, dt, 0))
     symbol = linear_symbol(grid)
+    buffers = quartic_buffers(grid.n_modes)
     state = u0
     for i in range(1, n + 1):
-        c = step(state.coeffs, symbol, dt, nonlinear)
+        c = step(state.coeffs, symbol, dt, nonlinear, buffers)
         t = t0 + span * i / n
         if not np.all(np.isfinite(c)):
             raise OverflowError(f"non-finite state at t={t}")

@@ -26,8 +26,10 @@ class Grid:
     half_length: float
 
     def __post_init__(self):
-        if self.n_modes <= 0 or self.n_modes & (self.n_modes - 1):
-            raise ValueError("n_modes must be a positive power of two")
+        # n >= 2 keeps a Nyquist mode apart from the mean and 5n/2, the
+        # dealiased quartic's grid, a whole number
+        if self.n_modes < 2 or self.n_modes & (self.n_modes - 1):
+            raise ValueError(f"n_modes must be a power of two >= 2, got {self.n_modes}")
         if self.half_length <= 0:
             raise ValueError("half_length must be positive")
 

@@ -301,6 +301,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         (["verify-estimates", "--s", "nan"], "s must be finite"),
         (["linear-decay", "--profile", "band", "--k", "20"], "too small for band k = 20"),
         (["evolve", "--t-end", "16", "--dt", "0.07", "--snapshots", "none"] + _SMALL_GRID, "does not divide"),
+        (["evolve", "--n-modes", "1", "--t-end", "5"], "n_modes must be a power of two >= 2"),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -309,6 +310,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "linear-decay-t-max-inf", "verify-estimates-t-min-0", "verify-estimates-t-max-nan", "evolve-short",
         "evolve-dt-negative", "evolve-t-end-inf", "scatter-t-end-inf", "resonances-tol-nan", "evolve-s-nan",
         "verify-estimates-s-nan", "linear-decay-band-k-above-nyquist", "evolve-dt-not-dividing",
+        "evolve-one-mode",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message):

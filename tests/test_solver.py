@@ -57,7 +57,8 @@ def test_rhs_linear_single_mode(grid):
 
 
 def test_quartic_cos_identity(grid):
-    # cos^4 = 3/8 + cos(2a x)/2 + cos(4a x)/8, exact under pad-3 dealiasing
+    # cos^4 = 3/8 + cos(2a x)/2 + cos(4a x)/8, exact on the dealiased 5n/2-point
+    # grid (4a is far below the Nyquist mode, so no alias term arises)
     j = 40
     a = j * grid.dxi
     f = SpectralField.from_function(grid, lambda x: np.cos(a * x))
@@ -106,6 +107,63 @@ def test_quartic_hat_matches_padded_complex_product():
     w = np.fft.fft((3.0 * np.fft.ifft(padded)) ** 4) / 3.0
     ref = np.concatenate([w[:half], [w[half] + w[m - half]], w[m - half + 1 :]])
     assert np.max(np.abs(q - ref)) < 1e-13 * np.max(np.abs(q))
+
+
+def _quartic_hat_3n(c):
+    # the 3n-point algorithm quartic_hat used before the 5n/2 grid: no alias
+    # reaches a kept mode, so nothing is subtracted
+    n = c.size
+    half = n // 2
+    ph = c[: half + 1] * 3.0
+    ph[half] *= 0.5
+    u = np.fft.irfft(ph, 3 * n)
+    u *= u
+    u *= u
+    w = np.fft.rfft(u)
+    out = np.empty(n, dtype=complex)
+    out[:half] = w[:half]
+    out[half] = w[half].real * 2.0
+    out[half + 1 :] = np.conj(w[half - 1 : 0 : -1])
+    return out / 3.0
+
+
+def _random_real_coeffs(n, nyquist, seed):
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    c = np.empty(n, dtype=complex)
+    c[0] = rng.standard_normal()
+    c[1:half] = rng.standard_normal(half - 1) + 1j * rng.standard_normal(half - 1)
+    c[half] = nyquist
+    c[half + 1 :] = np.conj(c[half - 1 : 0 : -1])
+    return c
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 4096])
+def test_quartic_hat_matches_3n_product_with_complex_nyquist(n):
+    # the state can hold a complex Nyquist coefficient; on 5n/2 points its
+    # fourth power aliases onto +n/2 unless quartic_hat subtracts it
+    c = _random_real_coeffs(n, 0.7 - 0.4j, n)
+    ref = _quartic_hat_3n(c)
+    assert np.max(np.abs(quartic_hat(c) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_quartic_hat_result_survives_next_call():
+    n = 64
+    for buffers in (None, solver.quartic_buffers(n)):
+        q = quartic_hat(_random_real_coeffs(n, 0.3, 1), buffers)
+        kept = q.copy()
+        quartic_hat(_random_real_coeffs(n, -0.5, 2), buffers)
+        assert np.array_equal(q, kept)
+
+
+def test_evolve_runs_share_no_buffers():
+    def run(n):
+        u0 = gaussian_data(Grid(n, 16.0), 0.5, width=0.5)
+        return evolve(u0, SolverConfig(dt=0.05, t_end=2.0)).coeffs
+
+    first = run(64)
+    run(128)
+    assert np.array_equal(run(64), first)
 
 
 def test_blowup_guard(grid):

@@ -13,6 +13,8 @@ def test_grid_validation():
         Grid(256, 0.0)
     with pytest.raises(ValueError):
         Grid(0, 10.0)
+    with pytest.raises(ValueError, match="power of two >= 2"):
+        Grid(1, 10.0)  # no Nyquist mode apart from the mean; 5n/2 is not whole
 
 
 def test_grid_geometry():
@@ -80,7 +82,7 @@ def test_field_validation():
         SpectralField(g, bad)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8, 256, 2**12, 2**16])
+@pytest.mark.parametrize("n", [2, 4, 8, 256, 2**12, 2**16])
 def test_fftshift_sorts_frequencies(n):
     # the package orders frequencies for output and interpolation by fftshift
     xi = Grid(n, 10.0).frequencies
