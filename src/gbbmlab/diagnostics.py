@@ -54,9 +54,11 @@ def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
     """L2 norm of d fhat/d xi for continuum coefficients in fft order:
     centered finite differences on the sorted frequency grid (one-sided at
     the ends).  For a profile's own coefficients this is the weighted norm
-    ||x f||_2, by Plancherel."""
-    d = np.gradient(np.fft.fftshift(fhat), grid.dxi)
-    return float(math.sqrt(np.vdot(d, d).real * grid.dxi))
+    ||x f||_2, by Plancherel.  The sum of squares is a numpy reduction over
+    the real and imaginary parts, not a BLAS dot product: OpenBLAS's threaded
+    zdotc leaves a second thread spinning through the steps that follow."""
+    d = np.gradient(np.fft.fftshift(fhat), grid.dxi).view(np.float64)
+    return float(math.sqrt(np.sum(np.square(d, out=d)) * grid.dxi))
 
 
 @functools.cache

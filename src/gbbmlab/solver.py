@@ -6,11 +6,16 @@ on a periodic box, written on the Fourier side as
 
     d/dt uhat = -i omega(xi) (uhat + (u^4)^),
 
-with the quartic product dealiased by zero-padding to 5n/2 points, the
+with the quartic product dealiased by zero-padding to m = 5n/2 points, the
 (p + 1) n / 2 of Orszag's rule for a p = 4-fold product of n modes.  On that
 grid the one alias that reaches a kept mode is 4 x (-n/2) == +n/2 (mod 5n/2),
 and quartic_hat subtracts it exactly, so the product is alias-free for any
-Nyquist coefficient, real or complex.  The symbol is bounded
+Nyquist coefficient, real or complex.  The fine grid is transformed as its
+even and its odd samples, joined by one decimation-in-time step (Cooley &
+Tukey), so m must be even: a 2-mode grid takes m = 6, where no alias reaches
+a kept mode.  The quartic's work arrays and the RK4 stages belong to the
+``evolve`` run, so a steady-state step allocates only the state it returns.
+The symbol is bounded
 (|omega| <= 1/2), so the system is non-stiff and plain RK4 on uhat is
 adequate; stepping with -dt is the exact adjoint of stepping with +dt,
 which the reversal test exploits.
@@ -19,6 +24,7 @@ which the reversal test exploits.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,9 @@ BLOWUP_GUARD = 1e10
 #: The quartic product is formed on a grid this many times finer.  A 4-fold
 #: product of n modes needs 5n/2 points (Orszag's rule), which removes every
 #: alias except 4 x (-n/2) onto +n/2; quartic_hat subtracts that one term.
+#: The grid is split into even and odd samples, so its size is rounded up to
+#: an even m = 2 ceil(5n/4): 5n/2 for every n >= 4 and 6 for n = 2, where the
+#: alias lands on the dropped mode +-2 instead of the kept Nyquist mode.
 DEALIAS_PAD = 2.5
 
 
@@ -63,42 +72,63 @@ class SolverConfig:
         return n
 
 
-def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays of quartic_hat on n modes: the scaled half-spectrum, the
-    field on the DEALIAS_PAD * n-point grid and that field's rfft.  ``evolve``
+def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays of quartic_hat on n modes, one row each for the even and
+    the odd samples of the m-point fine grid (m = 2 * ceil(DEALIAS_PAD * n /
+    2)): the half-spectrum fed to each half-length irfft, the m/2 samples and
+    their rfft, and the twiddles exp(+-2 pi i k / m) for k <= n/2.  ``evolve``
     makes one set per run, so the fine-grid pages are not faulted in anew on
     every call."""
-    m = int(DEALIAS_PAD * n)
-    return np.empty(n // 2 + 1, dtype=complex), np.empty(m), np.empty(m // 2 + 1, dtype=complex)
+    half, h = n // 2, math.ceil(DEALIAS_PAD * n / 2)
+    twiddle = np.exp(2j * np.pi * np.arange(half + 1) / (2 * h))
+    return (
+        np.empty((2, half + 1), dtype=complex),
+        np.empty((2, h)),
+        np.empty((2, h // 2 + 1), dtype=complex),
+        np.stack([twiddle, twiddle.conj()]),
+    )
 
 
-def quartic_hat(c: np.ndarray, buffers=None) -> np.ndarray:
+def quartic_hat(c: np.ndarray, buffers=None, out=None) -> np.ndarray:
     """Fourier coefficients of u^4 from those of u, with aliasing removed by
-    zero-padding (irfft pads the half-spectrum) to m = DEALIAS_PAD * n points.
+    zero-padding (irfft pads the half-spectrum) to the m-point fine grid.
     The field is real, so rfft/irfft transform half the spectrum and the
-    round trip re-Hermitianizes roundoff.  u^4 is two in-place squarings:
-    ``u**4`` takes numpy's slow generic pow when samples are negative.
+    round trip re-Hermitianizes roundoff.  The fine grid's even samples are
+    irfft(ph, m/2) and its odd samples irfft(ph * exp(2 pi i k / m), m/2);
+    with E and O the rfft of each half's fourth power, a kept mode k of the
+    m-point transform is E_k + exp(-2 pi i k / m) O_k.  On 2^14 modes
+    pocketfft faults its scratch in anew on every transform of m = 40960
+    points, and on none of m/2.  v^4 is two in-place squarings: ``v**4``
+    takes numpy's slow generic pow when samples are negative.
 
-    ``buffers`` is a ``quartic_buffers(n)`` triple, reused across calls;
-    without it the call makes its own.  The result is always a new array."""
+    ``buffers`` is a ``quartic_buffers(n)`` tuple, reused across calls;
+    without it the call makes its own.  The result is written to ``out``
+    (n points, not sharing memory with c) or else to a new array."""
     n = c.size
     half = n // 2
-    ph, u, w = quartic_buffers(n) if buffers is None else buffers
-    m = u.size
-    np.multiply(c[: half + 1], DEALIAS_PAD, out=ph)
-    ph[half] *= 0.5  # the Nyquist mode is split evenly between +-n/2
-    np.fft.irfft(ph, m, out=u)  # same field sampled on the fine grid
-    u *= u
-    u *= u
-    np.fft.rfft(u, out=w)
-    # the one alias on m = 5n/2 points, 4 x (-n/2) == +n/2 (mod m): irfft puts
-    # conj(a) at -n/2 for the halved Nyquist entry a, so it adds conj(a)^4 / m^3
-    w[half] -= np.conj(ph[half]) ** 4 / m**3
-    out = np.empty(n, dtype=complex)
-    out[:half] = w[:half]
-    out[half] = w[half].real * 2.0
-    np.conj(w[half - 1 : 0 : -1], out=out[half + 1 :])
-    out /= DEALIAS_PAD
+    ph, v, f, twiddle = quartic_buffers(n) if buffers is None else buffers
+    h = v.shape[1]
+    m = 2 * h
+    np.multiply(c[: half + 1], h / n, out=ph[0])
+    ph[0, half] *= 0.5  # the Nyquist mode is split evenly between +-n/2
+    np.multiply(ph[0], twiddle[0], out=ph[1])  # shifted by one fine-grid point
+    for p, u, w in zip(ph, v, f):
+        np.fft.irfft(p, h, out=u)  # same field sampled on every other point
+        u *= u
+        u *= u
+        np.fft.rfft(u, out=w)
+    out = np.empty(n, dtype=complex) if out is None else out
+    kept = out[: half + 1]
+    np.multiply(twiddle[1], f[1, : half + 1], out=kept)
+    kept += f[0, : half + 1]
+    if m - 2 * n == half:
+        # the one alias on m = 5n/2 points, 4 x (-n/2) == +n/2 (mod m): irfft
+        # puts conj(a) at -n/2 for the halved Nyquist entry a = 2 ph[0, n/2], so
+        # it adds conj(a)^4 / m^3
+        out[half] -= np.conj(2.0 * ph[0, half]) ** 4 / m**3
+    out[half] = out[half].real * 2.0
+    np.conj(out[half - 1 : 0 : -1], out=out[half + 1 :])
+    out /= m / n
     return out
 
 
@@ -107,22 +137,44 @@ def linear_symbol(grid: Grid) -> np.ndarray:
     return -1j * omega(grid.frequencies)
 
 
-def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool = True, buffers=None) -> np.ndarray:
+def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool = True, buffers=None, out=None) -> np.ndarray:
     """Time derivative of the coefficients c: symbol * (c + (u^4)^), the
-    quartic formed in ``buffers`` (see quartic_hat)."""
-    if np.max(np.abs(c)) > BLOWUP_GUARD:
+    quartic formed in ``buffers`` (see quartic_hat).  The result is written
+    to ``out`` (not sharing memory with c) or else to a new array; the
+    guard's |c| goes through out's real parts, so nothing grid-sized is
+    allocated with ``out`` given."""
+    out = np.empty_like(c) if out is None else out
+    if np.max(np.abs(c, out=out.real)) > BLOWUP_GUARD:
         raise OverflowError("blow-up guard tripped: coefficients exceed 1e10")
-    total = c + quartic_hat(c, buffers) if nonlinear else c
-    return symbol * total
+    if nonlinear:
+        np.add(c, quartic_hat(c, buffers, out), out=out)
+    else:
+        out[:] = c
+    return np.multiply(symbol, out, out=out)
 
 
-def step(c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool = True, buffers=None) -> np.ndarray:
-    """Coefficients after one classical RK4 step of size dt (dt may be negative)."""
-    k1 = rhs(c, symbol, nonlinear, buffers)
-    k2 = rhs(c + 0.5 * dt * k1, symbol, nonlinear, buffers)
-    k3 = rhs(c + 0.5 * dt * k2, symbol, nonlinear, buffers)
-    k4 = rhs(c + dt * k3, symbol, nonlinear, buffers)
-    return c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+def step(
+    c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool = True, buffers=None, stages=None
+) -> np.ndarray:
+    """Coefficients after one classical RK4 step of size dt (dt may be negative).
+
+    ``stages`` is a (3, n) complex array reused across calls (``evolve``
+    makes one per run), or None for a fresh one: the running sum of the k's,
+    the latest k and the stage state.  Every in-place operation keeps the
+    operand order of c + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the result is
+    bitwise that of the expression.  It is always a new array."""
+    acc, k, y = np.empty((3, c.size), dtype=complex) if stages is None else stages
+    rhs(c, symbol, nonlinear, buffers, acc)  # k1
+    np.add(c, np.multiply(0.5 * dt, acc, out=y), out=y)
+    rhs(y, symbol, nonlinear, buffers, k)  # k2
+    np.add(c, np.multiply(0.5 * dt, k, out=y), out=y)
+    np.add(acc, np.multiply(2, k, out=k), out=acc)
+    rhs(y, symbol, nonlinear, buffers, k)  # k3
+    np.add(c, np.multiply(dt, k, out=y), out=y)
+    np.add(acc, np.multiply(2, k, out=k), out=acc)
+    rhs(y, symbol, nonlinear, buffers, k)  # k4
+    np.add(acc, k, out=acc)
+    return c + np.multiply(dt / 6.0, acc, out=acc)
 
 
 def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool = True) -> SpectralField:
@@ -144,9 +196,10 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
         recorder(u0, discrete_profile_of(u0, dt, 0))
     symbol = linear_symbol(grid)
     buffers = quartic_buffers(grid.n_modes)
+    stages = np.empty((3, grid.n_modes), dtype=complex)
     state = u0
     for i in range(1, n + 1):
-        c = step(state.coeffs, symbol, dt, nonlinear, buffers)
+        c = step(state.coeffs, symbol, dt, nonlinear, buffers, stages)
         t = t0 + span * i / n
         if not np.all(np.isfinite(c)):
             raise OverflowError(f"non-finite state at t={t}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def _random_real_coeffs(n, nyquist, seed):
     return c
 
 
-@pytest.mark.parametrize("n", [2, 8, 64, 4096])
+@pytest.mark.parametrize("n", [2, 4, 8, 64, 4096, 2**14])
 def test_quartic_hat_matches_3n_product_with_complex_nyquist(n):
     # the state can hold a complex Nyquist coefficient; on 5n/2 points its
     # fourth power aliases onto +n/2 unless quartic_hat subtracts it
@@ -154,6 +155,38 @@ def test_quartic_hat_result_survives_next_call():
         kept = q.copy()
         quartic_hat(_random_real_coeffs(n, -0.5, 2), buffers)
         assert np.array_equal(q, kept)
+
+
+def test_step_result_survives_next_step():
+    # recorded fields and snapshots hold the state step returns, so it must not
+    # be one of the arrays the run reuses for later steps
+    n = 64
+    symbol = linear_symbol(Grid(n, 16.0))
+    buffers, stages = solver.quartic_buffers(n), np.empty((3, n), dtype=complex)
+    c = 0.1 * _random_real_coeffs(n, 0.3, 1)
+    out = step(c, symbol, 0.05, True, buffers, stages)
+    kept = out.copy()
+    step(0.1 * _random_real_coeffs(n, -0.5, 2), symbol, -0.05, True, buffers, stages)
+    assert not any(np.shares_memory(out, a) for a in (*buffers, stages))
+    assert np.array_equal(out, kept)
+    assert np.array_equal(out, step(c, symbol, 0.05))
+
+
+def test_step_with_run_buffers_allocates_only_its_result():
+    # a steady-state step on run-owned arrays allocates the state it returns
+    # and nothing else grid-sized (pocketfft's own scratch is not traced)
+    n = 2**12
+    symbol = linear_symbol(Grid(n, 64.0))
+    buffers, stages = solver.quartic_buffers(n), np.empty((3, n), dtype=complex)
+    c = 0.1 * _random_real_coeffs(n, 0.3, 3)
+    step(c, symbol, 0.05, True, buffers, stages)
+    tracemalloc.start()
+    try:
+        step(c, symbol, 0.05, True, buffers, stages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * c.nbytes
 
 
 def test_evolve_runs_share_no_buffers():
