@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, diagnostics, linear_flow, resonance, solver
 from .dispersion import SQRT3, omega_prime, reflection
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, sorted_spectrum
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "GBBMLAB_OUTPUT_DIR"
@@ -152,9 +152,9 @@ class OutputSink:
 
     def write_snapshot(self, name: str, field: SpectralField):
         """Binary snapshot: little-endian header (n int64; L, t, walltime
-        float64) then interleaved re/im float64 coefficients in increasing
-        frequency order.  The walltime bytes are skipped by the checksum."""
-        c = np.fft.fftshift(field.coeffs)
+        float64) then the n interleaved re/im float64 coefficients of the
+        field's ``sorted_spectrum``.  The walltime bytes are skipped by the checksum."""
+        c = sorted_spectrum(field.coeffs)
         inter = np.empty(2 * c.size)
         inter[0::2] = c.real
         inter[1::2] = c.imag
@@ -183,12 +183,12 @@ class OutputSink:
 
 
 def read_snapshot(path: str) -> SpectralField:
-    """Inverse of OutputSink.write_snapshot."""
+    """Inverse of OutputSink.write_snapshot: the entries at xi >= 0, then the Nyquist entry from -n/2."""
     with open(path, "rb") as f:
         n, half_length, t, _walltime = struct.unpack("<qddd", f.read(32))
         inter = np.frombuffer(f.read(), dtype="<f8")
     c_sorted = inter[0::2] + 1j * inter[1::2]
-    return SpectralField(Grid(n, half_length), np.fft.ifftshift(c_sorted), t)
+    return SpectralField(Grid(n, half_length), np.append(c_sorted[n // 2 :], c_sorted[0]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +345,8 @@ def run_scatter(cfg: dict, sink: OutputSink) -> int:
     if scfg.t_end < 16.0:
         raise ValidationError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
     _require_records(scfg, dyadic=True)
+    # every dyadic time is a step, so recording once per time unit (t = 1, 2, ...) keeps each of them
+    scfg.record_stride = scfg.n_steps(1.0) - scfg.n_steps(2.0)
     u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), float(cfg["width"]), time=1.0)
     rec = diagnostics.Recorder()
     solver.evolve(u0, scfg, rec)
@@ -507,6 +509,8 @@ def main(argv=None) -> int:
         cfg = _merge_flags(_load_config(args.config, sub), args)
         if "width" in cfg and not cfg["width"] > 0:
             raise ValidationError(f"width must be positive, got {cfg['width']:g}")
+        if "epsilon" in cfg and not (math.isfinite(cfg["epsilon"]) and cfg["epsilon"] != 0):
+            raise ValidationError(f"epsilon must be nonzero and finite, got {cfg['epsilon']:g}")
         if "s" in cfg and not math.isfinite(cfg["s"]):
             raise ValidationError(f"s must be finite, got {cfg['s']:g}")
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"

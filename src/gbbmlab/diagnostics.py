@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, sorted_spectrum
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,30 @@ def linf_fhat(fhat: np.ndarray) -> float:
 
 
 def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
-    """L2 norm of d fhat/d xi for continuum coefficients in fft order:
-    centered finite differences on the sorted frequency grid (one-sided at
-    the ends).  For a profile's own coefficients this is the weighted norm
-    ||x f||_2, by Plancherel.  The sum of squares is a numpy reduction over
+    """L2 norm of d fhat/d xi for a half-spectrum of continuum coefficients:
+    centered differences on its ``sorted_spectrum`` (one-sided at the ends).
+    For a profile's own coefficients this is the weighted norm ||x f||_2, by
+    Plancherel.  The sum of squares is a numpy reduction over
     the real and imaginary parts, not a BLAS dot product: OpenBLAS's threaded
     zdotc leaves a second thread spinning through the steps that follow."""
-    d = np.gradient(np.fft.fftshift(fhat), grid.dxi).view(np.float64)
+    d = np.gradient(sorted_spectrum(fhat), grid.dxi).view(np.float64)
     return float(math.sqrt(np.sum(np.square(d, out=d)) * grid.dxi))
 
 
 @functools.cache
 def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """The H^s weight (1 + xi^2)^s on the grid frequencies, computed once per
-    (grid, s) and read-only, since every record of a run uses the same one."""
+    """The H^s weight (1 + xi^2)^s, doubled for 0 < xi < xi_N as each such mode
+    stands for +-xi; once per (grid, s), read-only, as every record uses it."""
     xi = grid.frequencies
     w = (1.0 + xi * xi) ** s
+    w[1:-1] *= 2.0
     w.flags.writeable = False
     return w
 
 
 def sobolev(grid: Grid, fhat: np.ndarray, s: float) -> float:
-    """H^s norm of the field with continuum coefficients fhat, via the
-    frequency-side quadrature."""
+    """H^s norm of the field with the half-spectrum fhat of continuum
+    coefficients, via the frequency-side quadrature."""
     return float(math.sqrt(np.sum(sobolev_weight(grid, s) * np.abs(fhat) ** 2) * grid.dxi))
 
 

@@ -81,13 +81,12 @@ def _band_velocity_range(k: int) -> tuple[float, float]:
 
 
 def _profile_interpolator(field: SpectralField):
-    """Complex linear interpolant of the continuum-normalized coefficients."""
-    xi_sorted = np.fft.fftshift(field.grid.frequencies)
-    c_sorted = np.fft.fftshift(field.continuum_coeffs)
+    """Complex linear interpolant of the continuum coefficients on 0 <= xi <= xi_N."""
+    xi, c = field.grid.frequencies, field.continuum_coeffs
 
     def fhat(q):
-        re = np.interp(q, xi_sorted, c_sorted.real)
-        im = np.interp(q, xi_sorted, c_sorted.imag)
+        re = np.interp(q, xi, c.real)
+        im = np.interp(q, xi, c.imag)
         return re + 1j * im
 
     return fhat

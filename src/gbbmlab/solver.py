@@ -6,19 +6,19 @@ on a periodic box, written on the Fourier side as
 
     d/dt uhat = -i omega(xi) (uhat + (u^4)^),
 
-with the quartic product dealiased by zero-padding to m = 5n/2 points, the
-(p + 1) n / 2 of Orszag's rule for a p = 4-fold product of n modes.  On that
-grid the one alias that reaches a kept mode is 4 x (-n/2) == +n/2 (mod 5n/2),
-and quartic_hat subtracts it exactly, so the product is alias-free for any
-Nyquist coefficient, real or complex.  The fine grid is transformed as its
-even and its odd samples, joined by one decimation-in-time step (Cooley &
-Tukey), so m must be even: a 2-mode grid takes m = 6, where no alias reaches
-a kept mode.  The quartic's work arrays and the RK4 stages belong to the
-``evolve`` run, so a steady-state step allocates only the state it returns.
-The symbol is bounded
-(|omega| <= 1/2), so the system is non-stiff and plain RK4 on uhat is
-adequate; stepping with -dt is the exact adjoint of stepping with +dt,
-which the reversal test exploits.
+on the n/2 + 1 modes xi >= 0 of the real field's half-spectrum (see
+``spectral``), with the quartic product dealiased by zero-padding to m = 5n/2
+points, the (p + 1) n / 2 of Orszag's rule for a p = 4-fold product of n
+modes.  On that grid the one alias that reaches a kept mode is 4 x (-n/2) ==
++n/2 (mod 5n/2), and quartic_hat subtracts it exactly, so the product is
+alias-free for any Nyquist coefficient, real or complex.  The fine grid is
+transformed as its even and its odd samples, joined by one decimation-in-time
+step (Cooley & Tukey), so m must be even: a 2-mode grid takes m = 6, where no
+alias reaches a kept mode.  The quartic's work arrays and the RK4 stages
+belong to the ``evolve`` run, so a steady-state step allocates only the state
+it returns.  The symbol is bounded (|omega| <= 1/2), so the system is
+non-stiff and plain RK4 on uhat is adequate; stepping with -dt is the exact
+adjoint of stepping with +dt, which the reversal test exploits.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def quartic_hat(c: np.ndarray, buffers=None, out=None) -> np.ndarray:
-    """Fourier coefficients of u^4 from those of u, with aliasing removed by
-    zero-padding (irfft pads the half-spectrum) to the m-point fine grid.
-    The field is real, so rfft/irfft transform half the spectrum and the
-    round trip re-Hermitianizes roundoff.  The fine grid's even samples are
+    """Half-spectrum of u^4 from the half-spectrum c of u (n = 2 (c.size - 1)),
+    with aliasing removed by zero-padding (irfft pads the half-spectrum) to the
+    m-point fine grid; the halved Nyquist entry a puts a at +n/2 and conj(a)
+    at -n/2, so its imaginary part counts here.  The fine grid's even samples are
     irfft(ph, m/2) and its odd samples irfft(ph * exp(2 pi i k / m), m/2);
     with E and O the rfft of each half's fourth power, a kept mode k of the
     m-point transform is E_k + exp(-2 pi i k / m) O_k.  On 2^14 modes
@@ -103,13 +103,13 @@ def quartic_hat(c: np.ndarray, buffers=None, out=None) -> np.ndarray:
 
     ``buffers`` is a ``quartic_buffers(n)`` tuple, reused across calls;
     without it the call makes its own.  The result is written to ``out``
-    (n points, not sharing memory with c) or else to a new array."""
-    n = c.size
-    half = n // 2
+    (n/2 + 1 points, not sharing memory with c) or else to a new array."""
+    half = c.size - 1
+    n = 2 * half
     ph, v, f, twiddle = quartic_buffers(n) if buffers is None else buffers
     h = v.shape[1]
     m = 2 * h
-    np.multiply(c[: half + 1], h / n, out=ph[0])
+    np.multiply(c, h / n, out=ph[0])
     ph[0, half] *= 0.5  # the Nyquist mode is split evenly between +-n/2
     np.multiply(ph[0], twiddle[0], out=ph[1])  # shifted by one fine-grid point
     for p, u, w in zip(ph, v, f):
@@ -117,23 +117,21 @@ def quartic_hat(c: np.ndarray, buffers=None, out=None) -> np.ndarray:
         u *= u
         u *= u
         np.fft.rfft(u, out=w)
-    out = np.empty(n, dtype=complex) if out is None else out
-    kept = out[: half + 1]
-    np.multiply(twiddle[1], f[1, : half + 1], out=kept)
-    kept += f[0, : half + 1]
+    out = np.empty(half + 1, dtype=complex) if out is None else out
+    np.multiply(twiddle[1], f[1, : half + 1], out=out)
+    out += f[0, : half + 1]
     if m - 2 * n == half:
         # the one alias on m = 5n/2 points, 4 x (-n/2) == +n/2 (mod m): irfft
         # puts conj(a) at -n/2 for the halved Nyquist entry a = 2 ph[0, n/2], so
         # it adds conj(a)^4 / m^3
         out[half] -= np.conj(2.0 * ph[0, half]) ** 4 / m**3
     out[half] = out[half].real * 2.0
-    np.conj(out[half - 1 : 0 : -1], out=out[half + 1 :])
     out /= m / n
     return out
 
 
 def linear_symbol(grid: Grid) -> np.ndarray:
-    """The linear symbol -i omega(xi) on the grid frequencies."""
+    """The linear symbol -i omega(xi) on the half-spectrum's frequencies."""
     return -1j * omega(grid.frequencies)
 
 
@@ -158,7 +156,7 @@ def step(
 ) -> np.ndarray:
     """Coefficients after one classical RK4 step of size dt (dt may be negative).
 
-    ``stages`` is a (3, n) complex array reused across calls (``evolve``
+    ``stages`` is a (3, c.size) complex array reused across calls (``evolve``
     makes one per run), or None for a fresh one: the running sum of the k's,
     the latest k and the stage state.  Every in-place operation keeps the
     operand order of c + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the result is
@@ -196,7 +194,7 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
         recorder(u0, discrete_profile_of(u0, dt, 0))
     symbol = linear_symbol(grid)
     buffers = quartic_buffers(grid.n_modes)
-    stages = np.empty((3, grid.n_modes), dtype=complex)
+    stages = np.empty((3, u0.coeffs.size), dtype=complex)
     state = u0
     for i in range(1, n + 1):
         c = step(state.coeffs, symbol, dt, nonlinear, buffers, stages)

@@ -1,13 +1,15 @@
 import argparse
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from gbbmlab import solver
-from gbbmlab.cli import _DEFAULTS, build_parser, main, read_snapshot
+from gbbmlab import diagnostics, solver
+from gbbmlab.cli import _DEFAULTS, OutputSink, build_parser, main, read_snapshot
 from gbbmlab.dispersion import SQRT3
+from gbbmlab.spectral import Grid
 
 
 def run_cli(args):
@@ -92,13 +94,30 @@ def test_snapshot_checksum_excludes_walltime(tmp_path):
 
 
 def test_snapshot_roundtrip(tmp_path):
-    out = tmp_path / "ev"
-    run_cli(
-        ["evolve", "--t-end", "4", "--dt", "0.05", "--n-modes", "512",
-         "--half-length", "64", "--output-dir", str(out)]
-    )
-    f = read_snapshot(str(out / "final_state.bin"))
-    assert f.max_imag() < 1e-10
+    # a written field reads back as its n/2 + 1 coefficients, bitwise, a
+    # complex Nyquist entry included
+    field = solver.gaussian_data(Grid(512, 64.0), 0.5, width=0.05, time=4.0)
+    field.coeffs[-1] += 0.25j
+    sink = OutputSink(str(tmp_path), "evolve", {})
+    sink.write_snapshot("final_state.bin", field)
+    f = read_snapshot(str(tmp_path / "final_state.bin"))
+    assert (f.grid, f.time) == (field.grid, field.time)
+    assert np.array_equal(f.coeffs, field.coeffs)
+
+
+def test_snapshot_format_is_the_sorted_full_spectrum(tmp_path):
+    # the file holds n coefficients at -n/2 ... n/2 - 1, so one written in the
+    # full-spectrum layout reads back: the entries at xi >= 0, then the
+    # Nyquist entry stored at -n/2
+    n = 8
+    full = np.fft.fft(np.random.default_rng(1).standard_normal(n))
+    full[n // 2] += 0.25j
+    inter = np.empty(2 * n)
+    inter[0::2], inter[1::2] = np.fft.fftshift(full).real, np.fft.fftshift(full).imag
+    path = tmp_path / "full.bin"
+    path.write_bytes(struct.pack("<qddd", n, 2.0, 3.0, 0.0) + inter.astype("<f8").tobytes())
+    f = read_snapshot(str(path))
+    assert np.array_equal(f.coeffs, full[: n // 2 + 1])
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -302,6 +321,10 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         (["linear-decay", "--profile", "band", "--k", "20"], "too small for band k = 20"),
         (["evolve", "--t-end", "16", "--dt", "0.07", "--snapshots", "none"] + _SMALL_GRID, "does not divide"),
         (["evolve", "--n-modes", "1", "--t-end", "5"], "n_modes must be a power of two >= 2"),
+        (_SMALL_EVOLVE_4 + ["--epsilon", "0"], "epsilon must be nonzero and finite"),
+        (_SMALL_EVOLVE_4 + ["--epsilon", "nan"], "epsilon must be nonzero and finite"),
+        (["scatter", "--t-end", "16", "--epsilon", "0"] + _SMALL_GRID, "epsilon must be nonzero and finite"),
+        (["scatter", "--t-end", "16", "--epsilon", "nan"] + _SMALL_GRID, "epsilon must be nonzero and finite"),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -310,7 +333,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "linear-decay-t-max-inf", "verify-estimates-t-min-0", "verify-estimates-t-max-nan", "evolve-short",
         "evolve-dt-negative", "evolve-t-end-inf", "scatter-t-end-inf", "resonances-tol-nan", "evolve-s-nan",
         "verify-estimates-s-nan", "linear-decay-band-k-above-nyquist", "evolve-dt-not-dividing",
-        "evolve-one-mode",
+        "evolve-one-mode", "evolve-epsilon-0", "evolve-epsilon-nan", "scatter-epsilon-0", "scatter-epsilon-nan",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message):
@@ -320,6 +343,16 @@ def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, a
     assert run_cli(argv + ["--output-dir", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_scatter_records_whole_times_only(tmp_path, monkeypatch):
+    # every dyadic time is a whole time, so scatter records t = 1, 2, ..., t_end
+    # and not every step
+    times = []
+    record = diagnostics.Recorder.__call__
+    monkeypatch.setattr(diagnostics.Recorder, "__call__", lambda self, f, p: times.append(f.time) or record(self, f, p))
+    assert run_cli(["scatter", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(tmp_path / "sc")]) == 0
+    assert times == [float(t) for t in range(1, 17)]
 
 
 def test_off_lattice_dyadic_time_allowed_without_snapshots(tmp_path):

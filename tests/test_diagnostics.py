@@ -20,7 +20,7 @@ from gbbmlab.diagnostics import (
 )
 from gbbmlab.littlewood_paley import phi_le_k
 from gbbmlab.solver import SolverConfig, evolve, gaussian_data
-from gbbmlab.spectral import Grid, SpectralField
+from gbbmlab.spectral import Grid, SpectralField, sorted_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def grid():
 
 
 def test_compute_norms_zero_field(grid):
-    z = SpectralField(grid, np.zeros(grid.n_modes, dtype=complex), time=1.0)
+    z = SpectralField(grid, np.zeros(grid.n_modes // 2 + 1, dtype=complex), time=1.0)
     s = compute_norms(z, z)
     assert (s.linf_fhat, s.weighted_l2, s.sobolev, s.sup_u) == (0.0, 0.0, 0.0, 0.0)
 
@@ -63,6 +63,26 @@ def test_h1_gaussian_closed_form(grid):
     # ||f||_2^2 + ||f'||_2^2 = sqrt(pi) + sqrt(pi)/2
     f = SpectralField.from_function(grid, lambda x: np.exp(-x * x / 2.0))
     assert h1_norm(f) == pytest.approx(math.sqrt(math.sqrt(math.pi) * 1.5), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 64])
+def test_half_spectrum_norms_match_full_grid_sums(n):
+    # each interior mode of the half-spectrum stands for +-xi: the norms equal
+    # the sums over all n modes of the full spectrum, Nyquist entry at -n/2
+    g = Grid(n, 4.0)
+    x = np.random.default_rng(n).standard_normal(n)
+    fhat = SpectralField.from_physical(g, x).continuum_coeffs
+    fhat[-1] += 0.3j  # a complex Nyquist entry, which the state can hold
+    full = np.fft.fft(x) * (g.dx / math.sqrt(2.0 * math.pi) * (-1.0) ** np.arange(n))
+    full[n // 2] += 0.3j
+    full = np.fft.fftshift(full)
+    assert np.max(np.abs(sorted_spectrum(fhat) - full)) <= 1e-15 * np.max(np.abs(full))
+    xi = g.dxi * np.arange(-(n // 2), n // 2)
+    for s in (0.0, 1.0, 10.0):
+        ref = math.sqrt(float(np.sum((1.0 + xi * xi) ** s * np.abs(full) ** 2)) * g.dxi)
+        assert sobolev(g, fhat, s) == pytest.approx(ref, rel=1e-14)
+    ref = math.sqrt(float(np.sum(np.abs(np.gradient(full, g.dxi)) ** 2)) * g.dxi)
+    assert dxi_l2(g, fhat) == pytest.approx(ref, rel=1e-14)
 
 
 def test_norms_monotone_under_band_truncation(grid):

@@ -42,16 +42,15 @@ def test_config_validation():
 
 
 def test_rhs_zero_field(grid):
-    z = SpectralField(grid, np.zeros(grid.n_modes, dtype=complex))
+    z = SpectralField(grid, np.zeros(grid.n_modes // 2 + 1, dtype=complex))
     assert np.max(np.abs(rhs(z.coeffs, linear_symbol(grid)))) == 0.0
 
 
 def test_rhs_linear_single_mode(grid):
     from gbbmlab.dispersion import omega
 
-    c = np.zeros(grid.n_modes, dtype=complex)
+    c = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
     c[5] = 1.0
-    c[-5] = 1.0
     d = rhs(c, linear_symbol(grid), nonlinear=False)
     xi5 = grid.frequencies[5]
     assert d[5] == pytest.approx(-1j * float(omega(xi5)) * 1.0, abs=1e-15)
@@ -63,7 +62,7 @@ def test_quartic_cos_identity(grid):
     j = 40
     a = j * grid.dxi
     f = SpectralField.from_function(grid, lambda x: np.cos(a * x))
-    u4 = np.fft.ifft(quartic_hat(f.coeffs)).real
+    u4 = np.fft.irfft(quartic_hat(f.coeffs), grid.n_modes)
     x = grid.points
     exact = 3.0 / 8.0 + 0.5 * np.cos(2 * a * x) + np.cos(4 * a * x) / 8.0
     assert np.max(np.abs(u4 - exact)) < 1e-13
@@ -73,10 +72,9 @@ def test_quartic_spurious_band_energy(grid):
     # data limited to <= n/8 active modes: the dealiased quartic must leave
     # nothing beyond 4x the data band
     rng = np.random.default_rng(5)
-    c = np.zeros(grid.n_modes, dtype=complex)
+    c = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
     m = grid.n_modes // 16
     c[1 : m + 1] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    c[-m:] = np.conj(c[1 : m + 1][::-1])
     q = quartic_hat(c)
     xi = grid.frequencies
     data_max = (m + 1) * grid.dxi
@@ -99,43 +97,41 @@ def test_quartic_hat_matches_padded_complex_product():
     u = np.fft.ifft(c).real
     assert np.min(u) < 0.0 < np.max(u)
     before = c.copy()
-    q = quartic_hat(c)
+    q = quartic_hat(c[: half + 1])
     assert np.array_equal(c, before)
     padded = np.zeros(m, dtype=complex)
     padded[:half] = c[:half]
     padded[half] = padded[m - half] = 0.5 * c[half]
     padded[m - half + 1 :] = c[half + 1 :]
     w = np.fft.fft((3.0 * np.fft.ifft(padded)) ** 4) / 3.0
-    ref = np.concatenate([w[:half], [w[half] + w[m - half]], w[m - half + 1 :]])
+    ref = np.concatenate([w[:half], [w[half] + w[m - half]]])
     assert np.max(np.abs(q - ref)) < 1e-13 * np.max(np.abs(q))
 
 
 def _quartic_hat_3n(c):
     # the 3n-point algorithm quartic_hat used before the 5n/2 grid: no alias
     # reaches a kept mode, so nothing is subtracted
-    n = c.size
-    half = n // 2
-    ph = c[: half + 1] * 3.0
+    half = c.size - 1
+    n = 2 * half
+    ph = c * 3.0
     ph[half] *= 0.5
     u = np.fft.irfft(ph, 3 * n)
     u *= u
     u *= u
     w = np.fft.rfft(u)
-    out = np.empty(n, dtype=complex)
-    out[:half] = w[:half]
+    out = w[: half + 1].copy()
     out[half] = w[half].real * 2.0
-    out[half + 1 :] = np.conj(w[half - 1 : 0 : -1])
     return out / 3.0
 
 
 def _random_real_coeffs(n, nyquist, seed):
+    # the half-spectrum of a real field with the given Nyquist entry
     rng = np.random.default_rng(seed)
     half = n // 2
-    c = np.empty(n, dtype=complex)
+    c = np.empty(half + 1, dtype=complex)
     c[0] = rng.standard_normal()
     c[1:half] = rng.standard_normal(half - 1) + 1j * rng.standard_normal(half - 1)
     c[half] = nyquist
-    c[half + 1 :] = np.conj(c[half - 1 : 0 : -1])
     return c
 
 
@@ -162,7 +158,7 @@ def test_step_result_survives_next_step():
     # be one of the arrays the run reuses for later steps
     n = 64
     symbol = linear_symbol(Grid(n, 16.0))
-    buffers, stages = solver.quartic_buffers(n), np.empty((3, n), dtype=complex)
+    buffers, stages = solver.quartic_buffers(n), np.empty((3, n // 2 + 1), dtype=complex)
     c = 0.1 * _random_real_coeffs(n, 0.3, 1)
     out = step(c, symbol, 0.05, True, buffers, stages)
     kept = out.copy()
@@ -177,7 +173,7 @@ def test_step_with_run_buffers_allocates_only_its_result():
     # and nothing else grid-sized (pocketfft's own scratch is not traced)
     n = 2**12
     symbol = linear_symbol(Grid(n, 64.0))
-    buffers, stages = solver.quartic_buffers(n), np.empty((3, n), dtype=complex)
+    buffers, stages = solver.quartic_buffers(n), np.empty((3, n // 2 + 1), dtype=complex)
     c = 0.1 * _random_real_coeffs(n, 0.3, 3)
     step(c, symbol, 0.05, True, buffers, stages)
     tracemalloc.start()
@@ -200,7 +196,7 @@ def test_evolve_runs_share_no_buffers():
 
 
 def test_blowup_guard(grid):
-    c = np.full(grid.n_modes, 1e11, dtype=complex)
+    c = np.full(grid.n_modes // 2 + 1, 1e11, dtype=complex)
     with pytest.raises(OverflowError):
         rhs(c, linear_symbol(grid))
 
@@ -230,7 +226,7 @@ def test_step_halving_is_fourth_order(small_data):
 
 
 def test_evolve_zero_data(grid):
-    z = SpectralField(grid, np.zeros(grid.n_modes, dtype=complex), time=1.0)
+    z = SpectralField(grid, np.zeros(grid.n_modes // 2 + 1, dtype=complex), time=1.0)
     out = evolve(z, SolverConfig(dt=0.05, t_end=3.0))
     assert np.max(np.abs(out.coeffs)) == 0.0
 
@@ -295,9 +291,12 @@ def test_n_steps_is_the_step_lattice():
 
 
 def test_evolve_realness(small_data):
+    # the half-spectrum layout makes the field real; of the two entries whose
+    # imaginary part it leaves free, the mean stays exactly real (omega(0) = 0)
     out = evolve(small_data, SolverConfig(dt=0.05, t_end=3.0))
-    assert out.max_imag() < 1e-12
-    assert out.hermitian_defect() < 1e-12
+    assert out.coeffs.shape == (small_data.grid.n_modes // 2 + 1,)
+    assert small_data.coeffs[0].imag == 0.0
+    assert out.coeffs[0].imag == 0.0
 
 
 def test_discrete_profile_constant_under_rk4_linear_flow(small_data):

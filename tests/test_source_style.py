@@ -37,3 +37,33 @@ def test_solver_and_diagnostics_call_no_blas():
             elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
                 calls.append(f"{name}:{node.lineno}: from {node.module}")
     assert calls == []
+
+
+#: The only functions that may run a full complex transform: from_physical,
+#: whose fft(values)[: n/2 + 1] is bitwise the coefficients the references
+#: were recorded from, and the band quadrature's Bluestein convolution.  The
+#: state is a half-spectrum everywhere else.
+FULL_TRANSFORM_CALLERS = {"spectral.SpectralField.from_physical", "linear_flow._chirp_z_sum"}
+
+
+def _calls(tree, scope=()):
+    """(enclosing function's dotted name, callee's last name) of every call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _calls(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield ".".join(scope), func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        yield from _calls(node, scope)
+
+
+def test_state_stays_a_half_spectrum():
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, callee in _calls(ast.parse(path.read_text())):
+            if callee in ("fftshift", "ifftshift") or (
+                callee in ("fft", "ifft") and f"{path.stem}.{scope}" not in FULL_TRANSFORM_CALLERS
+            ):
+                calls.append(f"{path.name}: {scope or '<module>'}: {callee}")
+    assert calls == []

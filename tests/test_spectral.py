@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbbmlab.spectral import Grid, SpectralField
+from gbbmlab.spectral import Grid, SpectralField, sorted_spectrum
 
 
 def test_grid_validation():
@@ -33,8 +33,6 @@ def test_roundtrip_physical():
     u = rng.standard_normal(g.n_modes)
     f = SpectralField.from_physical(g, u)
     assert np.max(np.abs(f.physical() - u)) < 1e-12
-    assert f.max_imag() < 1e-12
-    assert f.hermitian_defect() < 1e-10
 
 
 def test_continuum_coeffs_match_gaussian_transform():
@@ -76,15 +74,32 @@ def test_field_validation():
     g = Grid(64, 8.0)
     with pytest.raises(ValueError):
         SpectralField(g, np.zeros(65, dtype=complex))
-    bad = np.zeros(64, dtype=complex)
+    bad = np.zeros(33, dtype=complex)
     bad[3] = np.nan
     with pytest.raises(ValueError):
         SpectralField(g, bad)
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 256, 2**12, 2**16])
+def test_field_rejects_full_spectrum():
+    # an n-point array in the full-spectrum layout fails loudly
+    g = Grid(64, 8.0)
+    with pytest.raises(ValueError, match="n/2 \\+ 1 half-spectrum"):
+        SpectralField(g, np.zeros(64, dtype=complex))
+
+
+def test_frequencies_are_the_half_spectrum():
+    g = Grid(64, 8.0)
+    assert np.array_equal(g.frequencies, g.dxi * np.arange(33))
+    assert np.array_equal(g.frequencies[:32], 2.0 * math.pi * np.fft.fftfreq(64, d=g.dx)[:32])
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 64, 256, 2**12, 2**16])
 def test_fftshift_sorts_frequencies(n):
-    # the package orders frequencies for output and interpolation by fftshift
-    xi = Grid(n, 10.0).frequencies
-    assert np.array_equal(np.fft.fftshift(xi), xi[np.argsort(xi)])
-    assert np.array_equal(np.fft.ifftshift(np.fft.fftshift(xi)), xi)
+    # the package's one sorted order: sorted_spectrum puts every mode of a
+    # real field's spectrum where fftshift does, the Nyquist entry at -n/2
+    # (n = 2 has no mode between the mean and the Nyquist mode)
+    x = np.random.default_rng(n).standard_normal(n)
+    full = np.fft.fftshift(np.fft.fft(x))
+    s = sorted_spectrum(SpectralField.from_physical(Grid(n, 10.0), x).coeffs)
+    assert s.shape == (n,)
+    assert np.max(np.abs(s - full)) <= 1e-15 * np.max(np.abs(full))
