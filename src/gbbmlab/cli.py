@@ -2,11 +2,12 @@
 evolution, scattering diagnostics, estimate verification, and figure-data
 emission.
 
-Configuration comes from an INI file (one section per subcommand) with
-command-line flags taking precedence.  Every run writes a manifest.json
-recording the resolved configuration, package version, and sha256 checksums
-of all outputs; snapshot binaries embed a wall-time field that is excluded
-from the checksum so reruns are byte-comparable.
+Configuration comes from an INI file (one section per subcommand), each key
+parsed as the flag it names, with command-line flags taking precedence.
+Every run writes a manifest.json recording the resolved configuration,
+package version, and sha256 checksums of all outputs; snapshot binaries embed
+a wall-time field that is excluded from the checksum so reruns are
+byte-comparable.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
 failure (blow-up guard, non-convergent quadrature).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import hashlib
 import json
@@ -94,32 +96,33 @@ _DEFAULTS = {
 }
 
 
-def _load_config(path: str | None, subcommand: str) -> dict:
-    merged = dict(_DEFAULTS[subcommand])
-    if path:
-        if not os.path.exists(path):
-            raise ValidationError(f"config file not found: {path}")
-        cp = configparser.ConfigParser()
-        cp.read(path)
-        if cp.has_section(subcommand):
-            for key, raw in cp.items(subcommand):
-                key = key.replace("-", "_")
-                if key not in merged:
-                    raise ValidationError(f"unknown config key '{key}' in [{subcommand}]")
-                kind = type(merged[key])
-                try:
-                    merged[key] = kind(raw)
-                except ValueError:
-                    raise ValidationError(f"[{subcommand}] {key} = {raw} is not a valid {kind.__name__}") from None
-    return merged
+#: Per-key checks, applied by ``main`` to every subcommand that has the key:
+#: (key, predicate, requirement), reported as "<key> must be <requirement>".
+_CHECKS = [
+    ("width", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("carrier", math.isfinite, "finite"),
+    ("epsilon", lambda v: math.isfinite(v) and v != 0, "nonzero and finite"),
+    ("s", math.isfinite, "finite"),
+    ("tol", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("snapshots", lambda v: v in ("dyadic", "none"), "'dyadic' or 'none'"),
+    ("n_points", lambda v: v >= 2, ">= 2"),
+    ("id", lambda v: v in _FIGURES, "in 1..17"),
+]
 
 
-def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _ini_flags(path: str, subcommand: str) -> list[str]:
+    """The ``--key=value`` flags named by the keys of the INI file's [subcommand] section."""
+    if not os.path.exists(path):
+        raise ValidationError(f"config file not found: {path}")
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    flags = []
+    for key, raw in cp.items(subcommand) if cp.has_section(subcommand) else []:
+        key = key.replace("-", "_")
+        if key not in _DEFAULTS[subcommand]:
+            raise ValidationError(f"unknown config key '{key}' in [{subcommand}]")
+        flags.append(f"--{key.replace('_', '-')}={raw}")
+    return flags
 
 
 class OutputSink:
@@ -152,16 +155,12 @@ class OutputSink:
 
     def write_snapshot(self, name: str, field: SpectralField):
         """Binary snapshot: little-endian header (n int64; L, t, walltime
-        float64) then the n interleaved re/im float64 coefficients of the
-        field's ``sorted_spectrum``.  The walltime bytes are skipped by the checksum."""
-        c = sorted_spectrum(field.coeffs)
-        inter = np.empty(2 * c.size)
-        inter[0::2] = c.real
-        inter[1::2] = c.imag
+        float64) then the field's ``sorted_spectrum`` as n little-endian
+        complex128 values.  The walltime bytes are skipped by the checksum."""
         header = struct.pack(
             "<qddd", field.grid.n_modes, field.grid.half_length, field.time, time.time()
         )
-        body = inter.astype("<f8").tobytes()
+        body = sorted_spectrum(field.coeffs).astype("<c16").tobytes()
         with open(self.path(name), "wb") as f:
             f.write(header)
             f.write(body)
@@ -173,7 +172,7 @@ class OutputSink:
     def finalize(self):
         manifest = {
             "subcommand": self.subcommand,
-            "config": {k: (v if isinstance(v, (str, int)) else float(v)) for k, v in self.cfg.items()},
+            "config": self.cfg,
             "version": __version__,
             "outputs": self.checksums,
         }
@@ -186,8 +185,7 @@ def read_snapshot(path: str) -> SpectralField:
     """Inverse of OutputSink.write_snapshot: the entries at xi >= 0, then the Nyquist entry from -n/2."""
     with open(path, "rb") as f:
         n, half_length, t, _walltime = struct.unpack("<qddd", f.read(32))
-        inter = np.frombuffer(f.read(), dtype="<f8")
-    c_sorted = inter[0::2] + 1j * inter[1::2]
+        c_sorted = np.frombuffer(f.read(), dtype="<c16")
     return SpectralField(Grid(n, half_length), np.append(c_sorted[n // 2 :], c_sorted[0]), t)
 
 
@@ -195,43 +193,15 @@ def read_snapshot(path: str) -> SpectralField:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _point_dict(p: resonance.PhasePoint) -> dict:
-    return {
-        "eta1": float(p.eta1),
-        "eta2": float(p.eta2),
-        "eta3": float(p.eta3),
-        "eta4": float(p.eta4),
-        "xi": float(p.xi),
-    }
-
-
 def run_resonances(cfg: dict, sink: OutputSink) -> int:
-    tol = float(cfg["tol"])
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
-    records = resonance.enumerate_resonances(tol)
-    anom = next(r for r in records if r.label == "anomalous-point")
-    eta0 = anom.representative_points[0].eta1
+    records = resonance.enumerate_resonances(cfg["tol"])
+    anom = next(r for r in records if r.label == "anomalous-point").representative_points[0]
     census = {
-        "tolerance": tol,
-        "anomalous": {
-            "eta0": float(eta0),
-            "xi0": float(anom.representative_points[0].xi),
-            "reflection_of_eta0": float(reflection(eta0)),
-        },
+        "tolerance": cfg["tol"],
+        "anomalous": {"eta0": anom.eta1, "xi0": anom.xi, "reflection_of_eta0": reflection(anom.eta1)},
         "records": [
-            {
-                "label": r.label,
-                "family": r.family,
-                "subfamily": r.subfamily,
-                "kind": r.kind,
-                "classification": r.classification,
-                "residual_phase": float(r.residual_phase),
-                "residual_gradient": float(r.residual_gradient),
-                "symmetry_derived": r.symmetry_derived,
-                "notes": r.notes,
-                "representative_points": [_point_dict(p) for p in r.representative_points],
-            }
+            {f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.name != "sampler"}
+            | {"representative_points": [dataclasses.asdict(p) | {"eta4": p.eta4} for p in r.representative_points]}
             for r in records
         ],
     }
@@ -293,10 +263,10 @@ def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
 
 
 def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
-    times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
+    times = _dyadic_times(cfg["t_min"], cfg["t_max"])
     width, carrier = _data_family(cfg)
-    grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
-    k = int(cfg["k"])
+    grid = Grid(cfg["n_modes"], cfg["half_length"])
+    k = cfg["k"]
     if cfg["profile"] == "band":
         linear_flow.require_band_on_grid(grid, k)
     profile = solver.gaussian_data(grid, 1.0, width, carrier, time=0.0)
@@ -320,14 +290,12 @@ def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
 
 
 def run_evolve(cfg: dict, sink: OutputSink) -> int:
-    if cfg["snapshots"] not in ("dyadic", "none"):
-        raise ValidationError(f"snapshots must be 'dyadic' or 'none', got '{cfg['snapshots']}'")
-    grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
-    scfg = solver.SolverConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=int(cfg["record_stride"]))
+    grid = Grid(cfg["n_modes"], cfg["half_length"])
+    scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
     width, carrier = _data_family(cfg)
     _require_records(scfg, cfg["snapshots"] == "dyadic")
-    u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), width, carrier, time=1.0)
-    rec = diagnostics.Recorder(s=float(cfg["s"]))
+    u0 = solver.gaussian_data(grid, cfg["epsilon"], width, carrier, time=1.0)
+    rec = diagnostics.Recorder(s=cfg["s"])
     final = solver.evolve(u0, scfg, rec)
     cells = [(smp.t, smp.linf_fhat, smp.weighted_l2, smp.sobolev, smp.sup_u) for smp in rec.samples]
     sink.write_csv("diagnostics.csv", "t,linf_fhat,weighted_l2,sobolev_s,sup_u", cells)
@@ -340,14 +308,14 @@ def run_evolve(cfg: dict, sink: OutputSink) -> int:
 
 
 def run_scatter(cfg: dict, sink: OutputSink) -> int:
-    grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
-    scfg = solver.SolverConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), record_stride=1)
+    grid = Grid(cfg["n_modes"], cfg["half_length"])
+    scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=1)
     if scfg.t_end < 16.0:
         raise ValidationError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
     _require_records(scfg, dyadic=True)
     # every dyadic time is a step, so recording once per time unit (t = 1, 2, ...) keeps each of them
     scfg.record_stride = scfg.n_steps(1.0) - scfg.n_steps(2.0)
-    u0 = solver.gaussian_data(grid, float(cfg["epsilon"]), float(cfg["width"]), time=1.0)
+    u0 = solver.gaussian_data(grid, cfg["epsilon"], cfg["width"], time=1.0)
     rec = diagnostics.Recorder()
     solver.evolve(u0, scfg, rec)
     rows = diagnostics.scattering_test(rec.profiles)
@@ -370,14 +338,14 @@ def run_scatter(cfg: dict, sink: OutputSink) -> int:
 
 
 def run_verify_estimates(cfg: dict, sink: OutputSink) -> int:
-    k_min, k_max = int(cfg["k_min"]), int(cfg["k_max"])
+    k_min, k_max = cfg["k_min"], cfg["k_max"]
     if k_max < k_min:
         raise ValidationError("k_max must be >= k_min")
-    grid = Grid(int(cfg["n_modes"]), float(cfg["half_length"]))
+    grid = Grid(cfg["n_modes"], cfg["half_length"])
     linear_flow.require_band_on_grid(grid, k_max)
-    times = _dyadic_times(float(cfg["t_min"]), float(cfg["t_max"]))
-    profile = solver.gaussian_data(grid, 1.0, float(cfg["width"]), time=0.0)
-    rows = linear_flow.verify_dispersive_estimate(profile, range(k_min, k_max + 1), times, float(cfg["s"]))
+    times = _dyadic_times(cfg["t_min"], cfg["t_max"])
+    profile = solver.gaussian_data(grid, 1.0, cfg["width"], time=0.0)
+    rows = linear_flow.verify_dispersive_estimate(profile, range(k_min, k_max + 1), times, cfg["s"])
     cells = [(r.t, r.k, r.case, r.lhs, r.rhs, r.ratio) for r in rows]
     sink.write_csv("estimates.csv", "t,k,case_id,lhs,rhs,ratio", cells)
     ratios = [r.ratio for r in rows]
@@ -444,8 +412,6 @@ _FIGURES = {
 
 def _figure_data(fig_id: int, n_points: int):
     """(header, columns) for each numbered figure target."""
-    if fig_id not in _FIGURES:
-        raise ValidationError(f"figure id must be in 1..17, got {fig_id}")
     header, x_range, columns = _FIGURES[fig_id]
     anomalous = functools.cache(lambda: resonance.anomalous_resonance().representative_points[0])
     lo, hi = x_range(anomalous) if callable(x_range) else x_range
@@ -454,12 +420,8 @@ def _figure_data(fig_id: int, n_points: int):
 
 
 def run_figures(cfg: dict, sink: OutputSink) -> int:
-    fig_id = int(cfg["id"])
-    n_points = int(cfg["n_points"])
-    if n_points < 2:
-        raise ValidationError("n_points must be >= 2")
-    header, cols = _figure_data(fig_id, n_points)
-    sink.write_csv(f"figure_{fig_id:02d}.csv", header, zip(*[np.asarray(c) for c in cols]))
+    header, cols = _figure_data(cfg["id"], cfg["n_points"])
+    sink.write_csv(f"figure_{cfg['id']:02d}.csv", header, zip(*[np.asarray(c) for c in cols]))
     return 0
 
 
@@ -496,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_line) in _RUNNERS.items():
         sp = sub.add_parser(name, help=help_line)
         for key, default in _DEFAULTS[name].items():
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default), help=f"default: {default}")
+            flag = "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=key, type=type(default), default=default, help=f"default: {default}")
         sp.add_argument("--config", help="INI config file")
         sp.add_argument("--output-dir", dest="output_dir", help="output directory")
     return p
@@ -504,15 +467,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         sub = args.subcommand
-        cfg = _merge_flags(_load_config(args.config, sub), args)
-        if "width" in cfg and not cfg["width"] > 0:
-            raise ValidationError(f"width must be positive, got {cfg['width']:g}")
-        if "epsilon" in cfg and not (math.isfinite(cfg["epsilon"]) and cfg["epsilon"] != 0):
-            raise ValidationError(f"epsilon must be nonzero and finite, got {cfg['epsilon']:g}")
-        if "s" in cfg and not math.isfinite(cfg["s"]):
-            raise ValidationError(f"s must be finite, got {cfg['s']:g}")
+        if args.config:  # the INI file's flags go ahead of the command line's, so those win
+            i = argv.index(sub) + 1
+            args = parser.parse_args(argv[:i] + _ini_flags(args.config, sub) + argv[i:])
+        cfg = {key: getattr(args, key) for key in _DEFAULTS[sub]}
+        for key, ok, requirement in _CHECKS:
+            if key in cfg and not ok(cfg[key]):
+                raise ValidationError(f"{key} must be {requirement}, got {cfg[key]!r}")
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"
         sink = OutputSink(out_dir, sub, cfg)
         status = _RUNNERS[sub][0](cfg, sink)

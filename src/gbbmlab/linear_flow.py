@@ -264,8 +264,13 @@ def dispersive_bound(
     elif case == 5:
         rhs = lam * fsup
     else:
-        # L2 norm of d/dxi of the band-localized profile
-        dk = diagnostics.dxi_l2(field.grid, fhat * psi_k(k, field.grid.frequencies))
+        # L2 norm of d/dxi of the band-localized profile.  psi_k is exactly 0 off
+        # the band's indices, and fhat is this call's own copy, so it is cut in place.
+        xi = field.grid.frequencies
+        lo, hi = np.searchsorted(xi, _band_interval(k))
+        fhat[:lo] = fhat[hi:] = 0.0
+        fhat[lo:hi] *= psi_k(k, xi[lo:hi])
+        dk = diagnostics.dxi_l2(field.grid, fhat)
         if case == 2:
             rhs = t**-0.5 * lam**1.5 * fsup + t**-0.75 * lam**2.25 * dk
         elif case == 3:

@@ -31,8 +31,8 @@ class Grid:
         # dealiased quartic's grid, a whole number
         if self.n_modes < 2 or self.n_modes & (self.n_modes - 1):
             raise ValueError(f"n_modes must be a power of two >= 2, got {self.n_modes}")
-        if self.half_length <= 0:
-            raise ValueError("half_length must be positive")
+        if not 0 < self.half_length < math.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length!r}")
 
     @property
     def dx(self) -> float:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import struct
@@ -6,8 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from gbbmlab import diagnostics, solver
-from gbbmlab.cli import _DEFAULTS, OutputSink, build_parser, main, read_snapshot
+from gbbmlab import diagnostics, resonance, solver
+from gbbmlab.cli import _CHECKS, _DEFAULTS, OutputSink, build_parser, main, read_snapshot
 from gbbmlab.dispersion import SQRT3
 from gbbmlab.spectral import Grid
 
@@ -24,7 +25,13 @@ def test_resonances_census(tmp_path):
     assert 14.1 <= census["anomalous"]["xi0"] <= 14.3
     labels = {r["label"] for r in census["records"]}
     assert {"line", "curve", "origin-point", "inflection-point", "anomalous-point"} <= labels
+    # each record is derived from its ResonanceRecord, every field but the sampler
+    fields = {f.name for f in dataclasses.fields(resonance.ResonanceRecord)} - {"sampler"}
     for r in census["records"]:
+        assert set(r) == fields
+        for p in r["representative_points"]:
+            assert set(p) == {"eta1", "eta2", "eta3", "eta4", "xi"}
+            assert p["eta4"] == p["xi"] - p["eta1"] - p["eta2"] - p["eta3"]
         if r["classification"] == "space_time":
             assert r["residual_phase"] < 1e-9
             assert r["residual_gradient"] < 1e-9
@@ -52,8 +59,9 @@ def test_all_figure_targets_emit(tmp_path, fig_id):
         assert all(math.isfinite(float(v)) for v in line.split(","))
 
 
-def test_invalid_figure_id(tmp_path):
+def test_invalid_figure_id(tmp_path, capsys):
     assert run_cli(["figures", "--id", "0", "--output-dir", str(tmp_path / "x")]) == 1
+    assert "id must be in 1..17, got 0" in capsys.readouterr().err
 
 
 def test_invalid_dt_exits_1(tmp_path):
@@ -191,6 +199,12 @@ def test_flags_match_config_keys():
         assert flags == keys | {"--config", "--output-dir"}
 
 
+def test_every_checked_key_is_a_config_key():
+    # a misspelt key in the table would turn its check off without a failure
+    keys = {key for section in _DEFAULTS.values() for key in section}
+    assert {key for key, _, _ in _CHECKS} <= keys
+
+
 def test_determinism_byte_identical_text_outputs(tmp_path):
     texts = []
     for name in ("r1", "r2"):
@@ -296,35 +310,52 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, ini",
     [
-        (["linear-decay", "--width", "0"], "width must be positive"),
-        (["linear-decay", "--profile", "near-sqrt3", "--width", "0"], "width must be positive"),
-        (["evolve", "--width", "-0.5"] + _SMALL_EVOLVE, "width must be positive"),
-        (["evolve", "--profile", "near-sqrt3", "--width", "0"] + _SMALL_EVOLVE, "width must be positive"),
-        (["scatter", "--width", "-0.5"] + _SMALL_GRID, "width must be positive"),
-        (["verify-estimates", "--width", "0"], "width must be positive"),
-        (["evolve", "--t-end", "5", "--record-stride", "3"] + _SMALL_GRID, "no snapshot at 2"),
-        (["scatter", "--t-end", "8"] + _SMALL_GRID, "t_end must be >= 16"),
-        (["scatter", "--t-end", "16", "--dt", "0.06"] + _SMALL_GRID, "no snapshot at 2"),
-        (["evolve", "--profile", "band"] + _SMALL_EVOLVE, "unknown profile 'band'"),
-        (["linear-decay", "--t-max", "inf"], "need 0 < t_min <= t_max < inf"),
-        (["verify-estimates", "--t-min", "0"], "need 0 < t_min <= t_max < inf"),
-        (["verify-estimates", "--t-max", "nan"], "need 0 < t_min <= t_max < inf"),
-        (["evolve", "--t-end", "2", "--dt", "0.05"] + _SMALL_GRID, "3 records"),
-        (["evolve", "--t-end", "4", "--dt", "-0.05"] + _SMALL_GRID, "dt = -0.05 must be positive"),
-        (["evolve", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite"),
-        (["scatter", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite"),
-        (["resonances", "--tol", "nan"], "tol must be positive"),
-        (_SMALL_EVOLVE_4 + ["--s", "nan"], "s must be finite"),
-        (["verify-estimates", "--s", "nan"], "s must be finite"),
-        (["linear-decay", "--profile", "band", "--k", "20"], "too small for band k = 20"),
-        (["evolve", "--t-end", "16", "--dt", "0.07", "--snapshots", "none"] + _SMALL_GRID, "does not divide"),
-        (["evolve", "--n-modes", "1", "--t-end", "5"], "n_modes must be a power of two >= 2"),
-        (_SMALL_EVOLVE_4 + ["--epsilon", "0"], "epsilon must be nonzero and finite"),
-        (_SMALL_EVOLVE_4 + ["--epsilon", "nan"], "epsilon must be nonzero and finite"),
-        (["scatter", "--t-end", "16", "--epsilon", "0"] + _SMALL_GRID, "epsilon must be nonzero and finite"),
-        (["scatter", "--t-end", "16", "--epsilon", "nan"] + _SMALL_GRID, "epsilon must be nonzero and finite"),
+        (["linear-decay", "--width", "0"], "width must be positive", None),
+        (["linear-decay", "--profile", "near-sqrt3", "--width", "0"], "width must be positive", None),
+        (["evolve", "--width", "-0.5"] + _SMALL_EVOLVE, "width must be positive", None),
+        (["evolve", "--profile", "near-sqrt3", "--width", "0"] + _SMALL_EVOLVE, "width must be positive", None),
+        (["scatter", "--width", "-0.5"] + _SMALL_GRID, "width must be positive", None),
+        (["verify-estimates", "--width", "0"], "width must be positive", None),
+        (["evolve", "--t-end", "5", "--record-stride", "3"] + _SMALL_GRID, "no snapshot at 2", None),
+        (["scatter", "--t-end", "8"] + _SMALL_GRID, "t_end must be >= 16", None),
+        (["scatter", "--t-end", "16", "--dt", "0.06"] + _SMALL_GRID, "no snapshot at 2", None),
+        (["evolve", "--profile", "band"] + _SMALL_EVOLVE, "unknown profile 'band'", None),
+        (["linear-decay", "--t-max", "inf"], "need 0 < t_min <= t_max < inf", None),
+        (["verify-estimates", "--t-min", "0"], "need 0 < t_min <= t_max < inf", None),
+        (["verify-estimates", "--t-max", "nan"], "need 0 < t_min <= t_max < inf", None),
+        (["evolve", "--t-end", "2", "--dt", "0.05"] + _SMALL_GRID, "3 records", None),
+        (["evolve", "--t-end", "4", "--dt", "-0.05"] + _SMALL_GRID, "dt = -0.05 must be positive", None),
+        (["evolve", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite", None),
+        (["scatter", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite", None),
+        (["resonances", "--tol", "nan"], "tol must be positive", None),
+        (_SMALL_EVOLVE_4 + ["--s", "nan"], "s must be finite", None),
+        (["verify-estimates", "--s", "nan"], "s must be finite", None),
+        (["linear-decay", "--profile", "band", "--k", "20"], "too small for band k = 20", None),
+        (["evolve", "--t-end", "16", "--dt", "0.07", "--snapshots", "none"] + _SMALL_GRID, "does not divide", None),
+        (["evolve", "--n-modes", "1", "--t-end", "5"], "n_modes must be a power of two >= 2", None),
+        (_SMALL_EVOLVE_4 + ["--epsilon", "0"], "epsilon must be nonzero and finite", None),
+        (_SMALL_EVOLVE_4 + ["--epsilon", "nan"], "epsilon must be nonzero and finite", None),
+        (["scatter", "--t-end", "16", "--epsilon", "0"] + _SMALL_GRID, "epsilon must be nonzero and finite", None),
+        (["scatter", "--t-end", "16", "--epsilon", "nan"] + _SMALL_GRID, "epsilon must be nonzero and finite", None),
+        (_SMALL_EVOLVE_4 + ["--half-length", "nan"], "half_length must be positive and finite", None),
+        (_SMALL_EVOLVE_4 + ["--half-length", "inf"], "half_length must be positive and finite", None),
+        (["scatter", "--t-end", "16", "--half-length", "nan"], "half_length must be positive and finite", None),
+        (["scatter", "--t-end", "16", "--half-length", "inf"], "half_length must be positive and finite", None),
+        (["linear-decay", "--half-length", "nan"], "half_length must be positive and finite", None),
+        (["linear-decay", "--half-length", "inf"], "half_length must be positive and finite", None),
+        (["verify-estimates", "--half-length", "nan"], "half_length must be positive and finite", None),
+        (["verify-estimates", "--half-length", "inf"], "half_length must be positive and finite", None),
+        (_SMALL_EVOLVE_4 + ["--carrier", "nan"], "carrier must be finite, got nan", None),
+        (_SMALL_EVOLVE_4 + ["--carrier", "inf"], "carrier must be finite", None),
+        (["linear-decay", "--profile", "near-sqrt3", "--width", "inf"], "width must be positive and finite", None),
+        (["scatter", "--t-end", "16", "--width", "inf"] + _SMALL_GRID, "width must be positive and finite", None),
+        (_SMALL_EVOLVE_4 + ["--width", "inf"], "width must be positive and finite", None),
+        # INI twins of the linear-decay-width-0 and evolve-carrier-nan rows: the flag's whole message
+        (["linear-decay"], "width must be positive and finite, got 0.0", "[linear-decay]\nwidth = 0\n"),
+        (_SMALL_EVOLVE_4, "carrier must be finite, got nan", "[evolve]\ncarrier = nan\n"),
+        (["resonances", "--tol", "inf"], "tol must be positive and finite, got inf", None),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -334,11 +365,21 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "evolve-dt-negative", "evolve-t-end-inf", "scatter-t-end-inf", "resonances-tol-nan", "evolve-s-nan",
         "verify-estimates-s-nan", "linear-decay-band-k-above-nyquist", "evolve-dt-not-dividing",
         "evolve-one-mode", "evolve-epsilon-0", "evolve-epsilon-nan", "scatter-epsilon-0", "scatter-epsilon-nan",
+        "evolve-half-length-nan", "evolve-half-length-inf", "scatter-half-length-nan", "scatter-half-length-inf",
+        "linear-decay-half-length-nan", "linear-decay-half-length-inf", "verify-estimates-half-length-nan",
+        "verify-estimates-half-length-inf", "evolve-carrier-nan", "evolve-carrier-inf",
+        "linear-decay-near-sqrt3-width-inf", "scatter-width-inf", "evolve-width-inf",
+        "ini-linear-decay-width-0", "ini-evolve-carrier-nan", "resonances-tol-inf",
     ],
 )
-def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message):
-    # every runner that integrates or scans builds its data with gaussian_data
+def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):
+    # every runner that integrates or scans builds its data with gaussian_data;
+    # an INI key is parsed as its flag, so it is rejected with the flag's message
     monkeypatch.setattr(solver, "gaussian_data", lambda *a, **k: pytest.fail("data built before rejection"))
+    if ini is not None:
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(ini)
+        argv = argv + ["--config", str(cfgfile)]
     out = tmp_path / "x"
     assert run_cli(argv + ["--output-dir", str(out)]) == 1
     assert message in capsys.readouterr().err

@@ -185,6 +185,20 @@ def test_dispersive_bound_rows(gaussian_field):
         assert r.rhs > 0.0
 
 
+def test_dispersive_bound_band_is_the_whole_grid_product(gaussian_field, monkeypatch):
+    # psi_k is evaluated on the band's indices only; the profile it hands to
+    # dxi_l2 is bitwise fhat * psi_k over the whole grid, and the field is untouched
+    g, coeffs = gaussian_field.grid, gaussian_field.coeffs.copy()
+    seen = []
+    monkeypatch.setattr(linear_flow.diagnostics, "dxi_l2", lambda grid, f: seen.append(f.copy()) or dxi_l2(grid, f))
+    ks = [-2, 0, 3]
+    assert {classify_case(k, 16.0) for k in ks} == {2, 3, 4}
+    for k in ks:
+        dispersive_bound(gaussian_field, k, 16.0)
+        assert np.array_equal(seen.pop(), gaussian_field.continuum_coeffs * psi_k(k, g.frequencies))
+    assert np.array_equal(gaussian_field.coeffs, coeffs)
+
+
 def test_dispersive_bound_case5_trivial(gaussian_field):
     b = dispersive_bound(gaussian_field, -10, 1e6)
     assert b.case == 5

@@ -15,6 +15,9 @@ def test_grid_validation():
         Grid(0, 10.0)
     with pytest.raises(ValueError, match="power of two >= 2"):
         Grid(1, 10.0)  # no Nyquist mode apart from the mean; 5n/2 is not whole
+    for half_length in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="half_length must be positive and finite"):
+            Grid(256, half_length)
 
 
 def test_grid_geometry():
