@@ -277,9 +277,10 @@ def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
             row = linear_flow.dispersive_bound(profile, k, t)
             rows.append((t, k, row.case, row.lhs, row.rhs, row.ratio))
     else:
-        rows = [(t, "", "aggregate", linear_flow.aggregate_sup_norm(profile, t), "", "") for t in times]
+        rows = [(t, "", "aggregate", linear_flow.aggregate_sup_norm(profile, t), "", "") for t in times[:-1]]
+        u = np.abs(linear_flow.propagate_linear(profile, times[-1]).physical())  # the last time's sup and argmax
+        rows.append((times[-1], "", "aggregate", float(np.max(u)), "", ""))
         if cfg["profile"] == "near-sqrt3":
-            u = np.abs(linear_flow.propagate_linear(profile, times[-1]).physical())
             x_max, ray = float(grid.points[int(np.argmax(u))]), -times[-1] / 8.0
             summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
     fit = diagnostics.fit_decay([(t, sup) for t, _, _, sup, _, _ in rows])

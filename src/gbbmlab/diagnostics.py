@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, sorted_spectrum
+from .spectral import Grid, SpectralField
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,27 @@ def linf_fhat(fhat: np.ndarray) -> float:
 
 
 def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
-    """L2 norm of d fhat/d xi for a half-spectrum of continuum coefficients:
-    centered differences on its ``sorted_spectrum`` (one-sided at the ends).
-    For a profile's own coefficients this is the weighted norm ||x f||_2, by
-    Plancherel.  The sum of squares is a numpy reduction over
-    the real and imaginary parts, not a BLAS dot product: OpenBLAS's threaded
-    zdotc leaves a second thread spinning through the steps that follow."""
-    d = np.gradient(sorted_spectrum(fhat), grid.dxi).view(np.float64)
-    return float(math.sqrt(np.sum(np.square(d, out=d)) * grid.dxi))
+    """L2 norm of d fhat/d xi for a half-spectrum a[0] ... a[m], m = n/2, of
+    continuum coefficients: the sum np.gradient takes over the full spectrum
+    f[-m] ... f[m-1] (f[-k] = conj a[k], f[-m] = a[m]), read off the half.
+    Each interior +k, 1 <= k <= m - 2, stands for +-k: |a[k+1] - a[k-1]|^2 / 4
+    counted twice (a[0] is real, as a real field's mean is).  The rest are the
+    centred xi = 0 and -(m - 1) terms, |a[1] - conj a[1]|^2 / 4 and
+    |a[m-2] - conj a[m]|^2 / 4, and the one-sided ends -m and m - 1,
+    |conj a[m-1] - a[m]|^2 and |a[m-1] - a[m-2]|^2 (n = 2 has no interior, and
+    its f[-1] is a[1] = fhat[-1]).  The interior sum runs from one index
+    before the first nonzero entry to one after the last: a band-cut array
+    costs its band and one scan.  By Plancherel this is ||x f||_2 for a
+    profile's own coefficients.  No BLAS (its threaded zdotc leaves a thread spinning)."""
+    m = fhat.size - 1
+    nz = np.flatnonzero(fhat)
+    first, last = (nz[0], nz[-1]) if nz.size else (m, 0)  # all zero: an empty interior sum
+    lo = max(first - 1, 1)
+    hi = max(min(last + 2, m - 1), lo)
+    d = (fhat[lo + 1 : hi + 1] - fhat[lo - 1 : hi - 1]).view(np.float64)
+    ends = abs(fhat[m - 1].conjugate() - fhat[m]) ** 2 + abs(fhat[m - 1] - fhat[m - 2]) ** 2
+    mid = fhat[1].imag ** 2 + abs(fhat[m - 2] - fhat[m].conjugate()) ** 2 / 4.0 if m > 1 else 0.0
+    return float(math.sqrt((0.5 * np.sum(np.square(d, out=d)) + ends + mid) / grid.dxi))
 
 
 @functools.cache

@@ -65,7 +65,7 @@ def test_h1_gaussian_closed_form(grid):
     assert h1_norm(f) == pytest.approx(math.sqrt(math.sqrt(math.pi) * 1.5), rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
 def test_half_spectrum_norms_match_full_grid_sums(n):
     # each interior mode of the half-spectrum stands for +-xi: the norms equal
     # the sums over all n modes of the full spectrum, Nyquist entry at -n/2
@@ -83,6 +83,35 @@ def test_half_spectrum_norms_match_full_grid_sums(n):
         assert sobolev(g, fhat, s) == pytest.approx(ref, rel=1e-14)
     ref = math.sqrt(float(np.sum(np.abs(np.gradient(full, g.dxi)) ** 2)) * g.dxi)
     assert dxi_l2(g, fhat) == pytest.approx(ref, rel=1e-14)
+
+
+SUPPORTS = {
+    "mean": (0, 1),
+    "low": (1, 4),
+    "interior": (200, 321),
+    "top": (2**9 - 3, 2**9 + 1),
+    "nyquist": (2**9, 2**9 + 1),
+    "zero": (0, 0),
+}
+
+
+@pytest.mark.parametrize("support", SUPPORTS.values(), ids=SUPPORTS.keys())
+def test_dxi_l2_over_a_support_matches_np_gradient_of_the_full_spectrum(support):
+    # random entries on [lo, hi) and exact zeros elsewhere of a 2^10-point
+    # half-spectrum, its mean real and its Nyquist entry complex; the full
+    # spectrum is built in fft order and fftshifted, not by sorted_spectrum
+    n, (lo, hi) = 2**10, support
+    g = Grid(n, 8.0)
+    rng = np.random.default_rng(lo)
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+    half[0] = half[0].real
+    full = np.concatenate([half, np.conj(half[n // 2 - 1 : 0 : -1])])
+    full = np.fft.fftshift(full)
+    ref = math.sqrt(float(np.sum(np.abs(np.gradient(full, g.dxi)) ** 2)) * g.dxi)
+    assert (ref == 0.0) == (hi == lo)
+    # abs=0: the all-zero half-spectrum gives exactly 0.0
+    assert dxi_l2(g, half) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_norms_monotone_under_band_truncation(grid):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,25 @@ def test_norm_helpers(gaussian_field):
     l2 = sobolev(g, gaussian_field.continuum_coeffs, 0.0)
     assert l2 == pytest.approx(math.pi**0.25, rel=1e-10)
     assert dxi_l2(g, gaussian_field.continuum_coeffs * psi_k(0, g.frequencies)) > 0.0
+
+
+def test_dxi_l2_of_a_band_allocates_no_spectrum_sized_array():
+    # band k = 0 on the estimates grid, cut as dispersive_bound cuts it: the
+    # d/dxi norm works over the band's support, not the whole half-spectrum
+    g = Grid(2**16, 512.0)
+    fhat = SpectralField.from_function(g, lambda x: np.exp(-x * x / 2.0)).continuum_coeffs
+    xi = g.frequencies
+    lo, hi = np.searchsorted(xi, linear_flow._band_interval(0))
+    fhat[:lo] = fhat[hi:] = 0.0
+    fhat[lo:hi] *= psi_k(0, xi[lo:hi])
+    dxi_l2(g, fhat)
+    tracemalloc.start()
+    try:
+        dxi_l2(g, fhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fhat.nbytes / 8
 
 
 def test_dispersive_bound_rows(gaussian_field):

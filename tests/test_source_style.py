@@ -67,3 +67,15 @@ def test_state_stays_a_half_spectrum():
             ):
                 calls.append(f"{path.name}: {scope or '<module>'}: {callee}")
     assert calls == []
+
+
+def test_full_spectrum_is_rebuilt_for_the_snapshot_file_only():
+    # the d/dxi norm reads the half-spectrum it is given; only the snapshot
+    # file's byte layout needs the sorted full spectrum
+    calls = [
+        f"{path.stem}.{scope}: {callee}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, callee in _calls(ast.parse(path.read_text()))
+        if callee in ("sorted_spectrum", "gradient")
+    ]
+    assert calls == ["cli.OutputSink.write_snapshot: sorted_spectrum"]
