@@ -20,6 +20,7 @@ import configparser
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -35,11 +36,6 @@ from .spectral import Grid, SpectralField, sorted_spectrum
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "GBBMLAB_OUTPUT_DIR"
-
-
-def fmt(x) -> str:
-    """17-significant-digit float formatting (round-trip exact)."""
-    return f"{float(x):.17g}"
 
 
 class ValidationError(Exception):
@@ -146,8 +142,23 @@ class OutputSink:
 
     def write_csv(self, name: str, header: str, rows):
         """CSV text: the header line, then one line per row; a float cell is
-        written with ``fmt``, any other cell with ``str``."""
-        lines = [header] + [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+        written to 17 significant digits (round-trip exact), any other cell
+        with ``str``.  The line format comes from the first row and is applied
+        to the whole table with one ``%``, so a row of another length, or a
+        column that mixes float and non-float cells, raises ValueError."""
+        rows = list(rows)
+        lines = [header]
+        if rows:
+            kinds = [isinstance(v, float) for v in rows[0]]
+            width = len(kinds)
+            if {*map(len, rows)} != {width}:
+                raise ValueError(f"{name}: rows of different lengths")
+            cells = list(itertools.chain.from_iterable(rows))
+            for j, is_float in enumerate(kinds):
+                if any(issubclass(kind, float) != is_float for kind in {*map(type, cells[j::width])}):
+                    raise ValueError(f"{name}: column {j} mixes float and non-float cells")
+            line = ",".join("%.17g" if is_float else "%s" for is_float in kinds)
+            lines.append("\n".join([line] * len(rows)) % tuple(cells))
         self.write_text(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, obj):
@@ -277,11 +288,11 @@ def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
             row = linear_flow.dispersive_bound(profile, k, t)
             rows.append((t, k, row.case, row.lhs, row.rhs, row.ratio))
     else:
-        rows = [(t, "", "aggregate", linear_flow.aggregate_sup_norm(profile, t), "", "") for t in times[:-1]]
-        u = np.abs(linear_flow.propagate_linear(profile, times[-1]).physical())  # the last time's sup and argmax
-        rows.append((times[-1], "", "aggregate", float(np.max(u)), "", ""))
-        if cfg["profile"] == "near-sqrt3":
-            x_max, ray = float(grid.points[int(np.argmax(u))]), -times[-1] / 8.0
+        # the profile is at t = 0, so the sweep's doubling times are the dyadic times themselves
+        for t, (sup, u) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times))):
+            rows.append((t, "", "aggregate", sup, "", ""))
+        if cfg["profile"] == "near-sqrt3":  # u holds the last time's samples
+            x_max, ray = float(grid.points[int(np.argmax(np.abs(u)))]), -times[-1] / 8.0
             summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
     fit = diagnostics.fit_decay([(t, sup) for t, _, _, sup, _, _ in rows])
     summary.update(fitted_exponent=fit.exponent, r_squared=fit.r_squared)
@@ -422,7 +433,7 @@ def _figure_data(fig_id: int, n_points: int):
 
 def run_figures(cfg: dict, sink: OutputSink) -> int:
     header, cols = _figure_data(cfg["id"], cfg["n_points"])
-    sink.write_csv(f"figure_{cfg['id']:02d}.csv", header, zip(*[np.asarray(c) for c in cols]))
+    sink.write_csv(f"figure_{cfg['id']:02d}.csv", header, zip(*[np.asarray(c).tolist() for c in cols]))
     return 0
 
 
@@ -450,9 +461,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One flag per config key of each subcommand (``t_max`` is ``--t-max``),
-    typed by its default, plus ``--config`` and ``--output-dir``."""
+    typed by its default, plus ``--config`` and ``--output-dir``; built once
+    per process, on first use, and shared by every ``main`` call."""
     p = _Parser(prog="gbbmlab", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)

@@ -64,7 +64,7 @@ def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
     costs its band and one scan.  By Plancherel this is ||x f||_2 for a
     profile's own coefficients.  No BLAS (its threaded zdotc leaves a thread spinning)."""
     m = fhat.size - 1
-    nz = np.flatnonzero(fhat)
+    nz = np.flatnonzero(fhat != 0)  # a bool scan: numpy's nonzero on complex tests each entry in a slow loop
     first, last = (nz[0], nz[-1]) if nz.size else (m, 0)  # all zero: an empty interior sum
     lo = max(first - 1, 1)
     hi = max(min(last + 2, m - 1), lo)

@@ -87,9 +87,10 @@ class SpectralField:
     def from_function(cls, grid: Grid, fn, time: float = 0.0) -> "SpectralField":
         return cls.from_physical(grid, fn(grid.points), time)
 
-    def physical(self) -> np.ndarray:
-        """Real-space samples; the mean and Nyquist entries' imaginary parts are ignored."""
-        return np.fft.irfft(self.coeffs, self.grid.n_modes)
+    def physical(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Real-space samples, written to ``out`` (n floats) if given; the mean
+        and Nyquist entries' imaginary parts are ignored."""
+        return np.fft.irfft(self.coeffs, self.grid.n_modes, out=out)
 
     @property
     def continuum_coeffs(self) -> np.ndarray:

@@ -199,6 +199,56 @@ def test_flags_match_config_keys():
         assert flags == keys | {"--config", "--output-dir"}
 
 
+def test_parser_is_built_once_and_main_calls_do_not_leak(tmp_path):
+    # flags and INI values of one call reach neither a later call of the same
+    # subcommand nor one of another subcommand
+    assert build_parser() is build_parser()
+    ini = tmp_path / "a.ini"
+    ini.write_text("[figures]\nid = 6\nn_points = 11\n")
+    decay = ["linear-decay", "--t-min", "1", "--t-max", "8", "--n-modes", "1024", "--half-length", "64"]
+    runs = [
+        (["figures", "--config", str(ini), "--n-points", "5"], {"id": 6, "n_points": 5}),
+        (decay + ["--width", "0.25"], {"t_min": 1.0, "t_max": 8.0, "n_modes": 1024, "half_length": 64.0, "width": 0.25}),
+        (["figures", "--id", "4"], {"id": 4}),
+        (decay, {"t_min": 1.0, "t_max": 8.0, "n_modes": 1024, "half_length": 64.0}),
+    ]
+    for i, (argv, cfg) in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert run_cli(argv + ["--output-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == _DEFAULTS[argv[0]] | cfg
+    assert sorted(p.name for p in (tmp_path / "run2").iterdir()) == ["figure_04.csv", "manifest.json"]
+
+
+def _per_cell_csv(header, rows):
+    """The writer's rule applied cell by cell: the reference for write_csv."""
+    lines = [",".join(f"{float(v):.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join([header] + lines) + "\n"
+
+
+def test_write_csv_matches_the_per_cell_rule(tmp_path):
+    sink = OutputSink(str(tmp_path), "figures", {})
+    rows = [
+        (0.1, 7, "", -math.inf),
+        (-0.0, np.int64(-3), "aggregate", 1e-300),
+        (math.nan, 12, "a%sb", np.float64(2.0) / 3.0),
+        (math.inf, 0, "", 5e-324),
+    ]
+    for name, table in (("mixed.csv", rows), ("empty.csv", [])):
+        sink.write_csv(name, "a,b,c,d", iter(table))
+        assert (tmp_path / name).read_text() == _per_cell_csv("a,b,c,d", table)
+    assert (tmp_path / "empty.csv").read_text() == "a,b,c,d\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1.0, 2.0), (3, 4.0)], [(1, 2.0), (1.5, 3.0)], [(1.0, "x"), ("y", "z")], [(1.0, 2.0), (3.0,)]],
+    ids=["float-then-int", "int-then-float", "float-then-str", "ragged"],
+)
+def test_write_csv_rejects_a_column_that_changes_kind(tmp_path, rows):
+    with pytest.raises(ValueError):
+        OutputSink(str(tmp_path), "figures", {}).write_csv("bad.csv", "a,b", rows)
+
+
 def test_every_checked_key_is_a_config_key():
     # a misspelt key in the table would turn its check off without a failure
     keys = {key for section in _DEFAULTS.values() for key in section}

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbbmlab import linear_flow
+from gbbmlab import linear_flow, solver
 from gbbmlab.diagnostics import dxi_l2, linf_fhat, sobolev
-from gbbmlab.dispersion import omega, omega_prime
+from gbbmlab.dispersion import SQRT3, omega, omega_prime
 from gbbmlab.linear_flow import (
     _piece_on_nodes,
     _profile_interpolator,
@@ -16,6 +16,7 @@ from gbbmlab.linear_flow import (
     classify_case,
     dispersive_bound,
     evaluate_lp_piece,
+    linear_sup_sweep,
     propagate_linear,
     stationary_cone,
     sup_norm_of_piece,
@@ -50,6 +51,34 @@ def test_propagate_composes(gaussian_field):
 
 def test_aggregate_sup_at_t0(gaussian_field):
     assert aggregate_sup_norm(gaussian_field, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_linear_sup_sweep_matches_direct_propagation():
+    # linear-decay's near-sqrt3 data on its default grid, t = 100 ... 102400: the
+    # squared phase factor against one exp per time, whose own argument rounding
+    # at the last time is omega t eps ~ 5e-12 rad
+    g = Grid(2**18, 9000.0)
+    field = solver.gaussian_data(g, 1.0, 2.0, SQRT3, time=0.0)
+    times = [100.0 * 2.0**j for j in range(11)]
+    for t, (sup, u) in zip(times, linear_sup_sweep(field, times[0], len(times)), strict=True):
+        direct = propagate_linear(field, t).physical()
+        assert sup == np.max(np.abs(u))
+        assert np.max(np.abs(u - direct)) <= (1e-14 if t <= 6400.0 else 1e-13) * sup
+
+
+def test_linear_sup_sweep_allocates_nothing_grid_sized_after_the_first_time():
+    g = Grid(2**16, 2048.0)
+    field = solver.gaussian_data(g, 1.0, 0.5, time=0.0)
+    sweep = linear_sup_sweep(field, 10.0, 6)
+    next(sweep)
+    tracemalloc.start()
+    try:
+        assert len(list(sweep)) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the finiteness check's mask is coeffs.nbytes / 16
+    assert peak < field.coeffs.nbytes / 8
 
 
 def test_evaluate_piece_matches_analytic_quadrature(gaussian_field):
