@@ -12,11 +12,17 @@ are uniform, so on a uniform set of points (the sup-norm scan) the sum over
 nodes is a chirp-z transform, evaluated with one FFT convolution (Bluestein)
 in O((N + M) log(N + M)); other points use the dense O(N M) sum.  Every
 value is cross-checked at twice the resolution; disagreement raises instead
-of returning a silently wrong number.
+of returning a silently wrong number.  The coarse rule's nodes are every other
+fine node, so psi_k, fhat and the phase are evaluated once, on the fine nodes.
 
 The decay bounds split into five regimes by frequency-vs-time balance; each
 regime has its own right-hand side built from sup|fhat|, the band-localized
-L2 norm of d fhat/dxi, or a Sobolev norm of the data.
+L2 norm of d fhat/dxi, or a Sobolev norm of the data.  A sweep over bands
+and times (``EstimateSweep``) does each job once at the level it depends on:
+per field the continuum coefficients, the frequencies, the fhat interpolant,
+sup|fhat| and (for a case-1 row only) the Sobolev norm; per band the range of
+omega' and the d/dxi norm of psi_k fhat; per (band, time) row only the case
+arithmetic and the quadrature.
 """
 
 from __future__ import annotations
@@ -103,28 +109,66 @@ def _band_velocity_range(k: int) -> tuple[float, float]:
     return float(np.min(v)), float(np.max(v))
 
 
-def _profile_interpolator(field: SpectralField):
-    """Complex linear interpolant of the continuum coefficients on 0 <= xi <= xi_N."""
-    xi, c = field.grid.frequencies, field.continuum_coeffs
+class EstimateSweep:
+    """What the rows of a decay-bound sweep over the profile ``field`` (with
+    Sobolev index ``s``) share, each computed once and kept for every row.
 
-    def fhat(q):
-        re = np.interp(q, xi, c.real)
-        im = np.interp(q, xi, c.imag)
-        return re + 1j * im
+    Per field, here: one read of ``continuum_coeffs``, the frequencies, the
+    real and imaginary parts the fhat interpolant reads, and sup|fhat|; the
+    H^s norm at the first case-1 row.  Per band, at its first row: the range of
+    omega' over the band; at its first case 2-4 row, psi_k fhat, cut into one
+    buffer the sweep owns, and its d/dxi L2 norm."""
 
-    return fhat
+    def __init__(self, field: SpectralField, s: float = 5.5):
+        self.field, self.s = field, s
+        self.fhat = field.continuum_coeffs
+        self.xi = field.grid.frequencies
+        self.fsup = diagnostics.linf_fhat(self.fhat)
+        self._re, self._im = self.fhat.real.copy(), self.fhat.imag.copy()
+        self._cut = np.zeros_like(self.fhat)
+        self._hs: float | None = None
+        self._velocity: dict[int, tuple[float, float]] = {}
+        self._dk: dict[int, float] = {}
+
+    def fhat_at(self, q: np.ndarray) -> np.ndarray:
+        """Complex linear interpolant of the continuum coefficients on 0 <= xi <= xi_N."""
+        return np.interp(q, self.xi, self._re) + 1j * np.interp(q, self.xi, self._im)
+
+    def sobolev(self) -> float:
+        if self._hs is None:
+            self._hs = diagnostics.sobolev(self.field.grid, self.fhat, self.s)
+        return self._hs
+
+    def velocity_range(self, k: int) -> tuple[float, float]:
+        if k not in self._velocity:
+            self._velocity[k] = _band_velocity_range(k)
+        return self._velocity[k]
+
+    def band_dxi_l2(self, k: int) -> float:
+        """L2 norm of d/dxi of the band-localized profile psi_k fhat.  psi_k is
+        exactly 0 off the band's indices, so only those are written to the
+        buffer, and zeroed again after."""
+        if k not in self._dk:
+            lo, hi = np.searchsorted(self.xi, _band_interval(k))
+            band = self._cut[lo:hi]
+            np.multiply(self.fhat[lo:hi], psi_k(k, self.xi[lo:hi]), out=band)
+            self._dk[k] = diagnostics.dxi_l2(self.field.grid, self._cut)
+            band[:] = 0.0
+        return self._dk[k]
 
 
-def _quadrature_nodes(k: int, t: float, xmax: float, refine: int = 1) -> np.ndarray:
+def _quadrature_nodes(k: int, t: float, xmax: float, velocity: tuple[float, float]) -> np.ndarray:
     """Uniform nodes covering the positive band, spaced so the oscillatory
-    phase moves by at most PHASE_STEP between neighbours."""
+    phase moves by at most PHASE_STEP between every other neighbour: the fine
+    rule's 2n + 1 nodes.  The coarse rule's are ``fine[::2]``, which is
+    bitwise ``np.linspace(lo, hi, n + 1)``, as the fine step is exactly half
+    the coarse one.  ``velocity`` is the band's range of omega'."""
     lo, hi = _band_interval(k)
-    vlo, vhi = _band_velocity_range(k)
-    vmax = max(abs(vlo), abs(vhi))
+    vmax = max(abs(velocity[0]), abs(velocity[1]))
     dphi_max = abs(xmax) + t * vmax
     step = PHASE_STEP / max(dphi_max, 1.0)
-    n = max(64, int(math.ceil((hi - lo) / step))) * refine
-    return np.linspace(lo, hi, n + 1)
+    n = max(64, int(math.ceil((hi - lo) / step)))
+    return np.linspace(lo, hi, 2 * n + 1)
 
 
 def _uniform_points(x: np.ndarray) -> bool:
@@ -165,9 +209,10 @@ def _chirp_z_sum(amp, nodes, x):
     return np.exp(1j * (x * nodes[0] + half_theta * (mm * mm))) * conv
 
 
-def _piece_on_nodes(fhat, k, t, x, nodes):
+def _piece_on_nodes(x, nodes, psi, f, phase):
     """Trapezoid evaluation of the band integral at the points x, exploiting
-    Hermitian symmetry of a real field (integral = 2 Re of the xi>0 half).
+    Hermitian symmetry of a real field (integral = 2 Re of the xi>0 half),
+    from psi_k, fhat and exp(-i omega t) at the nodes.
 
     The sum over nodes is a chirp-z transform when x is a uniform grid and
     the dense sum otherwise; both evaluate the same trapezoid rule, so the
@@ -175,27 +220,28 @@ def _piece_on_nodes(fhat, k, t, x, nodes):
     w = np.full(nodes.size, nodes[1] - nodes[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    amp = w * psi_k(k, nodes) * fhat(nodes) * np.exp(-1j * omega(nodes) * t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    amp = w * psi * f * phase
     out = _chirp_z_sum(amp, nodes, x) if _uniform_points(x) else _dense_sum(amp, nodes, x)
     return 2.0 * out.real / _SQRT_2PI
 
 
-def evaluate_lp_piece(field: SpectralField, k: int, t: float, x) -> np.ndarray:
+def evaluate_lp_piece(field: SpectralField, k: int, t: float, x, sweep: EstimateSweep | None = None) -> np.ndarray:
     """Dyadic piece u_k(t, x) of the linear solution with profile data
     ``field`` (interpreted at time 0), by direct oscillatory quadrature.
+    ``sweep`` is the EstimateSweep of ``field`` when the call is one row of a sweep.
 
     Returns real values at the requested points.  Raises ArithmeticError if
     doubling the quadrature resolution moves the answer by more than
     CONVERGENCE_RTOL relative to the overall sup of the piece.
     """
     require_band_on_grid(field.grid, k)
-    fhat = _profile_interpolator(field)
+    sweep = EstimateSweep(field) if sweep is None else sweep
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     xmax = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
-    nodes = _quadrature_nodes(k, t, xmax)
-    coarse = _piece_on_nodes(fhat, k, t, x_arr, nodes)
-    fine = _piece_on_nodes(fhat, k, t, x_arr, _quadrature_nodes(k, t, xmax, refine=2))
+    nodes = _quadrature_nodes(k, t, xmax, sweep.velocity_range(k))
+    integrand = psi_k(k, nodes), sweep.fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
+    coarse = _piece_on_nodes(x_arr, nodes[::2], *(a[::2] for a in integrand))
+    fine = _piece_on_nodes(x_arr, nodes, *integrand)
     scale = max(float(np.max(np.abs(fine))), 1e-300)
     if float(np.max(np.abs(fine - coarse))) > CONVERGENCE_RTOL * scale:
         raise ArithmeticError(
@@ -206,10 +252,11 @@ def evaluate_lp_piece(field: SpectralField, k: int, t: float, x) -> np.ndarray:
     return fine
 
 
-def stationary_cone(k: int, t: float) -> tuple[float, float]:
-    """Spatial interval containing the stationary points of the band phase,
-    padded by 5% of the travel distance plus CONE_MARGIN."""
-    vlo, vhi = _band_velocity_range(k)
+def stationary_cone(t: float, velocity: tuple[float, float]) -> tuple[float, float]:
+    """Spatial interval containing the stationary points of the phase of a
+    band whose range of omega' is ``velocity``, padded by 5% of the travel
+    distance plus CONE_MARGIN."""
+    vlo, vhi = velocity
     return (
         min(1.05 * t * vlo, t * vlo) - CONE_MARGIN,
         max(1.05 * t * vhi, t * vhi) + CONE_MARGIN,
@@ -217,15 +264,16 @@ def stationary_cone(k: int, t: float) -> tuple[float, float]:
 
 
 def sup_norm_of_piece(
-    field: SpectralField, k: int, t: float, points_per_wavelength: int = 8
+    field: SpectralField, k: int, t: float, points_per_wavelength: int = 8, sweep: EstimateSweep | None = None
 ) -> tuple[float, float]:
     """(sup_x |u_k(t, x)|, argmax x), scanning the group-velocity cone of the
     band at a spacing of 1/points_per_wavelength of the band wavelength."""
-    a, b = stationary_cone(k, t)
+    sweep = EstimateSweep(field) if sweep is None else sweep
+    a, b = stationary_cone(t, sweep.velocity_range(k))
     spacing = 2.0 * math.pi * 2.0 ** (-k) / points_per_wavelength
     n = max(16, int(math.ceil((b - a) / spacing)))
     xs = np.linspace(a, b, n + 1)
-    vals = np.abs(evaluate_lp_piece(field, k, t, xs))
+    vals = np.abs(evaluate_lp_piece(field, k, t, xs, sweep))
     i = int(np.argmax(vals))
     return float(vals[i]), float(xs[i])
 
@@ -273,37 +321,35 @@ class DispersiveCaseBound:
 
 
 def dispersive_bound(
-    field: SpectralField, k: int, t: float, s: float = 5.5
+    field: SpectralField, k: int, t: float, s: float = 5.5, sweep: EstimateSweep | None = None
 ) -> DispersiveCaseBound:
     """Evaluate both sides of the frequency-localized decay estimate for the
     profile ``field`` on band k at time t (constants taken to be 1; only the
-    t- and k- scalings are asserted by the verification)."""
+    t- and k- scalings are asserted by the verification).  ``sweep`` is the
+    EstimateSweep(field, s) of the sweep this row belongs to; a lone row
+    builds its own."""
+    sweep = EstimateSweep(field, s) if sweep is None else sweep
     case = classify_case(k, t)
     lam = 2.0**k
-    fhat = field.continuum_coeffs
-    fsup = diagnostics.linf_fhat(fhat)
+    fsup = sweep.fsup
     if case == 1:
-        rhs = lam ** (-(s - 1.0)) * diagnostics.sobolev(field.grid, fhat, s)
+        rhs = lam ** (-(s - 1.0)) * sweep.sobolev()
     elif case == 5:
         rhs = lam * fsup
     else:
-        # L2 norm of d/dxi of the band-localized profile.  psi_k is exactly 0 off
-        # the band's indices, and fhat is this call's own copy, so it is cut in place.
-        xi = field.grid.frequencies
-        lo, hi = np.searchsorted(xi, _band_interval(k))
-        fhat[:lo] = fhat[hi:] = 0.0
-        fhat[lo:hi] *= psi_k(k, xi[lo:hi])
-        dk = diagnostics.dxi_l2(field.grid, fhat)
+        dk = sweep.band_dxi_l2(k)
         if case == 2:
             rhs = t**-0.5 * lam**1.5 * fsup + t**-0.75 * lam**2.25 * dk
         elif case == 3:
             rhs = t ** (-1.0 / 3.0) * fsup + t**-0.5 * dk
         else:
             rhs = t**-0.5 * lam**-0.5 * fsup + t**-0.75 * lam**-0.75 * dk
-    lhs, _ = sup_norm_of_piece(field, k, t)
+    lhs, _ = sup_norm_of_piece(field, k, t, sweep=sweep)
     return DispersiveCaseBound(k=k, t=t, case=case, lhs=lhs, rhs=rhs)
 
 
 def verify_dispersive_estimate(field: SpectralField, bands, times, s: float = 5.5) -> list[DispersiveCaseBound]:
-    """Decay-bound table over a sweep of bands and times, sorted by (k, t)."""
-    return [dispersive_bound(field, k, t, s) for k in bands for t in times]
+    """Decay-bound table over a sweep of bands and times, sorted by (k, t):
+    one dispersive_bound row per pair, all sharing one EstimateSweep."""
+    sweep = EstimateSweep(field, s)
+    return [dispersive_bound(field, k, t, s, sweep) for k in bands for t in times]

@@ -2,13 +2,17 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gbbmlab import diagnostics, resonance, solver
-from gbbmlab.cli import _CHECKS, _DEFAULTS, OutputSink, build_parser, main, read_snapshot
+from gbbmlab.cli import _CHECKS, _DEFAULTS, OutputSink, _median, build_parser, main, read_snapshot
 from gbbmlab.dispersion import SQRT3
 from gbbmlab.spectral import Grid
 
@@ -451,3 +455,40 @@ def test_off_lattice_dyadic_time_allowed_without_snapshots(tmp_path):
     argv = ["evolve", "--t-end", "5", "--record-stride", "3", "--snapshots", "none"] + _SMALL_GRID
     assert run_cli(argv + ["--output-dir", str(out)]) == 0
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0, 1.0, 2.0],
+        [0.1, 0.7, 0.3, 0.2],
+        [1e308, 1.7e308, 0.0, 1.5e308],
+        [0.1, 0.2],
+        [5.0],
+        [math.inf, 1.0, 2.0],
+        [-math.inf, 1.0],
+        [-math.inf, math.inf],
+        [math.inf, math.inf, -math.inf, 1.0],
+        [1.0, math.nan, 2.0],
+        [math.nan, math.inf],
+    ],
+)
+def test_median_is_bitwise_np_median(values):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and 1e308 + 1.7e308
+        want = float(np.median(values))
+    got = _median(values)
+    assert (math.isnan(got) and math.isnan(want)) or (got == want and math.copysign(1.0, got) == math.copysign(1.0, want))
+
+
+def test_verify_estimates_does_not_import_numpy_ma(tmp_path):
+    # in a fresh interpreter: this test process has imported numpy.ma already
+    code = (
+        "import sys\n"
+        "from gbbmlab import cli\n"
+        f"assert cli.main(['verify-estimates', '--t-max', '32', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False"]

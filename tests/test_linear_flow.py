@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,8 +9,10 @@ from gbbmlab import linear_flow, solver
 from gbbmlab.diagnostics import dxi_l2, linf_fhat, sobolev
 from gbbmlab.dispersion import SQRT3, omega, omega_prime
 from gbbmlab.linear_flow import (
+    EstimateSweep,
+    _band_velocity_range,
+    _chirp_z_sum,
     _piece_on_nodes,
-    _profile_interpolator,
     _quadrature_nodes,
     _uniform_points,
     aggregate_sup_norm,
@@ -24,6 +27,12 @@ from gbbmlab.linear_flow import (
 )
 from gbbmlab.littlewood_paley import psi_k
 from gbbmlab.spectral import Grid, SpectralField
+
+
+def _piece(field, k, t, x, nodes):
+    """One trapezoid rule of the band integral on the given nodes."""
+    integrand = psi_k(k, nodes), EstimateSweep(field).fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
+    return _piece_on_nodes(np.atleast_1d(x), nodes, *integrand)
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +125,14 @@ def test_chirp_z_matches_dense_sum_on_largest_estimates_row():
     w = 0.03125
     field = SpectralField.from_function(g, lambda x: np.exp(-(x * x) / (2.0 * w * w)))
     k, t = 0, 4096.0
-    a, b = stationary_cone(k, t)
+    a, b = stationary_cone(t, _band_velocity_range(k))
     xs = np.linspace(a, b, int(math.ceil((b - a) / (2.0 * math.pi / 8))) + 1)
-    nodes = _quadrature_nodes(k, t, float(np.max(np.abs(xs))), refine=2)
+    nodes = _quadrature_nodes(k, t, float(np.max(np.abs(xs))), _band_velocity_range(k))
     assert (xs.size, nodes.size) == (3365, 38681)
-    fhat = _profile_interpolator(field)
-    chirp = _piece_on_nodes(fhat, k, t, xs, nodes)
+    chirp = _piece(field, k, t, xs, nodes)
     idx = np.union1d(np.random.default_rng(0).choice(xs.size, 64, replace=False), [np.argmax(np.abs(chirp))])
     assert not _uniform_points(xs[idx])
-    dense = _piece_on_nodes(fhat, k, t, xs[idx], nodes)
+    dense = _piece(field, k, t, xs[idx], nodes)
     assert np.max(np.abs(chirp[idx] - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
@@ -137,11 +145,10 @@ def test_two_point_scan_agrees_across_paths(gaussian_field, monkeypatch):
     # grid and must take the chirp-z sum with the same result
     k, t = 2, 30.0
     xs = np.array([-3.0, 4.0])
-    fhat = _profile_interpolator(gaussian_field)
-    nodes = _quadrature_nodes(k, t, 4.0)
-    dense = np.array([_piece_on_nodes(fhat, k, t, x, nodes)[0] for x in xs])
+    nodes = _quadrature_nodes(k, t, 4.0, _band_velocity_range(k))[::2]
+    dense = np.array([_piece(gaussian_field, k, t, x, nodes)[0] for x in xs])
     monkeypatch.setattr(linear_flow, "_dense_sum", _no_dense_sum)
-    chirp = _piece_on_nodes(fhat, k, t, xs, nodes)
+    chirp = _piece(gaussian_field, k, t, xs, nodes)
     assert np.max(np.abs(chirp - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -252,3 +259,105 @@ def test_dispersive_bound_case5_trivial(gaussian_field):
     b = dispersive_bound(gaussian_field, -10, 1e6)
     assert b.case == 5
     assert b.rhs == pytest.approx(2.0**-10 * linf_fhat(gaussian_field.continuum_coeffs), rel=1e-12)
+
+
+def _reference_row(field, k, t, s=5.5):
+    """A decay-bound row as computed before rows shared a sweep: fresh
+    continuum coefficients for the rhs and again for the interpolant, the
+    band's omega' range per use, and independent coarse and fine linspace
+    node sets, each with its own psi_k, fhat and phase."""
+    case = classify_case(k, t)
+    lam = 2.0**k
+    fhat = field.continuum_coeffs
+    fsup = linf_fhat(fhat)
+    if case == 1:
+        rhs = lam ** (-(s - 1.0)) * sobolev(field.grid, fhat, s)
+    elif case == 5:
+        rhs = lam * fsup
+    else:
+        xi = field.grid.frequencies
+        lo, hi = np.searchsorted(xi, (2.0 ** (k - 1), 2.0 ** (k + 1)))
+        fhat[:lo] = fhat[hi:] = 0.0
+        fhat[lo:hi] *= psi_k(k, xi[lo:hi])
+        dk = dxi_l2(field.grid, fhat)
+        if case == 2:
+            rhs = t**-0.5 * lam**1.5 * fsup + t**-0.75 * lam**2.25 * dk
+        elif case == 3:
+            rhs = t ** (-1.0 / 3.0) * fsup + t**-0.5 * dk
+        else:
+            rhs = t**-0.5 * lam**-0.5 * fsup + t**-0.75 * lam**-0.75 * dk
+
+    def velocity_range():
+        v = omega_prime(np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), 4097))
+        return float(np.min(v)), float(np.max(v))
+
+    vlo, vhi = velocity_range()
+    a, b = min(1.05 * t * vlo, t * vlo) - 20.0, max(1.05 * t * vhi, t * vhi) + 20.0
+    xs = np.linspace(a, b, max(16, int(math.ceil((b - a) / (2.0 * math.pi * 2.0 ** (-k) / 8)))) + 1)
+    xi, c = field.grid.frequencies, field.continuum_coeffs
+
+    def rule(refine):
+        vlo, vhi = velocity_range()
+        step = math.pi / 10.0 / max(float(np.max(np.abs(xs))) + t * max(abs(vlo), abs(vhi)), 1.0)
+        n = max(64, int(math.ceil((2.0 ** (k + 1) - 2.0 ** (k - 1)) / step))) * refine
+        nodes = np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), n + 1)
+        w = np.full(nodes.size, nodes[1] - nodes[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        f = np.interp(nodes, xi, c.real) + 1j * np.interp(nodes, xi, c.imag)
+        amp = w * psi_k(k, nodes) * f * np.exp(-1j * omega(nodes) * t)
+        return 2.0 * _chirp_z_sum(amp, nodes, xs).real / math.sqrt(2.0 * math.pi)
+
+    coarse, fine = rule(1), rule(2)
+    assert np.max(np.abs(fine - coarse)) <= 1e-6 * np.max(np.abs(fine))
+    return linear_flow.DispersiveCaseBound(k=k, t=t, case=case, lhs=float(np.max(np.abs(fine))), rhs=rhs)
+
+
+@pytest.fixture(scope="module")
+def estimates_field():
+    # verify-estimates' default profile and grid
+    return solver.gaussian_data(Grid(2**16, 512.0), 1.0, 0.03125, time=0.0)
+
+
+def test_sweep_rows_are_bitwise_the_per_row_reference(estimates_field):
+    times = [16.0, 32.0, 4096.0]
+    rows = verify_dispersive_estimate(estimates_field, range(-3, 6), times)
+    assert [(r.k, r.t) for r in rows] == [(k, t) for k in range(-3, 6) for t in times]
+    assert {r.case for r in rows} == {1, 2, 3, 4}
+    for r in rows:
+        assert dataclasses.astuple(r) == dataclasses.astuple(_reference_row(estimates_field, r.k, r.t))
+
+
+@pytest.mark.parametrize("data, k, t, case", [("estimates_field", 5, 16.0, 1), ("gaussian_field", -10, 1e6, 5)])
+def test_lone_rows_are_bitwise_the_per_row_reference(request, data, k, t, case):
+    field = request.getfixturevalue(data)
+    row = dispersive_bound(field, k, t)
+    assert row.case == case
+    assert dataclasses.astuple(row) == dataclasses.astuple(_reference_row(field, k, t))
+
+
+def test_sweep_does_per_field_and_per_band_work_once(estimates_field, monkeypatch):
+    # the estimates workload's sweep: 9 bands x 2 times.  Before rows shared a
+    # sweep it read the continuum coefficients 36 times and took the d/dxi
+    # norm 16 times, once per case 2-4 row
+    counts = {"coeffs": 0, "frequencies": 0, "dxi_l2": 0, "rows": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(SpectralField, "continuum_coeffs", property(counted("coeffs", SpectralField.continuum_coeffs.fget)))
+    monkeypatch.setattr(Grid, "frequencies", property(counted("frequencies", Grid.frequencies.fget)))
+    monkeypatch.setattr(linear_flow.diagnostics, "dxi_l2", counted("dxi_l2", dxi_l2))
+    monkeypatch.setattr(linear_flow, "dispersive_bound", counted("rows", dispersive_bound))
+    bands, times = range(-3, 6), [16.0, 32.0]
+    rows = verify_dispersive_estimate(estimates_field, bands, times)
+    assert len(rows) == 18
+    banded = sum(any(classify_case(k, t) in (2, 3, 4) for t in times) for k in bands)
+    assert banded == 8  # k = 5 is case 1 at both times
+    assert (counts["coeffs"], counts["dxi_l2"], counts["rows"]) == (1, banded, 18)
+    # one for the sweep, one if the Sobolev weight of this grid is not cached yet
+    assert 1 <= counts["frequencies"] <= 2
