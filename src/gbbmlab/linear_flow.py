@@ -22,7 +22,9 @@ and times (``EstimateSweep``) does each job once at the level it depends on:
 per field the continuum coefficients, the frequencies, the fhat interpolant,
 sup|fhat| and (for a case-1 row only) the Sobolev norm; per band the range of
 omega' and the d/dxi norm of psi_k fhat; per (band, time) row only the case
-arithmetic and the quadrature.
+arithmetic and the quadrature.  Every row function takes the sweep and reads
+the profile and the Sobolev index from it; ``verify_dispersive_estimate`` is
+the one place that builds a sweep.
 """
 
 from __future__ import annotations
@@ -225,30 +227,26 @@ def _piece_on_nodes(x, nodes, psi, f, phase):
     return 2.0 * out.real / _SQRT_2PI
 
 
-def evaluate_lp_piece(field: SpectralField, k: int, t: float, x, sweep: EstimateSweep | None = None) -> np.ndarray:
+def evaluate_lp_piece(sweep: EstimateSweep, k: int, t: float, x: np.ndarray) -> np.ndarray:
     """Dyadic piece u_k(t, x) of the linear solution with profile data
-    ``field`` (interpreted at time 0), by direct oscillatory quadrature.
-    ``sweep`` is the EstimateSweep of ``field`` when the call is one row of a sweep.
+    ``sweep.field`` (interpreted at time 0), by direct oscillatory quadrature,
+    at the points of the array x.
 
-    Returns real values at the requested points.  Raises ArithmeticError if
+    Returns real values at those points.  Raises ArithmeticError if
     doubling the quadrature resolution moves the answer by more than
     CONVERGENCE_RTOL relative to the overall sup of the piece.
     """
-    require_band_on_grid(field.grid, k)
-    sweep = EstimateSweep(field) if sweep is None else sweep
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    xmax = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
-    nodes = _quadrature_nodes(k, t, xmax, sweep.velocity_range(k))
+    require_band_on_grid(sweep.field.grid, k)
+    x = np.asarray(x, dtype=float)
+    nodes = _quadrature_nodes(k, t, float(np.max(np.abs(x))), sweep.velocity_range(k))
     integrand = psi_k(k, nodes), sweep.fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
-    coarse = _piece_on_nodes(x_arr, nodes[::2], *(a[::2] for a in integrand))
-    fine = _piece_on_nodes(x_arr, nodes, *integrand)
+    coarse = _piece_on_nodes(x, nodes[::2], *(a[::2] for a in integrand))
+    fine = _piece_on_nodes(x, nodes, *integrand)
     scale = max(float(np.max(np.abs(fine))), 1e-300)
     if float(np.max(np.abs(fine - coarse))) > CONVERGENCE_RTOL * scale:
         raise ArithmeticError(
             f"band quadrature failed to self-converge at k={k}, t={t}"
         )
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return fine[0]
     return fine
 
 
@@ -263,17 +261,15 @@ def stationary_cone(t: float, velocity: tuple[float, float]) -> tuple[float, flo
     )
 
 
-def sup_norm_of_piece(
-    field: SpectralField, k: int, t: float, points_per_wavelength: int = 8, sweep: EstimateSweep | None = None
-) -> tuple[float, float]:
-    """(sup_x |u_k(t, x)|, argmax x), scanning the group-velocity cone of the
-    band at a spacing of 1/points_per_wavelength of the band wavelength."""
-    sweep = EstimateSweep(field) if sweep is None else sweep
+def sup_norm_of_piece(sweep: EstimateSweep, k: int, t: float, points_per_wavelength: int = 8) -> tuple[float, float]:
+    """(sup_x |u_k(t, x)|, argmax x) for the profile ``sweep.field``, scanning
+    the group-velocity cone of the band at a spacing of
+    1/points_per_wavelength of the band wavelength."""
     a, b = stationary_cone(t, sweep.velocity_range(k))
     spacing = 2.0 * math.pi * 2.0 ** (-k) / points_per_wavelength
     n = max(16, int(math.ceil((b - a) / spacing)))
     xs = np.linspace(a, b, n + 1)
-    vals = np.abs(evaluate_lp_piece(field, k, t, xs, sweep))
+    vals = np.abs(evaluate_lp_piece(sweep, k, t, xs))
     i = int(np.argmax(vals))
     return float(vals[i]), float(xs[i])
 
@@ -320,20 +316,16 @@ class DispersiveCaseBound:
         return self.lhs / self.rhs if self.rhs > 0 else math.inf
 
 
-def dispersive_bound(
-    field: SpectralField, k: int, t: float, s: float = 5.5, sweep: EstimateSweep | None = None
-) -> DispersiveCaseBound:
+def dispersive_bound(sweep: EstimateSweep, k: int, t: float) -> DispersiveCaseBound:
     """Evaluate both sides of the frequency-localized decay estimate for the
-    profile ``field`` on band k at time t (constants taken to be 1; only the
-    t- and k- scalings are asserted by the verification).  ``sweep`` is the
-    EstimateSweep(field, s) of the sweep this row belongs to; a lone row
-    builds its own."""
-    sweep = EstimateSweep(field, s) if sweep is None else sweep
+    profile ``sweep.field`` on band k at time t, with Sobolev index ``sweep.s``
+    (constants taken to be 1; only the t- and k- scalings are asserted by the
+    verification)."""
     case = classify_case(k, t)
     lam = 2.0**k
     fsup = sweep.fsup
     if case == 1:
-        rhs = lam ** (-(s - 1.0)) * sweep.sobolev()
+        rhs = lam ** (-(sweep.s - 1.0)) * sweep.sobolev()
     elif case == 5:
         rhs = lam * fsup
     else:
@@ -344,7 +336,7 @@ def dispersive_bound(
             rhs = t ** (-1.0 / 3.0) * fsup + t**-0.5 * dk
         else:
             rhs = t**-0.5 * lam**-0.5 * fsup + t**-0.75 * lam**-0.75 * dk
-    lhs, _ = sup_norm_of_piece(field, k, t, sweep=sweep)
+    lhs, _ = sup_norm_of_piece(sweep, k, t)
     return DispersiveCaseBound(k=k, t=t, case=case, lhs=lhs, rhs=rhs)
 
 
@@ -352,4 +344,4 @@ def verify_dispersive_estimate(field: SpectralField, bands, times, s: float = 5.
     """Decay-bound table over a sweep of bands and times, sorted by (k, t):
     one dispersive_bound row per pair, all sharing one EstimateSweep."""
     sweep = EstimateSweep(field, s)
-    return [dispersive_bound(field, k, t, s, sweep) for k in bands for t in times]
+    return [dispersive_bound(sweep, k, t) for k in bands for t in times]

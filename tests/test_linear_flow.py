@@ -101,20 +101,15 @@ def test_evaluate_piece_matches_analytic_quadrature(gaussian_field):
     w[-1] *= 0.5
     amp = w * psi_k(k, nodes) * np.exp(-nodes * nodes / 2.0) * np.exp(-1j * omega(nodes) * t)
     oracle = 2.0 * np.real(np.exp(1j * np.outer(xs, nodes)) @ amp) / math.sqrt(2 * math.pi)
-    vals = evaluate_lp_piece(gaussian_field, k, t, xs)
+    vals = evaluate_lp_piece(EstimateSweep(gaussian_field), k, t, xs)
     # residual difference is the linear-interpolation error of the profile
     # on the grid spacing dxi ~ 0.012, not quadrature error
     assert np.max(np.abs(vals - oracle)) < 1e-6
 
 
-def test_evaluate_piece_scalar_input(gaussian_field):
-    v = evaluate_lp_piece(gaussian_field, 1, 10.0, 0.5)
-    assert np.isscalar(v) or np.ndim(v) == 0
-
-
 def test_evaluate_piece_band_beyond_nyquist(gaussian_field):
     with pytest.raises(ValueError):
-        evaluate_lp_piece(gaussian_field, 12, 10.0, 0.0)
+        evaluate_lp_piece(EstimateSweep(gaussian_field), 12, 10.0, [0.0])
 
 
 def test_chirp_z_matches_dense_sum_on_largest_estimates_row():
@@ -156,17 +151,18 @@ def test_uniform_scans_never_take_the_dense_sum(gaussian_field, monkeypatch):
     # a structural guard instead of a timing gate: if uniform-grid detection
     # breaks, the scan silently reverts to the dense sum and this fails
     monkeypatch.setattr(linear_flow, "_dense_sum", _no_dense_sum)
-    sup, _ = sup_norm_of_piece(gaussian_field, 1, 40.0)
+    sweep = EstimateSweep(gaussian_field)
+    sup, _ = sup_norm_of_piece(sweep, 1, 40.0)
     assert sup > 0.0
     for k in (-3, 0, 2):
-        assert dispersive_bound(gaussian_field, k, 32.0).lhs > 0.0
+        assert dispersive_bound(sweep, k, 32.0).lhs > 0.0
 
 
 def test_sup_norm_piece_vs_fft_propagation(gaussian_field):
     # the band sup from direct quadrature must agree with exact periodic
     # propagation of the band-projected field
     k, t = 1, 40.0
-    sup, _ = sup_norm_of_piece(gaussian_field, k, t, points_per_wavelength=32)
+    sup, _ = sup_norm_of_piece(EstimateSweep(gaussian_field), k, t, points_per_wavelength=32)
     g = gaussian_field.grid
     band = SpectralField(g, gaussian_field.coeffs * psi_k(k, g.frequencies), gaussian_field.time)
     ref = aggregate_sup_norm(band, t)
@@ -175,7 +171,7 @@ def test_sup_norm_piece_vs_fft_propagation(gaussian_field):
 
 def test_stationary_argmax_tracks_group_velocity(gaussian_field):
     k, t = 2, 200.0
-    _, x_at_max = sup_norm_of_piece(gaussian_field, k, t)
+    _, x_at_max = sup_norm_of_piece(EstimateSweep(gaussian_field), k, t)
     predicted = float(omega_prime(2.0**k)) * t
     # within one dyadic factor of the band-center ray
     assert 0.5 <= x_at_max / predicted <= 2.0
@@ -243,20 +239,23 @@ def test_dispersive_bound_rows(gaussian_field):
 
 def test_dispersive_bound_band_is_the_whole_grid_product(gaussian_field, monkeypatch):
     # psi_k is evaluated on the band's indices only; the profile it hands to
-    # dxi_l2 is bitwise fhat * psi_k over the whole grid, and the field is untouched
+    # dxi_l2 is bitwise fhat * psi_k over the whole grid, band after band of one
+    # sweep (so the sweep's buffer is clean again after each band), and the
+    # field is untouched
     g, coeffs = gaussian_field.grid, gaussian_field.coeffs.copy()
+    sweep = EstimateSweep(gaussian_field)
     seen = []
     monkeypatch.setattr(linear_flow.diagnostics, "dxi_l2", lambda grid, f: seen.append(f.copy()) or dxi_l2(grid, f))
     ks = [-2, 0, 3]
     assert {classify_case(k, 16.0) for k in ks} == {2, 3, 4}
     for k in ks:
-        dispersive_bound(gaussian_field, k, 16.0)
+        dispersive_bound(sweep, k, 16.0)
         assert np.array_equal(seen.pop(), gaussian_field.continuum_coeffs * psi_k(k, g.frequencies))
     assert np.array_equal(gaussian_field.coeffs, coeffs)
 
 
 def test_dispersive_bound_case5_trivial(gaussian_field):
-    b = dispersive_bound(gaussian_field, -10, 1e6)
+    b = dispersive_bound(EstimateSweep(gaussian_field), -10, 1e6)
     assert b.case == 5
     assert b.rhs == pytest.approx(2.0**-10 * linf_fhat(gaussian_field.continuum_coeffs), rel=1e-12)
 
@@ -319,19 +318,22 @@ def estimates_field():
     return solver.gaussian_data(Grid(2**16, 512.0), 1.0, 0.03125, time=0.0)
 
 
-def test_sweep_rows_are_bitwise_the_per_row_reference(estimates_field):
+@pytest.mark.parametrize("s", [5.5, 3.0])
+def test_sweep_rows_are_bitwise_the_per_row_reference(estimates_field, s):
+    # the Sobolev index reaches both the lambda^-(s-1) factor and the H^s norm
+    # of the case-1 rows (k = 5)
     times = [16.0, 32.0, 4096.0]
-    rows = verify_dispersive_estimate(estimates_field, range(-3, 6), times)
+    rows = verify_dispersive_estimate(estimates_field, range(-3, 6), times, s)
     assert [(r.k, r.t) for r in rows] == [(k, t) for k in range(-3, 6) for t in times]
     assert {r.case for r in rows} == {1, 2, 3, 4}
     for r in rows:
-        assert dataclasses.astuple(r) == dataclasses.astuple(_reference_row(estimates_field, r.k, r.t))
+        assert dataclasses.astuple(r) == dataclasses.astuple(_reference_row(estimates_field, r.k, r.t, s))
 
 
 @pytest.mark.parametrize("data, k, t, case", [("estimates_field", 5, 16.0, 1), ("gaussian_field", -10, 1e6, 5)])
 def test_lone_rows_are_bitwise_the_per_row_reference(request, data, k, t, case):
     field = request.getfixturevalue(data)
-    row = dispersive_bound(field, k, t)
+    row = dispersive_bound(EstimateSweep(field), k, t)
     assert row.case == case
     assert dataclasses.astuple(row) == dataclasses.astuple(_reference_row(field, k, t))
 

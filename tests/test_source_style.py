@@ -79,3 +79,15 @@ def test_full_spectrum_is_rebuilt_for_the_snapshot_file_only():
         if callee in ("sorted_spectrum", "gradient")
     ]
     assert calls == ["cli.OutputSink.write_snapshot: sorted_spectrum"]
+
+
+def test_estimate_sweep_is_built_by_the_sweep_only():
+    # each decay-bound row takes the sweep that holds its field and s; a row
+    # that built its own sweep when given none would be a second code path
+    calls = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, callee in _calls(ast.parse(path.read_text()))
+        if callee == "EstimateSweep"
+    ]
+    assert calls == ["linear_flow.verify_dispersive_estimate"]
