@@ -8,12 +8,12 @@ A dyadic piece of the linear solution is the integral
 evaluated by trapezoid quadrature on nodes fine enough that the phase
 advances by at most pi/10 between neighbours (using the a-priori bound
 |d/dxi (x xi - t omega)| <= |x| + t max|omega'| over the band).  The nodes
-are uniform, so on a uniform set of points (the sup-norm scan) the sum over
-nodes is a chirp-z transform, evaluated with one FFT convolution (Bluestein)
-in O((N + M) log(N + M)); other points use the dense O(N M) sum.  Every
-value is cross-checked at twice the resolution; disagreement raises instead
-of returning a silently wrong number.  The coarse rule's nodes are every other
-fine node, so psi_k, fhat and the phase are evaluated once, on the fine nodes.
+are uniform, and so are the points, a scan x = linspace(a, b, m), so the
+sum over nodes is a chirp-z transform, evaluated with one FFT convolution
+(Bluestein) in O((N + M) log(N + M)).  Every value is cross-checked at twice
+the resolution; disagreement raises instead of returning a silently wrong
+number.  The coarse rule's nodes are every other fine node, so psi_k, fhat
+and the phase are evaluated once, on the fine nodes.
 
 The decay bounds split into five regimes by frequency-vs-time balance; each
 regime has its own right-hand side built from sup|fhat|, the band-localized
@@ -173,24 +173,6 @@ def _quadrature_nodes(k: int, t: float, xmax: float, velocity: tuple[float, floa
     return np.linspace(lo, hi, 2 * n + 1)
 
 
-def _uniform_points(x: np.ndarray) -> bool:
-    """True when x is x[0] + h * arange(x.size) up to a few ulps, as
-    np.linspace produces; a single point is not a grid."""
-    if x.size < 2:
-        return False
-    h = (x[-1] - x[0]) / (x.size - 1)
-    deviation = np.max(np.abs(x - (x[0] + h * np.arange(x.size))))
-    return bool(deviation <= 4.0 * np.finfo(float).eps * np.max(np.abs(x)))
-
-
-def _dense_sum(amp, nodes, x, chunk=2048):
-    """sum_j amp_j exp(i x_m xi_j) at arbitrary points, in chunks of points."""
-    out = np.empty(x.size, dtype=complex)
-    for i in range(0, x.size, chunk):
-        out[i : i + chunk] = np.exp(1j * np.outer(x[i : i + chunk], nodes)) @ amp
-    return out
-
-
 def _chirp_z_sum(amp, nodes, x):
     """sum_j amp_j exp(i x_m xi_j) for uniform x_m and xi_j (Bluestein).
 
@@ -212,35 +194,30 @@ def _chirp_z_sum(amp, nodes, x):
 
 
 def _piece_on_nodes(x, nodes, psi, f, phase):
-    """Trapezoid evaluation of the band integral at the points x, exploiting
-    Hermitian symmetry of a real field (integral = 2 Re of the xi>0 half),
-    from psi_k, fhat and exp(-i omega t) at the nodes.
-
-    The sum over nodes is a chirp-z transform when x is a uniform grid and
-    the dense sum otherwise; both evaluate the same trapezoid rule, so the
-    self-convergence check of the caller applies to either."""
+    """Trapezoid evaluation of the band integral at the uniform scan x,
+    exploiting Hermitian symmetry of a real field (integral = 2 Re of the
+    xi>0 half), from psi_k, fhat and exp(-i omega t) at the nodes."""
     w = np.full(nodes.size, nodes[1] - nodes[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    amp = w * psi * f * phase
-    out = _chirp_z_sum(amp, nodes, x) if _uniform_points(x) else _dense_sum(amp, nodes, x)
-    return 2.0 * out.real / _SQRT_2PI
+    return 2.0 * _chirp_z_sum(w * psi * f * phase, nodes, x).real / _SQRT_2PI
 
 
-def evaluate_lp_piece(sweep: EstimateSweep, k: int, t: float, x: np.ndarray) -> np.ndarray:
+def evaluate_lp_piece(sweep: EstimateSweep, k: int, t: float, a: float, b: float, m: int) -> np.ndarray:
     """Dyadic piece u_k(t, x) of the linear solution with profile data
     ``sweep.field`` (interpreted at time 0), by direct oscillatory quadrature,
-    at the points of the array x.
+    on the uniform scan x = np.linspace(a, b, m), m >= 2.
 
     Returns real values at those points.  Raises ArithmeticError if
     doubling the quadrature resolution moves the answer by more than
     CONVERGENCE_RTOL relative to the overall sup of the piece.
     """
     require_band_on_grid(sweep.field.grid, k)
-    x = np.asarray(x, dtype=float)
-    nodes = _quadrature_nodes(k, t, float(np.max(np.abs(x))), sweep.velocity_range(k))
+    x = np.linspace(a, b, m)
+    # linspace hits both ends exactly, so this is max|x|
+    nodes = _quadrature_nodes(k, t, max(abs(a), abs(b)), sweep.velocity_range(k))
     integrand = psi_k(k, nodes), sweep.fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
-    coarse = _piece_on_nodes(x, nodes[::2], *(a[::2] for a in integrand))
+    coarse = _piece_on_nodes(x, nodes[::2], *(v[::2] for v in integrand))
     fine = _piece_on_nodes(x, nodes, *integrand)
     scale = max(float(np.max(np.abs(fine))), 1e-300)
     if float(np.max(np.abs(fine - coarse))) > CONVERGENCE_RTOL * scale:
@@ -268,10 +245,9 @@ def sup_norm_of_piece(sweep: EstimateSweep, k: int, t: float, points_per_wavelen
     a, b = stationary_cone(t, sweep.velocity_range(k))
     spacing = 2.0 * math.pi * 2.0 ** (-k) / points_per_wavelength
     n = max(16, int(math.ceil((b - a) / spacing)))
-    xs = np.linspace(a, b, n + 1)
-    vals = np.abs(evaluate_lp_piece(sweep, k, t, xs))
+    vals = np.abs(evaluate_lp_piece(sweep, k, t, a, b, n + 1))
     i = int(np.argmax(vals))
-    return float(vals[i]), float(xs[i])
+    return float(vals[i]), float(np.linspace(a, b, n + 1)[i])
 
 
 # ---------------------------------------------------------------------------

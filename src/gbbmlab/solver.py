@@ -184,8 +184,9 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
     A cfg.dt that does not divide the span raises ValueError before anything
     is recorded, so the step taken differs from cfg.dt by round-off only.
     The state after step i is stamped with the lattice time t0 + span * i /
-    n (not a sum of dt's), so lattice points such as t_end and dyadic times
-    carry their exact values."""
+    n (not a sum of dt's), and a lattice time within n_steps' own tolerance,
+    1e-9 |span|, of a whole number is stamped as that whole number, so
+    t_end, dyadic and other whole times carry their exact values."""
     t0, grid = u0.time, u0.grid
     n = cfg.n_steps(t0)
     span = cfg.t_end - t0
@@ -199,6 +200,7 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
     for i in range(1, n + 1):
         c = step(state.coeffs, symbol, dt, nonlinear, buffers, stages)
         t = t0 + span * i / n
+        t = float(round(t)) if abs(t - round(t)) <= 1e-9 * abs(span) else t
         if not np.all(np.isfinite(c)):
             raise OverflowError(f"non-finite state at t={t}")
         state = SpectralField(grid, c, t)

@@ -14,7 +14,6 @@ from gbbmlab.linear_flow import (
     _chirp_z_sum,
     _piece_on_nodes,
     _quadrature_nodes,
-    _uniform_points,
     aggregate_sup_norm,
     classify_case,
     dispersive_bound,
@@ -29,10 +28,23 @@ from gbbmlab.littlewood_paley import psi_k
 from gbbmlab.spectral import Grid, SpectralField
 
 
-def _piece(field, k, t, x, nodes):
-    """One trapezoid rule of the band integral on the given nodes."""
-    integrand = psi_k(k, nodes), EstimateSweep(field).fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
-    return _piece_on_nodes(np.atleast_1d(x), nodes, *integrand)
+def _integrand(field, k, t, nodes):
+    return psi_k(k, nodes), EstimateSweep(field).fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
+
+
+def _piece(field, k, t, xs, nodes):
+    """One trapezoid rule of the band integral on the given nodes, at the uniform scan xs."""
+    return _piece_on_nodes(xs, nodes, *_integrand(field, k, t, nodes))
+
+
+def _dense_piece(field, k, t, x, nodes):
+    """The same trapezoid rule as a dense sum over the nodes, at any points x."""
+    psi, f, phase = _integrand(field, k, t, nodes)
+    w = np.full(nodes.size, nodes[1] - nodes[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    amp = w * psi * f * phase
+    return 2.0 * np.real(np.exp(1j * np.outer(x, nodes)) @ amp) / math.sqrt(2 * math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -94,14 +106,14 @@ def test_evaluate_piece_matches_analytic_quadrature(gaussian_field):
     # independent oracle: brute-force quadrature of the band integral with
     # the closed-form Gaussian transform, no interpolation involved
     k, t = 2, 30.0
-    xs = np.array([-3.0, 0.0, 4.0])
+    xs = np.linspace(-3.0, 4.0, 8)
     nodes = np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), 200001)
     w = np.full(nodes.size, nodes[1] - nodes[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     amp = w * psi_k(k, nodes) * np.exp(-nodes * nodes / 2.0) * np.exp(-1j * omega(nodes) * t)
     oracle = 2.0 * np.real(np.exp(1j * np.outer(xs, nodes)) @ amp) / math.sqrt(2 * math.pi)
-    vals = evaluate_lp_piece(EstimateSweep(gaussian_field), k, t, xs)
+    vals = evaluate_lp_piece(EstimateSweep(gaussian_field), k, t, -3.0, 4.0, 8)
     # residual difference is the linear-interpolation error of the profile
     # on the grid spacing dxi ~ 0.012, not quadrature error
     assert np.max(np.abs(vals - oracle)) < 1e-6
@@ -109,13 +121,13 @@ def test_evaluate_piece_matches_analytic_quadrature(gaussian_field):
 
 def test_evaluate_piece_band_beyond_nyquist(gaussian_field):
     with pytest.raises(ValueError):
-        evaluate_lp_piece(EstimateSweep(gaussian_field), 12, 10.0, [0.0])
+        evaluate_lp_piece(EstimateSweep(gaussian_field), 12, 10.0, -1.0, 1.0, 2)
 
 
 def test_chirp_z_matches_dense_sum_on_largest_estimates_row():
     # criterion 7's largest row: 3365 scan points x 38681 fine nodes.  The
-    # dense sum is the reference, taken at 64 scattered points (and the
-    # peak) so the test stays fast.
+    # dense sum is the reference, taken at 64 scattered points of the scan
+    # (and the peak) so the test stays fast.
     g = Grid(2**16, 512.0)
     w = 0.03125
     field = SpectralField.from_function(g, lambda x: np.exp(-(x * x) / (2.0 * w * w)))
@@ -126,36 +138,18 @@ def test_chirp_z_matches_dense_sum_on_largest_estimates_row():
     assert (xs.size, nodes.size) == (3365, 38681)
     chirp = _piece(field, k, t, xs, nodes)
     idx = np.union1d(np.random.default_rng(0).choice(xs.size, 64, replace=False), [np.argmax(np.abs(chirp))])
-    assert not _uniform_points(xs[idx])
-    dense = _piece(field, k, t, xs[idx], nodes)
+    dense = _dense_piece(field, k, t, xs[idx], nodes)
     assert np.max(np.abs(chirp[idx] - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-def _no_dense_sum(*args, **kwargs):
-    raise AssertionError("uniform scan fell back to the dense O(N M) sum")
-
-
-def test_two_point_scan_agrees_across_paths(gaussian_field, monkeypatch):
-    # one point at a time takes the dense sum; two points form a uniform
-    # grid and must take the chirp-z sum with the same result
+def test_two_point_scan_agrees_across_paths(gaussian_field):
+    # the shortest scan, m = 2 (step h = b - a), against the dense sum
     k, t = 2, 30.0
-    xs = np.array([-3.0, 4.0])
+    xs = np.linspace(-3.0, 4.0, 2)
     nodes = _quadrature_nodes(k, t, 4.0, _band_velocity_range(k))[::2]
-    dense = np.array([_piece(gaussian_field, k, t, x, nodes)[0] for x in xs])
-    monkeypatch.setattr(linear_flow, "_dense_sum", _no_dense_sum)
+    dense = _dense_piece(gaussian_field, k, t, xs, nodes)
     chirp = _piece(gaussian_field, k, t, xs, nodes)
     assert np.max(np.abs(chirp - dense)) <= 1e-12 * np.max(np.abs(dense))
-
-
-def test_uniform_scans_never_take_the_dense_sum(gaussian_field, monkeypatch):
-    # a structural guard instead of a timing gate: if uniform-grid detection
-    # breaks, the scan silently reverts to the dense sum and this fails
-    monkeypatch.setattr(linear_flow, "_dense_sum", _no_dense_sum)
-    sweep = EstimateSweep(gaussian_field)
-    sup, _ = sup_norm_of_piece(sweep, 1, 40.0)
-    assert sup > 0.0
-    for k in (-3, 0, 2):
-        assert dispersive_bound(sweep, k, 32.0).lhs > 0.0
 
 
 def test_sup_norm_piece_vs_fft_propagation(gaussian_field):

@@ -259,6 +259,14 @@ def test_evolve_records_exact_lattice_times(small_data):
     assert 8.0 in times and times[-1] == 16.0
 
 
+def test_evolve_records_whole_times_exactly_when_t_end_is_not_a_binary_fraction(small_data):
+    # the span 16.9 - 1 rounds to 15.899999999999999, so the lattice time
+    # 1 + span * 30 / 159 is 3.9999999999999996, not 4
+    times = []
+    evolve(small_data, SolverConfig(dt=0.1, t_end=16.9, record_stride=10), lambda f, p: times.append(f.time))
+    assert times == [float(j) for j in range(1, 17)] + [16.9]
+
+
 def test_evolve_rejects_non_dividing_dt(small_data):
     calls = []
     with pytest.raises(ValueError, match="divide"):
