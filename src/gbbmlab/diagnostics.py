@@ -160,10 +160,10 @@ def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
 class Recorder:
     """Solver callback ``recorder(field, profile)``: tracks the
     bootstrap-norm samples of every recorded profile and keeps the profile
-    itself at dyadic times 1, 2, 4, ...  ``solver.evolve`` stamps each
-    recorded field with its exact lattice time, so a dyadic time gets a
-    snapshot exactly when the record lattice (t0 + record_stride * dt * j)
-    lands on it; no nearest-state matching is done."""
+    itself at times that are exact powers of two, 1, 2, 4, ...
+    ``solver.evolve`` stamps whole lattice times exactly, so a dyadic time
+    gets a snapshot exactly when the record lattice (t0 + record_stride * dt
+    * j) lands on it; no nearest-state matching is done."""
 
     def __init__(self, s: float = 10.0):
         self.s = s
@@ -172,8 +172,7 @@ class Recorder:
 
     def __call__(self, field: SpectralField, profile: SpectralField):
         self.samples.append(compute_norms(profile, field, self.s))
-        m = math.log2(field.time) if field.time > 0 else -1.0
-        if field.time > 0 and abs(m - round(m)) < 1e-9:
+        if math.frexp(field.time)[0] == 0.5:
             self.profiles.append((field.time, profile))
 
 

@@ -14,16 +14,15 @@ modes.  On that grid the one alias that reaches a kept mode is 4 x (-n/2) ==
 alias-free for any Nyquist coefficient, real or complex.  The fine grid is
 transformed as its even and its odd samples, joined by one decimation-in-time
 step (Cooley & Tukey), so m must be even: a 2-mode grid takes m = 6, where no
-alias reaches a kept mode.  The quartic's work arrays and the RK4 stages
-belong to the ``evolve`` run, so a steady-state step allocates only the state
-it returns.  The symbol is bounded (|omega| <= 1/2), so the system is
+alias reaches a kept mode.  ``evolve`` builds each array a run reuses once
+and hands it down, so a steady-state step allocates only the state it
+returns.  The symbol is bounded (|omega| <= 1/2), so the system is
 non-stiff and plain RK4 on uhat is adequate; stepping with -dt is the exact
 adjoint of stepping with +dt, which the reversal test exploits.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +76,8 @@ def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     the odd samples of the m-point fine grid (m = 2 * ceil(DEALIAS_PAD * n /
     2)): the half-spectrum fed to each half-length irfft, the m/2 samples and
     their rfft, and the twiddles exp(+-2 pi i k / m) for k <= n/2.  ``evolve``
-    makes one set per run, so the fine-grid pages are not faulted in anew on
-    every call."""
+    makes the one set of its run, so the fine-grid pages are not faulted in
+    anew on every call."""
     half, h = n // 2, math.ceil(DEALIAS_PAD * n / 2)
     twiddle = np.exp(2j * np.pi * np.arange(half + 1) / (2 * h))
     return (
@@ -89,7 +88,7 @@ def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     )
 
 
-def quartic_hat(c: np.ndarray, buffers=None, out=None) -> np.ndarray:
+def quartic_hat(c: np.ndarray, buffers: tuple, out: np.ndarray) -> np.ndarray:
     """Half-spectrum of u^4 from the half-spectrum c of u (n = 2 (c.size - 1)),
     with aliasing removed by zero-padding (irfft pads the half-spectrum) to the
     m-point fine grid; the halved Nyquist entry a puts a at +n/2 and conj(a)
@@ -99,14 +98,12 @@ def quartic_hat(c: np.ndarray, buffers=None, out=None) -> np.ndarray:
     m-point transform is E_k + exp(-2 pi i k / m) O_k.  On 2^14 modes
     pocketfft faults its scratch in anew on every transform of m = 40960
     points, and on none of m/2.  v^4 is two in-place squarings: ``v**4``
-    takes numpy's slow generic pow when samples are negative.
-
-    ``buffers`` is a ``quartic_buffers(n)`` tuple, reused across calls;
-    without it the call makes its own.  The result is written to ``out``
-    (n/2 + 1 points, not sharing memory with c) or else to a new array."""
+    takes numpy's slow generic pow when samples are negative.  ``buffers`` is
+    the run's ``quartic_buffers(n)``; the result is written to ``out`` (n/2 +
+    1 points, not sharing memory with c), which is returned."""
     half = c.size - 1
     n = 2 * half
-    ph, v, f, twiddle = quartic_buffers(n) if buffers is None else buffers
+    ph, v, f, twiddle = buffers
     h = v.shape[1]
     m = 2 * h
     np.multiply(c, h / n, out=ph[0])
@@ -117,7 +114,6 @@ def quartic_hat(c: np.ndarray, buffers=None, out=None) -> np.ndarray:
         u *= u
         u *= u
         np.fft.rfft(u, out=w)
-    out = np.empty(half + 1, dtype=complex) if out is None else out
     np.multiply(twiddle[1], f[1, : half + 1], out=out)
     out += f[0, : half + 1]
     if m - 2 * n == half:
@@ -135,13 +131,11 @@ def linear_symbol(grid: Grid) -> np.ndarray:
     return -1j * omega(grid.frequencies)
 
 
-def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool = True, buffers=None, out=None) -> np.ndarray:
-    """Time derivative of the coefficients c: symbol * (c + (u^4)^), the
-    quartic formed in ``buffers`` (see quartic_hat).  The result is written
-    to ``out`` (not sharing memory with c) or else to a new array; the
-    guard's |c| goes through out's real parts, so nothing grid-sized is
-    allocated with ``out`` given."""
-    out = np.empty_like(c) if out is None else out
+def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool, buffers: tuple, out: np.ndarray) -> np.ndarray:
+    """Time derivative symbol * (c + (u^4)^) of the coefficients c (symbol *
+    c if not ``nonlinear``), written to ``out`` (not sharing memory with c)
+    and returned; the quartic is formed in ``buffers`` (see quartic_hat) and
+    the guard's |c| in out's real parts, so nothing grid-sized is allocated."""
     if np.max(np.abs(c, out=out.real)) > BLOWUP_GUARD:
         raise OverflowError("blow-up guard tripped: coefficients exceed 1e10")
     if nonlinear:
@@ -151,17 +145,15 @@ def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool = True, buffers=None,
     return np.multiply(symbol, out, out=out)
 
 
-def step(
-    c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool = True, buffers=None, stages=None
-) -> np.ndarray:
+def step(c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool, buffers: tuple, stages) -> np.ndarray:
     """Coefficients after one classical RK4 step of size dt (dt may be negative).
 
-    ``stages`` is a (3, c.size) complex array reused across calls (``evolve``
-    makes one per run), or None for a fresh one: the running sum of the k's,
-    the latest k and the stage state.  Every in-place operation keeps the
-    operand order of c + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the result is
-    bitwise that of the expression.  It is always a new array."""
-    acc, k, y = np.empty((3, c.size), dtype=complex) if stages is None else stages
+    ``stages`` is the run's (3, c.size) complex array, reused across calls:
+    the running sum of the k's, the latest k and the stage state.  Every
+    in-place operation keeps the operand order of c + dt/6 (k1 + 2 k2 + 2 k3
+    + k4), so the result is bitwise that of the expression.  It is always a
+    new array."""
+    acc, k, y = stages
     rhs(c, symbol, nonlinear, buffers, acc)  # k1
     np.add(c, np.multiply(0.5 * dt, acc, out=y), out=y)
     rhs(y, symbol, nonlinear, buffers, k)  # k2
@@ -178,8 +170,12 @@ def step(
 def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool = True) -> SpectralField:
     """Advance u0 to cfg.t_end in n = cfg.n_steps(t0) steps of dt = (t_end -
     t0) / n, calling ``recorder(field, profile)`` on the initial state, on
-    every record_stride-th step and at the final time.  ``profile`` is
-    ``discrete_profile_of(field, dt, i)`` after i steps of the dt taken.
+    every record_stride-th step and at the final time.  The run builds its
+    symbol, log_factor = rk4_linear_log_factor(symbol, dt), quartic buffers
+    and RK4 stages once and hands them down; ``profile`` is
+    ``discrete_profile_of(field, log_factor, i)`` after i steps.  The loop
+    steps bare coefficients, checked finite here (OverflowError), and makes a
+    field only to record it and to return it.
 
     A cfg.dt that does not divide the span raises ValueError before anything
     is recorded, so the step taken differs from cfg.dt by round-off only.
@@ -191,48 +187,41 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
     n = cfg.n_steps(t0)
     span = cfg.t_end - t0
     dt = span / n if n else cfg.dt
-    if recorder is not None:
-        recorder(u0, discrete_profile_of(u0, dt, 0))
     symbol = linear_symbol(grid)
+    log_factor = rk4_linear_log_factor(symbol, dt)
+    if recorder is not None:
+        recorder(u0, discrete_profile_of(u0, log_factor, 0))
     buffers = quartic_buffers(grid.n_modes)
     stages = np.empty((3, u0.coeffs.size), dtype=complex)
-    state = u0
+    c, t = u0.coeffs, t0
     for i in range(1, n + 1):
-        c = step(state.coeffs, symbol, dt, nonlinear, buffers, stages)
+        c = step(c, symbol, dt, nonlinear, buffers, stages)
         t = t0 + span * i / n
         t = float(round(t)) if abs(t - round(t)) <= 1e-9 * abs(span) else t
         if not np.all(np.isfinite(c)):
             raise OverflowError(f"non-finite state at t={t}")
-        state = SpectralField(grid, c, t)
         if recorder is not None and (i % cfg.record_stride == 0 or i == n):
-            recorder(state, discrete_profile_of(state, dt, i))
-    return state
+            field = SpectralField(grid, c, t)
+            recorder(field, discrete_profile_of(field, log_factor, i))
+    return SpectralField(grid, c, t)
 
 
-@functools.cache
-def rk4_linear_log_factor(grid: Grid, dt: float) -> np.ndarray:
-    """log of the RK4 amplification factor for the linear part, per mode.
-
-    RK4 applied to c' = -i omega c multiplies by R(z) = 1 + z + z^2/2 +
-    z^3/6 + z^4/24 with z = -i omega dt.  Dividing the state by R^n instead
-    of by e^{-i omega t} gives a profile that is exactly constant for the
-    discrete linear flow, so its drift isolates the nonlinearity instead of
-    being swamped by the integrator's O(dt^5) linear phase error.
-
-    Computed once per (grid, dt) and read-only, since every record of a run
-    divides by the same factor.
-    """
-    z = linear_symbol(grid) * dt
-    log_factor = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
-    log_factor.flags.writeable = False
-    return log_factor
+def rk4_linear_log_factor(symbol: np.ndarray, dt: float) -> np.ndarray:
+    """log of the RK4 amplification factor for the linear part, per mode:
+    RK4 on c' = symbol c multiplies by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    z = symbol dt.  Dividing the state by R^n instead of by e^{-i omega t}
+    gives a profile that is exactly constant for the discrete linear flow, so
+    its drift isolates the nonlinearity instead of being swamped by the
+    integrator's O(dt^5) linear phase error."""
+    z = symbol * dt
+    return np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
 
 
-def discrete_profile_of(field: SpectralField, dt: float, n: int) -> SpectralField:
-    """Interaction-picture profile relative to the discrete (RK4) linear
-    flow: coefficients times R(xi)^{-n}, for a field n dt-steps from the
-    start of its run."""
-    factor = np.exp(-n * rk4_linear_log_factor(field.grid, dt))
+def discrete_profile_of(field: SpectralField, log_factor: np.ndarray, n: int) -> SpectralField:
+    """Interaction-picture profile of a field n steps into its run: the
+    coefficients times exp(-n log_factor), log_factor being the log of the
+    run's linear factor per step, ``rk4_linear_log_factor`` for R(xi)^{-n}."""
+    factor = np.exp(-n * log_factor)
     return SpectralField(field.grid, field.coeffs * factor, field.time)
 
 

@@ -234,7 +234,7 @@ def test_criterion_5_solver_correctness():
     c = np.zeros(g.n_modes // 2 + 1, dtype=complex)
     m = g.n_modes // 16
     c[1 : m + 1] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    q = S.quartic_hat(c)
+    q = S.quartic_hat(c, S.quartic_buffers(g.n_modes), np.empty_like(c))
     data_max = (m + 1) * g.dxi
     spurious = np.abs(g.frequencies) > 4.0 * data_max
     frac = float(np.sum(np.abs(q[spurious]) ** 2) / np.sum(np.abs(q) ** 2))

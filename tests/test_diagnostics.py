@@ -189,6 +189,17 @@ def test_recorder_collects_samples_and_dyadic_profiles(grid):
     assert [t for t, _ in rec.profiles] == pytest.approx([1.0, 2.0, 4.0])
 
 
+def test_recorder_keeps_a_profile_at_an_exact_power_of_two_only(grid):
+    # evolve stamps whole times exactly, so a time one part in 2^40 off 4 is not 4
+    u0 = gaussian_data(grid, 1e-2)
+    rec = Recorder()
+    for t in (4.0 * (1.0 + 2.0**-40), 4.0, 3.0, 0.0, -4.0):
+        field = SpectralField(grid, u0.coeffs, t)
+        rec(field, field)
+    assert len(rec.samples) == 5
+    assert [t for t, _ in rec.profiles] == [4.0]
+
+
 def test_diagnostics_does_not_import_solver():
     # the solver hands profiles to the Recorder, so the dependency runs one way
     tree = ast.parse(Path(diagnostics.__file__).read_text())

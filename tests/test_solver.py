@@ -32,6 +32,26 @@ def small_data(grid):
     return gaussian_data(grid, 1e-2)
 
 
+def _workspace(n):
+    # the arrays an evolve run builds for its kernels: quartic_hat's buffers
+    # and the (3, n/2 + 1) RK4 stages, whose first row serves as rhs's out
+    return solver.quartic_buffers(n), np.empty((3, n // 2 + 1), dtype=complex)
+
+
+def _quartic(c):
+    buffers, stages = _workspace(2 * (c.size - 1))
+    return quartic_hat(c, buffers, stages[0])
+
+
+def _rhs(c, symbol, nonlinear=True):
+    buffers, stages = _workspace(2 * (c.size - 1))
+    return rhs(c, symbol, nonlinear, buffers, stages[0])
+
+
+def _step(c, symbol, dt, nonlinear=True):
+    return step(c, symbol, dt, nonlinear, *_workspace(2 * (c.size - 1)))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0)
@@ -43,7 +63,7 @@ def test_config_validation():
 
 def test_rhs_zero_field(grid):
     z = SpectralField(grid, np.zeros(grid.n_modes // 2 + 1, dtype=complex))
-    assert np.max(np.abs(rhs(z.coeffs, linear_symbol(grid)))) == 0.0
+    assert np.max(np.abs(_rhs(z.coeffs, linear_symbol(grid)))) == 0.0
 
 
 def test_rhs_linear_single_mode(grid):
@@ -51,7 +71,7 @@ def test_rhs_linear_single_mode(grid):
 
     c = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
     c[5] = 1.0
-    d = rhs(c, linear_symbol(grid), nonlinear=False)
+    d = _rhs(c, linear_symbol(grid), nonlinear=False)
     xi5 = grid.frequencies[5]
     assert d[5] == pytest.approx(-1j * float(omega(xi5)) * 1.0, abs=1e-15)
 
@@ -62,7 +82,7 @@ def test_quartic_cos_identity(grid):
     j = 40
     a = j * grid.dxi
     f = SpectralField.from_function(grid, lambda x: np.cos(a * x))
-    u4 = np.fft.irfft(quartic_hat(f.coeffs), grid.n_modes)
+    u4 = np.fft.irfft(_quartic(f.coeffs), grid.n_modes)
     x = grid.points
     exact = 3.0 / 8.0 + 0.5 * np.cos(2 * a * x) + np.cos(4 * a * x) / 8.0
     assert np.max(np.abs(u4 - exact)) < 1e-13
@@ -75,7 +95,7 @@ def test_quartic_spurious_band_energy(grid):
     c = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
     m = grid.n_modes // 16
     c[1 : m + 1] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    q = quartic_hat(c)
+    q = _quartic(c)
     xi = grid.frequencies
     data_max = (m + 1) * grid.dxi
     spurious = np.abs(xi) > 4.0 * data_max
@@ -97,7 +117,7 @@ def test_quartic_hat_matches_padded_complex_product():
     u = np.fft.ifft(c).real
     assert np.min(u) < 0.0 < np.max(u)
     before = c.copy()
-    q = quartic_hat(c[: half + 1])
+    q = _quartic(c[: half + 1])
     assert np.array_equal(c, before)
     padded = np.zeros(m, dtype=complex)
     padded[:half] = c[:half]
@@ -141,16 +161,16 @@ def test_quartic_hat_matches_3n_product_with_complex_nyquist(n):
     # fourth power aliases onto +n/2 unless quartic_hat subtracts it
     c = _random_real_coeffs(n, 0.7 - 0.4j, n)
     ref = _quartic_hat_3n(c)
-    assert np.max(np.abs(quartic_hat(c) - ref)) < 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(_quartic(c) - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_quartic_hat_result_survives_next_call():
     n = 64
-    for buffers in (None, solver.quartic_buffers(n)):
-        q = quartic_hat(_random_real_coeffs(n, 0.3, 1), buffers)
-        kept = q.copy()
-        quartic_hat(_random_real_coeffs(n, -0.5, 2), buffers)
-        assert np.array_equal(q, kept)
+    buffers, stages = _workspace(n)
+    q = quartic_hat(_random_real_coeffs(n, 0.3, 1), buffers, stages[0])
+    kept = q.copy()
+    quartic_hat(_random_real_coeffs(n, -0.5, 2), buffers, stages[1])
+    assert np.array_equal(q, kept)
 
 
 def test_step_result_survives_next_step():
@@ -158,14 +178,14 @@ def test_step_result_survives_next_step():
     # be one of the arrays the run reuses for later steps
     n = 64
     symbol = linear_symbol(Grid(n, 16.0))
-    buffers, stages = solver.quartic_buffers(n), np.empty((3, n // 2 + 1), dtype=complex)
+    buffers, stages = _workspace(n)
     c = 0.1 * _random_real_coeffs(n, 0.3, 1)
     out = step(c, symbol, 0.05, True, buffers, stages)
     kept = out.copy()
     step(0.1 * _random_real_coeffs(n, -0.5, 2), symbol, -0.05, True, buffers, stages)
     assert not any(np.shares_memory(out, a) for a in (*buffers, stages))
     assert np.array_equal(out, kept)
-    assert np.array_equal(out, step(c, symbol, 0.05))
+    assert np.array_equal(out, _step(c, symbol, 0.05))
 
 
 def test_step_with_run_buffers_allocates_only_its_result():
@@ -173,7 +193,7 @@ def test_step_with_run_buffers_allocates_only_its_result():
     # and nothing else grid-sized (pocketfft's own scratch is not traced)
     n = 2**12
     symbol = linear_symbol(Grid(n, 64.0))
-    buffers, stages = solver.quartic_buffers(n), np.empty((3, n // 2 + 1), dtype=complex)
+    buffers, stages = _workspace(n)
     c = 0.1 * _random_real_coeffs(n, 0.3, 3)
     step(c, symbol, 0.05, True, buffers, stages)
     tracemalloc.start()
@@ -198,18 +218,19 @@ def test_evolve_runs_share_no_buffers():
 def test_blowup_guard(grid):
     c = np.full(grid.n_modes // 2 + 1, 1e11, dtype=complex)
     with pytest.raises(OverflowError):
-        rhs(c, linear_symbol(grid))
+        _rhs(c, linear_symbol(grid))
 
 
 def test_step_dt_zero_identity(small_data):
-    out = step(small_data.coeffs, linear_symbol(small_data.grid), 0.0)
+    out = _step(small_data.coeffs, linear_symbol(small_data.grid), 0.0)
     assert np.max(np.abs(out - small_data.coeffs)) == 0.0
 
 
 def test_step_linear_matches_exact_multiplier(small_data):
     state, symbol = small_data.coeffs, linear_symbol(small_data.grid)
+    workspace = _workspace(small_data.grid.n_modes)
     for _ in range(1000):
-        state = step(state, symbol, 1e-3, nonlinear=False)
+        state = step(state, symbol, 1e-3, False, *workspace)
     exact = propagate_linear(small_data, small_data.time + 1.0)
     assert np.max(np.abs(state - exact.coeffs)) < 1e-10
 
@@ -274,16 +295,34 @@ def test_evolve_rejects_non_dividing_dt(small_data):
     assert calls == []
 
 
-def test_evolve_evaluates_omega_once_per_run(small_data, monkeypatch):
+def test_evolve_evaluates_omega_once_per_run(monkeypatch):
     from gbbmlab.dispersion import omega
 
-    # the symbol once, plus the first rk4_linear_log_factor of this (grid, dt)
+    # a grid no other test steps on, and two runs of it: one evaluation each
+    u0 = gaussian_data(Grid(2**7, 24.0), 1e-2)
     calls = []
     monkeypatch.setattr(solver, "omega", lambda xi: calls.append(xi) or omega(xi))
+    for run in range(1, 3):
+        records = []
+        evolve(u0, SolverConfig(dt=0.05, t_end=1.5, record_stride=5), lambda f, p: records.append(f.time))
+        assert records == [1.0, 1.25, 1.5]
+        assert len(calls) == run
+
+
+def test_evolve_returns_the_last_recorded_field(small_data):
     records = []
-    evolve(small_data, SolverConfig(dt=0.05, t_end=1.5, record_stride=5), lambda f, p: records.append(f.time))
-    assert records == [1.0, 1.25, 1.5]
-    assert len(calls) <= 2
+    out = evolve(small_data, SolverConfig(dt=0.05, t_end=2.0, record_stride=7), lambda f, p: records.append(f))
+    assert [f.time for f in records] == [1.0, 1.35, 1.7, 2.0]
+    assert out.time == 2.0
+    assert np.array_equal(out.coeffs, records[-1].coeffs)
+
+
+def test_evolve_without_steps_returns_u0(small_data):
+    records = []
+    out = evolve(small_data, SolverConfig(dt=0.05, t_end=small_data.time), lambda f, p: records.append(f))
+    assert [f.time for f in records] == [small_data.time]
+    assert out.time == small_data.time
+    assert np.array_equal(out.coeffs, small_data.coeffs)
 
 
 def test_n_steps_is_the_step_lattice():
@@ -310,10 +349,12 @@ def test_evolve_realness(small_data):
 def test_discrete_profile_constant_under_rk4_linear_flow(small_data):
     dt = 0.05
     state, symbol = small_data.coeffs, linear_symbol(small_data.grid)
+    workspace = _workspace(small_data.grid.n_modes)
     for _ in range(100):
-        state = step(state, symbol, dt, nonlinear=False)
-    a = discrete_profile_of(small_data, dt, 0)
-    b = discrete_profile_of(SpectralField(small_data.grid, state), dt, 100)
+        state = step(state, symbol, dt, False, *workspace)
+    log_factor = rk4_linear_log_factor(symbol, dt)
+    a = discrete_profile_of(small_data, log_factor, 0)
+    b = discrete_profile_of(SpectralField(small_data.grid, state), log_factor, 100)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
 
 
@@ -321,8 +362,6 @@ def test_rk4_factor_near_exact_symbol(grid):
     from gbbmlab.dispersion import omega
 
     dt = 0.01
-    logR = rk4_linear_log_factor(grid, dt)
+    logR = rk4_linear_log_factor(linear_symbol(grid), dt)
     exact = -1j * omega(grid.frequencies) * dt
     assert np.max(np.abs(logR - exact)) < 1e-12
-    assert rk4_linear_log_factor(grid, dt) is logR
-    assert not logR.flags.writeable

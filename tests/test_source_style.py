@@ -91,3 +91,29 @@ def test_estimate_sweep_is_built_by_the_sweep_only():
         if callee == "EstimateSweep"
     ]
     assert calls == ["linear_flow.verify_dispersive_estimate"]
+
+
+def test_run_arrays_are_built_by_evolve_only():
+    # the quartic's buffers and the RK4 factor belong to one run; a kernel
+    # that built its own when given none would be a second code path
+    calls = [
+        f"{path.stem}.{scope}: {callee}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, callee in _calls(ast.parse(path.read_text()))
+        if callee in ("quartic_buffers", "rk4_linear_log_factor")
+    ]
+    assert sorted(calls) == ["solver.evolve: quartic_buffers", "solver.evolve: rk4_linear_log_factor"]
+
+
+#: The solver's kernels take every array and flag from the run that calls them.
+KERNELS = ("quartic_hat", "rhs", "step", "discrete_profile_of")
+
+
+def test_solver_kernels_declare_no_defaults():
+    tree = ast.parse((SRC / "solver.py").read_text())
+    defaults = {
+        node.name: len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in KERNELS
+    }
+    assert defaults == dict.fromkeys(KERNELS, 0)
