@@ -204,7 +204,7 @@ def read_snapshot(path: str) -> SpectralField:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def run_resonances(cfg: dict, sink: OutputSink) -> int:
+def run_resonances(cfg: dict, sink: OutputSink):
     records = resonance.enumerate_resonances(cfg["tol"])
     anom = next(r for r in records if r.label == "anomalous-point").representative_points[0]
     census = {
@@ -217,7 +217,6 @@ def run_resonances(cfg: dict, sink: OutputSink) -> int:
         ],
     }
     sink.write_json("census.json", census)
-    return 0
 
 
 #: Initial-data family -> (width, carrier) of its Gaussian, from the config.
@@ -273,7 +272,7 @@ def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
             raise ValidationError(f"dt * record_stride = {stride:g} does not divide {t - 1:g}: no snapshot at {t:g}")
 
 
-def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
+def run_linear_decay(cfg: dict, sink: OutputSink):
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
     width, carrier = _data_family(cfg)
     grid = Grid(cfg["n_modes"], cfg["half_length"])
@@ -297,17 +296,27 @@ def run_linear_decay(cfg: dict, sink: OutputSink) -> int:
     summary.update(fitted_exponent=fit.exponent, r_squared=fit.r_squared)
     sink.write_csv("decay.csv", "t,k,case_id,lhs,rhs,ratio", rows)
     sink.write_json("decay_summary.json", summary)
-    return 0
 
 
-def run_evolve(cfg: dict, sink: OutputSink) -> int:
+def _nonlinear_run(cfg: dict, per_time_unit: bool = False):
+    """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1,
+    recorded at its s up to t_end.  Per time unit (scatter), t_end must be >= 16, and the checked
+    run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so it is kept."""
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
     width, carrier = _data_family(cfg)
+    if per_time_unit and scfg.t_end < 16.0:
+        raise ValidationError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
     _require_records(scfg, cfg["snapshots"] == "dyadic")
+    if per_time_unit:
+        scfg.record_stride = scfg.n_steps(1.0) - scfg.n_steps(2.0)
     u0 = solver.gaussian_data(grid, cfg["epsilon"], width, carrier, time=1.0)
     rec = diagnostics.Recorder(s=cfg["s"])
-    final = solver.evolve(u0, scfg, rec)
+    return rec, solver.evolve(u0, scfg, rec)
+
+
+def run_evolve(cfg: dict, sink: OutputSink):
+    rec, final = _nonlinear_run(cfg)
     cells = [(smp.t, smp.linf_fhat, smp.weighted_l2, smp.sobolev, smp.sup_u) for smp in rec.samples]
     sink.write_csv("diagnostics.csv", "t,linf_fhat,weighted_l2,sobolev_s,sup_u", cells)
     if cfg["snapshots"] != "none":
@@ -315,20 +324,11 @@ def run_evolve(cfg: dict, sink: OutputSink) -> int:
             sink.write_snapshot(f"profile_t{t:g}.bin", prof)
         sink.write_snapshot("final_state.bin", final)
     sink.write_json("bootstrap_summary.json", diagnostics.bootstrap_report(rec.samples))
-    return 0
 
 
-def run_scatter(cfg: dict, sink: OutputSink) -> int:
-    grid = Grid(cfg["n_modes"], cfg["half_length"])
-    scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=1)
-    if scfg.t_end < 16.0:
-        raise ValidationError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
-    _require_records(scfg, dyadic=True)
-    # every dyadic time is a step, so recording once per time unit (t = 1, 2, ...) keeps each of them
-    scfg.record_stride = scfg.n_steps(1.0) - scfg.n_steps(2.0)
-    u0 = solver.gaussian_data(grid, cfg["epsilon"], cfg["width"], time=1.0)
-    rec = diagnostics.Recorder()
-    solver.evolve(u0, scfg, rec)
+def run_scatter(cfg: dict, sink: OutputSink):
+    # evolve's run: evolve's defaults (gaussian, carrier 0, s = 10) for the keys scatter lacks, checked at stride 1
+    rec, _ = _nonlinear_run(_DEFAULTS["evolve"] | cfg | {"record_stride": 1}, per_time_unit=True)
     rows = diagnostics.scattering_test(rec.profiles)
     sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", rows)
     late = [(t, d) for t, d, _ in rows if t >= 8.0]
@@ -345,7 +345,6 @@ def run_scatter(cfg: dict, sink: OutputSink) -> int:
             "late_pairs": len(late_pairs),
         },
     )
-    return 0
 
 
 def _median(values: list[float]) -> float:
@@ -359,7 +358,7 @@ def _median(values: list[float]) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def run_verify_estimates(cfg: dict, sink: OutputSink) -> int:
+def run_verify_estimates(cfg: dict, sink: OutputSink):
     k_min, k_max = cfg["k_min"], cfg["k_max"]
     if k_max < k_min:
         raise ValidationError("k_max must be >= k_min")
@@ -385,7 +384,6 @@ def run_verify_estimates(cfg: dict, sink: OutputSink) -> int:
             "all_finite": all(math.isfinite(x) for x in ratios),
         },
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +439,9 @@ def _figure_data(fig_id: int, n_points: int):
     return header, [x] + [column(x, anomalous) for column in columns]
 
 
-def run_figures(cfg: dict, sink: OutputSink) -> int:
+def run_figures(cfg: dict, sink: OutputSink):
     header, cols = _figure_data(cfg["id"], cfg["n_points"])
     sink.write_csv(f"figure_{cfg['id']:02d}.csv", header, zip(*[np.asarray(c).tolist() for c in cols]))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +501,10 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{key} must be {requirement}, got {cfg[key]!r}")
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"
         sink = OutputSink(out_dir, sub, cfg)
-        status = _RUNNERS[sub][0](cfg, sink)
+        _RUNNERS[sub][0](cfg, sink)
         sink.finalize()
-        return status
-    except (ValidationError, ValueError) as e:
+        return 0
+    except (ValidationError, ValueError, configparser.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:

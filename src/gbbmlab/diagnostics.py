@@ -77,7 +77,10 @@ def dxi_l2(grid: Grid, fhat: np.ndarray) -> float:
 @functools.cache
 def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     """The H^s weight (1 + xi^2)^s, doubled for 0 < xi < xi_N as each such mode
-    stands for +-xi; once per (grid, s), read-only, as every record uses it."""
+    stands for +-xi; once per (grid, s), read-only, as every record uses it.  An s
+    whose bound 2 (1 + xi_N^2)^s would overflow is a ValueError, tested in logs."""
+    if s * math.log1p(grid.nyquist * grid.nyquist) > math.log(np.finfo(float).max / 2.0):
+        raise ValueError(f"s = {s:g} overflows the H^s weight 2 (1 + xi_N^2)^s at xi_N = {grid.nyquist:g}")
     xi = grid.frequencies
     w = (1.0 + xi * xi) ** s
     w[1:-1] *= 2.0

@@ -410,6 +410,8 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         (["linear-decay"], "width must be positive and finite, got 0.0", "[linear-decay]\nwidth = 0\n"),
         (_SMALL_EVOLVE_4, "carrier must be finite, got nan", "[evolve]\ncarrier = nan\n"),
         (["resonances", "--tol", "inf"], "tol must be positive and finite, got inf", None),
+        (_SMALL_EVOLVE_4, "File contains no section headers", "width = 0.5\n"),
+        (_SMALL_EVOLVE_4, "option 's' in section 'evolve' already exists", "[evolve]\ns = 1\ns = 2\n"),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -424,6 +426,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "verify-estimates-half-length-inf", "evolve-carrier-nan", "evolve-carrier-inf",
         "linear-decay-near-sqrt3-width-inf", "scatter-width-inf", "evolve-width-inf",
         "ini-linear-decay-width-0", "ini-evolve-carrier-nan", "resonances-tol-inf",
+        "ini-no-section-header", "ini-duplicate-key",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):
@@ -438,6 +441,40 @@ def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, a
     assert run_cli(argv + ["--output-dir", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [_SMALL_EVOLVE_4 + ["--s", "200"], ["verify-estimates", "--t-max", "32", "--s", "400"]],
+    ids=["evolve", "verify-estimates"],
+)
+def test_overflowing_sobolev_weight_rejected(tmp_path, capsys, monkeypatch, argv):
+    # 2 (1 + xi_N^2)^s overflows on the run's grid: exit 1 naming s, before
+    # any step and with no manifest, not an inf norm and a NaN fit
+    monkeypatch.setattr(solver, "step", lambda *a, **k: pytest.fail("stepped before rejection"))
+    out = tmp_path / "x"
+    assert run_cli(argv + ["--output-dir", str(out)]) == 1
+    assert f"error: s = {argv[-1]} overflows" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_overflowing_s_without_a_case_1_row_still_runs(tmp_path):
+    # verify-estimates forms the H^s weight for a case-1 row only; at t <= 32
+    # the bands up to k = 4 have none
+    out = tmp_path / "ve"
+    assert run_cli(["verify-estimates", "--t-max", "32", "--s", "400", "--k-max", "4", "--output-dir", str(out)]) == 0
+    assert json.loads((out / "estimates_summary.json").read_text())["all_finite"] is True
+
+
+def test_scatter_is_a_reading_of_evolve(tmp_path):
+    # scatter integrates evolve's run: the scattering test of evolve's dyadic
+    # profile snapshots, written by the same CSV writer, is scatter's table
+    ev, sc = tmp_path / "ev", tmp_path / "sc"
+    assert run_cli(["evolve", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(ev)]) == 0
+    assert run_cli(["scatter", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(sc)]) == 0
+    profiles = [(t, read_snapshot(str(ev / f"profile_t{t}.bin"))) for t in (1, 2, 4, 8, 16)]
+    sink = OutputSink(str(tmp_path / "read"), "scatter", {})
+    sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", diagnostics.scattering_test(profiles))
+    assert (tmp_path / "read" / "scattering.csv").read_bytes() == (sc / "scattering.csv").read_bytes()
 
 
 def test_scatter_records_whole_times_only(tmp_path, monkeypatch):

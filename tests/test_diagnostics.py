@@ -65,6 +65,17 @@ def test_h1_gaussian_closed_form(grid):
     assert h1_norm(f) == pytest.approx(math.sqrt(math.sqrt(math.pi) * 1.5), rel=1e-10)
 
 
+def test_sobolev_weight_rejects_an_s_it_cannot_hold():
+    # the bound 2 (1 + xi_N^2)^s is tested in logs, so the largest s it
+    # allows forms a finite weight (a RuntimeWarning fails the suite) and the
+    # next one is refused before anything overflows
+    g = Grid(256, 32.0)
+    s_max = math.log(np.finfo(float).max / 2.0) / math.log1p(g.nyquist**2)
+    assert np.all(np.isfinite(diagnostics.sobolev_weight(g, s_max * (1.0 - 1e-12))))
+    with pytest.raises(ValueError, match="s = 200 overflows"):
+        diagnostics.sobolev_weight(g, 200.0)
+
+
 @pytest.mark.parametrize("n", [2, 4, 8, 64])
 def test_half_spectrum_norms_match_full_grid_sums(n):
     # each interior mode of the half-spectrum stands for +-xi: the norms equal

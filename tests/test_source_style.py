@@ -105,6 +105,17 @@ def test_run_arrays_are_built_by_evolve_only():
     assert sorted(calls) == ["solver.evolve: quartic_buffers", "solver.evolve: rk4_linear_log_factor"]
 
 
+def test_nonlinear_run_is_built_by_one_cli_function():
+    # evolve and scatter integrate the same run; a runner that set up its own
+    # would be a second code path
+    calls = [
+        f"cli.{scope}: {callee}"
+        for scope, callee in _calls(ast.parse((SRC / "cli.py").read_text()))
+        if callee in ("evolve", "Recorder")
+    ]
+    assert sorted(calls) == ["cli._nonlinear_run: Recorder", "cli._nonlinear_run: evolve"]
+
+
 #: The solver's kernels take every array and flag from the run that calls them.
 KERNELS = ("quartic_hat", "rhs", "step", "discrete_profile_of")
 
