@@ -5,11 +5,11 @@ emission.
 Configuration comes from an INI file (one section per subcommand), each key
 parsed as the flag it names, with command-line flags taking precedence.
 Every run writes a manifest.json recording the resolved configuration,
-package version, and sha256 checksums of all outputs; snapshot binaries embed
-a wall-time field that is excluded from the checksum so reruns are
+package version, and the sha256 of each output file, so reruns are
 byte-comparable.
 
-Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
+Exit codes: 0 success, 1 configuration/validation failure (an unreadable
+--config file included) or an allocation that cannot be made, 2 numerical
 failure (blow-up guard, non-convergent quadrature).
 """
 
@@ -26,13 +26,12 @@ import math
 import os
 import struct
 import sys
-import time
 
 import numpy as np
 
 from . import __version__, diagnostics, linear_flow, resonance, solver
 from .dispersion import SQRT3, omega_prime, reflection
-from .spectral import Grid, SpectralField, sorted_spectrum
+from .spectral import Grid, SpectralField
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "GBBMLAB_OUTPUT_DIR"
@@ -108,10 +107,12 @@ _CHECKS = [
 
 def _ini_flags(path: str, subcommand: str) -> list[str]:
     """The ``--key=value`` flags named by the keys of the INI file's [subcommand] section."""
-    if not os.path.exists(path):
-        raise ValidationError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
-    cp.read(path)
+    try:
+        with open(path) as f:
+            cp.read_file(f)
+    except OSError as e:
+        raise ValidationError(f"cannot read config file {path}: {e.strerror}") from None
     flags = []
     for key, raw in cp.items(subcommand) if cp.has_section(subcommand) else []:
         key = key.replace("-", "_")
@@ -134,11 +135,14 @@ class OutputSink:
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
+    def _write_bytes(self, name: str, data: bytes):
+        """Every output's one writer, so each manifest entry is the sha256 of its file."""
+        with open(self.path(name), "wb") as f:
+            f.write(data)
+        self.checksums[name] = hashlib.sha256(data).hexdigest()
+
     def write_text(self, name: str, text: str):
-        p = self.path(name)
-        with open(p, "w") as f:
-            f.write(text)
-        self.checksums[name] = hashlib.sha256(text.encode()).hexdigest()
+        self._write_bytes(name, text.encode())
 
     def write_csv(self, name: str, header: str, rows):
         """CSV text: the header line, then one line per row; a float cell is
@@ -165,20 +169,10 @@ class OutputSink:
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def write_snapshot(self, name: str, field: SpectralField):
-        """Binary snapshot: little-endian header (n int64; L, t, walltime
-        float64) then the field's ``sorted_spectrum`` as n little-endian
-        complex128 values.  The walltime bytes are skipped by the checksum."""
-        header = struct.pack(
-            "<qddd", field.grid.n_modes, field.grid.half_length, field.time, time.time()
-        )
-        body = sorted_spectrum(field.coeffs).astype("<c16").tobytes()
-        with open(self.path(name), "wb") as f:
-            f.write(header)
-            f.write(body)
-        h = hashlib.sha256()
-        h.update(header[:24])  # n, L, t; walltime excluded
-        h.update(body)
-        self.checksums[name] = h.hexdigest()
+        """Binary snapshot: little-endian header (n int64; L, t float64) then
+        the field's n/2 + 1 half-spectrum coefficients as little-endian complex128."""
+        header = struct.pack("<qdd", field.grid.n_modes, field.grid.half_length, field.time)
+        self._write_bytes(name, header + field.coeffs.astype("<c16").tobytes())
 
     def finalize(self):
         manifest = {
@@ -193,11 +187,10 @@ class OutputSink:
 
 
 def read_snapshot(path: str) -> SpectralField:
-    """Inverse of OutputSink.write_snapshot: the entries at xi >= 0, then the Nyquist entry from -n/2."""
+    """Inverse of OutputSink.write_snapshot; a body of other than n/2 + 1 complex128 values raises ValueError."""
     with open(path, "rb") as f:
-        n, half_length, t, _walltime = struct.unpack("<qddd", f.read(32))
-        c_sorted = np.frombuffer(f.read(), dtype="<c16")
-    return SpectralField(Grid(n, half_length), np.append(c_sorted[n // 2 :], c_sorted[0]), t)
+        n, half_length, t = struct.unpack("<qdd", f.read(24))
+        return SpectralField(Grid(n, half_length), np.frombuffer(f.read(), dtype="<c16"), t)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +497,7 @@ def main(argv=None) -> int:
         _RUNNERS[sub][0](cfg, sink)
         sink.finalize()
         return 0
-    except (ValidationError, ValueError, configparser.Error) as e:
+    except (ValidationError, ValueError, configparser.Error, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:

@@ -7,7 +7,7 @@ structural.  The one component the layout leaves free is the Nyquist entry's
 imaginary part: ``physical()`` ignores it, ``quartic_hat`` does not.
 ``continuum_coeffs`` rescales by dx / sqrt(2 pi) and moves the origin from
 x = -L to x = 0, approximating the unitary Fourier transform on the line.
-Only the snapshot file rebuilds the full spectrum, by ``sorted_spectrum``.
+A snapshot file holds the half-spectrum as it is held here.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ class Grid:
     @property
     def frequencies(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.rfftfreq(self.n_modes, d=self.dx)
-
-
-def sorted_spectrum(half: np.ndarray) -> np.ndarray:
-    """The full spectrum at -n/2 ... n/2 - 1, the snapshot file's order (and its
-    only use), the Nyquist entry at -n/2, where fftshift puts it."""
-    return np.concatenate([half[-1:], np.conj(half[-2:0:-1]), half[:-1]])
 
 
 @dataclass

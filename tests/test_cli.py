@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -92,8 +93,10 @@ def test_evolve_emits_diagnostics_and_snapshots(tmp_path):
     assert np.all(np.isfinite(snap.coeffs))
 
 
-def test_snapshot_checksum_excludes_walltime(tmp_path):
-    outs = []
+def test_snapshot_files_are_deterministic(tmp_path):
+    # two runs write the same bytes, and each manifest entry is the sha256 of
+    # its file on disk
+    runs = []
     for name in ("a", "b"):
         out = tmp_path / name
         rc = run_cli(
@@ -101,8 +104,12 @@ def test_snapshot_checksum_excludes_walltime(tmp_path):
              "--half-length", "64", "--output-dir", str(out)]
         )
         assert rc == 0
-        outs.append(json.loads((out / "manifest.json").read_text())["outputs"])
-    assert outs[0] == outs[1]
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        for file, digest in outputs.items():
+            assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest
+        runs.append({p.name: p.read_bytes() for p in out.glob("*.bin")})
+    assert len(runs[0]) == 4
+    assert runs[0] == runs[1]
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -117,19 +124,26 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.array_equal(f.coeffs, field.coeffs)
 
 
-def test_snapshot_format_is_the_sorted_full_spectrum(tmp_path):
-    # the file holds n coefficients at -n/2 ... n/2 - 1, so one written in the
-    # full-spectrum layout reads back: the entries at xi >= 0, then the
-    # Nyquist entry stored at -n/2
+def test_snapshot_format_is_the_half_spectrum(tmp_path):
+    # the file is a 24-byte header (n, L, t) and the n/2 + 1 half-spectrum
+    # coefficients as complex128; one in the full layout of n coefficients
+    # is refused
     n = 8
-    full = np.fft.fft(np.random.default_rng(1).standard_normal(n))
-    full[n // 2] += 0.25j
-    inter = np.empty(2 * n)
-    inter[0::2], inter[1::2] = np.fft.fftshift(full).real, np.fft.fftshift(full).imag
-    path = tmp_path / "full.bin"
-    path.write_bytes(struct.pack("<qddd", n, 2.0, 3.0, 0.0) + inter.astype("<f8").tobytes())
+    rng = np.random.default_rng(1)
+    half = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    half[0] = half[0].real
+    half[-1] += 0.25j
+    inter = np.empty(2 * half.size)
+    inter[0::2], inter[1::2] = half.real, half.imag
+    path = tmp_path / "half.bin"
+    path.write_bytes(struct.pack("<qdd", n, 2.0, 3.0) + inter.astype("<f8").tobytes())
     f = read_snapshot(str(path))
-    assert np.array_equal(f.coeffs, full[: n // 2 + 1])
+    assert (f.grid, f.time) == (Grid(n, 2.0), 3.0)
+    assert np.array_equal(f.coeffs, half)
+    full = np.fft.fft(rng.standard_normal(n))
+    path.write_bytes(struct.pack("<qdd", n, 2.0, 3.0) + full.astype("<c16").tobytes())
+    with pytest.raises(ValueError, match="n/2 \\+ 1"):
+        read_snapshot(str(path))
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -146,6 +160,18 @@ def test_config_file_and_flag_override(tmp_path):
         ["figures", "--config", str(cfgfile), "--id", "4", "--output-dir", str(out2)]
     ) == 0
     assert (out2 / "figure_04.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_exits_1(tmp_path, capsys, kind):
+    # ConfigParser.read skips a path it cannot open, which ran the defaults
+    path = tmp_path / "cfg"
+    if kind == "directory":
+        path.mkdir()
+    out = tmp_path / "x"
+    assert run_cli(["figures", "--id", "1", "--n-points", "3", "--config", str(path), "--output-dir", str(out)]) == 1
+    assert f"cannot read config file {path}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -303,6 +329,29 @@ _CSV_RUNS = {
 }
 
 
+#: One small run of each subcommand.
+_MANIFEST_RUNS = {
+    "resonances": ["resonances"],
+    "figures": ["figures", "--id", "1"],
+    "linear-decay": _CSV_RUNS["decay-gaussian"][0],
+    "evolve": _SMALL_EVOLVE_4,
+    "scatter": ["scatter", "--t-end", "16"] + _SMALL_GRID,
+    "verify-estimates": ["verify-estimates", "--t-max", "32"],
+}
+
+
+@pytest.mark.parametrize("argv", _MANIFEST_RUNS.values(), ids=_MANIFEST_RUNS.keys())
+def test_manifest_lists_every_output_by_its_sha256(tmp_path, argv):
+    # the output directory holds exactly the manifest's outputs and the
+    # manifest, and each entry is the sha256 of its file on disk
+    out = tmp_path / "run"
+    assert run_cli(argv + ["--output-dir", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    for name, digest in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, name, header, aggregate", _CSV_RUNS.values(), ids=_CSV_RUNS.keys())
 def test_seventeen_digit_floats(tmp_path, argv, name, header, aggregate):
     out = tmp_path / "run"
@@ -412,6 +461,9 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         (["resonances", "--tol", "inf"], "tol must be positive and finite, got inf", None),
         (_SMALL_EVOLVE_4, "File contains no section headers", "width = 0.5\n"),
         (_SMALL_EVOLVE_4, "option 's' in section 'evolve' already exists", "[evolve]\ns = 1\ns = 2\n"),
+        # 2^48 points is 2 PiB, beyond the 47-bit user address space, so the
+        # allocation fails at once under any overcommit setting
+        (["figures", "--id", "3", "--n-points", str(2**48)], "error: Unable to allocate", None),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -426,7 +478,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "verify-estimates-half-length-inf", "evolve-carrier-nan", "evolve-carrier-inf",
         "linear-decay-near-sqrt3-width-inf", "scatter-width-inf", "evolve-width-inf",
         "ini-linear-decay-width-0", "ini-evolve-carrier-nan", "resonances-tol-inf",
-        "ini-no-section-header", "ini-duplicate-key",
+        "ini-no-section-header", "ini-duplicate-key", "figures-n-points-2-48",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):

@@ -69,16 +69,16 @@ def test_state_stays_a_half_spectrum():
     assert calls == []
 
 
-def test_full_spectrum_is_rebuilt_for_the_snapshot_file_only():
-    # the d/dxi norm reads the half-spectrum it is given; only the snapshot
-    # file's byte layout needs the sorted full spectrum
+def test_full_spectrum_is_never_rebuilt():
+    # the d/dxi norm reads the half-spectrum it is given, and the snapshot
+    # file holds the half-spectrum as it is
     calls = [
         f"{path.stem}.{scope}: {callee}"
         for path in sorted(SRC.glob("*.py"))
         for scope, callee in _calls(ast.parse(path.read_text()))
         if callee in ("sorted_spectrum", "gradient")
     ]
-    assert calls == ["cli.OutputSink.write_snapshot: sorted_spectrum"]
+    assert calls == []
 
 
 def test_estimate_sweep_is_built_by_the_sweep_only():

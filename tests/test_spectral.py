@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbbmlab.spectral import Grid, SpectralField, sorted_spectrum
+from gbbmlab.spectral import Grid, SpectralField
 
 
 def test_grid_validation():
@@ -94,15 +94,3 @@ def test_frequencies_are_the_half_spectrum():
     g = Grid(64, 8.0)
     assert np.array_equal(g.frequencies, g.dxi * np.arange(33))
     assert np.array_equal(g.frequencies[:32], 2.0 * math.pi * np.fft.fftfreq(64, d=g.dx)[:32])
-
-
-@pytest.mark.parametrize("n", [2, 4, 8, 64, 256, 2**12, 2**16])
-def test_fftshift_sorts_frequencies(n):
-    # the package's one sorted order: sorted_spectrum puts every mode of a
-    # real field's spectrum where fftshift does, the Nyquist entry at -n/2
-    # (n = 2 has no mode between the mean and the Nyquist mode)
-    x = np.random.default_rng(n).standard_normal(n)
-    full = np.fft.fftshift(np.fft.fft(x))
-    s = sorted_spectrum(SpectralField.from_physical(Grid(n, 10.0), x).coeffs)
-    assert s.shape == (n,)
-    assert np.max(np.abs(s - full)) <= 1e-15 * np.max(np.abs(full))
