@@ -122,23 +122,33 @@ def _ini_flags(path: str, subcommand: str) -> list[str]:
     return flags
 
 
+#: A snapshot file's header: n (int64), L and t (float64), little-endian.
+_SNAPSHOT_HEADER = struct.Struct("<qdd")
+
+
 class OutputSink:
-    """Collects output files and writes the manifest at the end."""
+    """Collects output files and writes the manifest at the end.  The output
+    directory is created at the first write, so a run that fails before it
+    leaves no directory behind."""
 
     def __init__(self, out_dir: str, subcommand: str, cfg: dict):
         self.out_dir = out_dir
         self.subcommand = subcommand
         self.cfg = cfg
         self.checksums: dict[str, str] = {}
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def _write_bytes(self, name: str, data: bytes):
-        """Every output's one writer, so each manifest entry is the sha256 of its file."""
+    def _create(self, name: str, data: bytes):
+        """Write ``data`` to the file ``name``, creating the directory first."""
+        os.makedirs(self.out_dir, exist_ok=True)
         with open(self.path(name), "wb") as f:
             f.write(data)
+
+    def _write_bytes(self, name: str, data: bytes):
+        """Every output's one writer, so each manifest entry is the sha256 of its file."""
+        self._create(name, data)
         self.checksums[name] = hashlib.sha256(data).hexdigest()
 
     def write_text(self, name: str, text: str):
@@ -171,7 +181,7 @@ class OutputSink:
     def write_snapshot(self, name: str, field: SpectralField):
         """Binary snapshot: little-endian header (n int64; L, t float64) then
         the field's n/2 + 1 half-spectrum coefficients as little-endian complex128."""
-        header = struct.pack("<qdd", field.grid.n_modes, field.grid.half_length, field.time)
+        header = _SNAPSHOT_HEADER.pack(field.grid.n_modes, field.grid.half_length, field.time)
         self._write_bytes(name, header + field.coeffs.astype("<c16").tobytes())
 
     def finalize(self):
@@ -181,15 +191,17 @@ class OutputSink:
             "version": __version__,
             "outputs": self.checksums,
         }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        with open(self.path("manifest.json"), "w") as f:
-            f.write(text)
+        self._create("manifest.json", (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_snapshot(path: str) -> SpectralField:
-    """Inverse of OutputSink.write_snapshot; a body of other than n/2 + 1 complex128 values raises ValueError."""
+    """Inverse of OutputSink.write_snapshot; a file shorter than its header, or a body of other than
+    n/2 + 1 complex128 values, raises ValueError."""
     with open(path, "rb") as f:
-        n, half_length, t = struct.unpack("<qdd", f.read(24))
+        header = f.read(_SNAPSHOT_HEADER.size)
+        if len(header) < _SNAPSHOT_HEADER.size:
+            raise ValueError(f"{path}: {len(header)} bytes, short of the {_SNAPSHOT_HEADER.size}-byte snapshot header")
+        n, half_length, t = _SNAPSHOT_HEADER.unpack(header)
         return SpectralField(Grid(n, half_length), np.frombuffer(f.read(), dtype="<c16"), t)
 
 
@@ -283,7 +295,7 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
         for t, (sup, u) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times))):
             rows.append((t, "", "aggregate", sup, "", ""))
         if cfg["profile"] == "near-sqrt3":  # u holds the last time's samples
-            x_max, ray = float(grid.points[int(np.argmax(np.abs(u)))]), -times[-1] / 8.0
+            x_max, ray = -grid.half_length + grid.dx * int(np.argmax(np.abs(u))), -times[-1] / 8.0
             summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
     fit = diagnostics.fit_decay([(t, sup) for t, _, _, sup, _, _ in rows])
     summary.update(fitted_exponent=fit.exponent, r_squared=fit.r_squared)

@@ -58,9 +58,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def propagate_linear(field: SpectralField, t: float) -> SpectralField:
     """Evolve a spectral field exactly under the linear equation from
-    field.time to t (multiplication by exp(-i omega (t - time)))."""
-    factor = np.exp(linear_symbol(field.grid) * (t - field.time))
-    return SpectralField(field.grid, field.coeffs * factor, t)
+    field.time to t (multiplication by exp(-i omega (t - time)), formed in
+    place in the symbol's one array)."""
+    factor = linear_symbol(field.grid)
+    factor *= t - field.time
+    np.exp(factor, out=factor)
+    return SpectralField(field.grid, np.multiply(field.coeffs, factor, out=factor), t)
 
 
 def linear_sup_sweep(field: SpectralField, t0: float, count: int):

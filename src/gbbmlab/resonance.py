@@ -39,6 +39,9 @@ ROOT_TOL = 1e-12
 
 SCAN_SAMPLES_PER_UNIT = 10_000
 
+# Samples per block of a scan, so no scan-sized temporary is allocated.
+_SCAN_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -147,7 +150,9 @@ def find_roots(
     """Roots of a scalar function on a bracket, sorted ascending.
 
     Dense scan (samples_per_unit points per unit length; adjacent roots can
-    be closer than a coarse scan resolves) followed by bisection refinement.
+    be closer than a coarse scan resolves), evaluated in blocks of a few
+    thousand samples, followed by bisection refinement.  fn must act
+    elementwise, so each block's values are those of the whole scan.
     The dead zone |eta| <= 1 + margin is excluded automatically.  An empty
     list is a valid result.
     """
@@ -167,13 +172,17 @@ def find_roots(
     roots: list[float] = []
     for seg_a, seg_b in segments:
         n = max(8, int(math.ceil((seg_b - seg_a) * samples_per_unit)))
-        xs = np.linspace(seg_a, seg_b, n + 1)
-        vals = np.asarray(fn(xs))
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in sign_change:
-            roots.append(_bisect(fn, float(xs[i]), float(xs[i + 1]), tol))
-        exact = np.nonzero(vals == 0.0)[0]
-        roots.extend(float(xs[i]) for i in exact)
+        step = (seg_b - seg_a) / n
+        # linspace(seg_a, seg_b, n + 1) in blocks that share their last sample with the next
+        for i0 in range(0, n, _SCAN_BLOCK):
+            i1 = min(i0 + _SCAN_BLOCK, n)
+            xs = np.arange(i0, i1 + 1, dtype=float) * step + seg_a
+            if i1 == n:
+                xs[-1] = seg_b
+            vals = np.asarray(fn(xs))
+            for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
+                roots.append(_bisect(fn, float(xs[i]), float(xs[i + 1]), tol))
+            roots.extend(float(x) for x in xs[vals == 0.0])
     return sorted(set(roots))
 
 

@@ -5,6 +5,9 @@ half-spectrum, the n/2 + 1 raw ``np.fft.fft`` coefficients at xi_k = pi k / L,
 k = 0 ... n/2; the modes at -xi_k are their conjugates, so realness is
 structural.  The one component the layout leaves free is the Nyquist entry's
 imaginary part: ``physical()`` ignores it, ``quartic_hat`` does not.
+``from_physical`` transforms one complex copy of the samples in place and
+keeps its first n/2 + 1 entries in an array of their own, so neither the
+samples nor the n-point transform outlive it.
 ``continuum_coeffs`` rescales by dx / sqrt(2 pi) and moves the origin from
 x = -L to x = 0, approximating the unitary Fourier transform on the line.
 A snapshot file holds the half-spectrum as it is held here.
@@ -73,9 +76,13 @@ class SpectralField:
 
     @classmethod
     def from_physical(cls, grid: Grid, values, time: float = 0.0) -> "SpectralField":
-        # fft, not rfft: rfft's 2e-17 moves a scatter row of perfbench/reference past its 1e-9 tolerance
-        values = np.asarray(values, dtype=float)
-        return cls(grid, np.fft.fft(values)[: grid.n_modes // 2 + 1], time)
+        # fft, not rfft: rfft's 2e-17 moves a scatter row of perfbench/reference past its 1e-9 tolerance.
+        # The samples are dropped once copied into z, so a caller that keeps none frees them before
+        # the in-place transform; the copy of z's first n/2 + 1 entries lets z go too.
+        z = np.asarray(values, dtype=float).astype(complex)
+        del values
+        np.fft.fft(z, out=z)
+        return cls(grid, z[: grid.n_modes // 2 + 1].copy(), time)
 
     @classmethod
     def from_function(cls, grid: Grid, fn, time: float = 0.0) -> "SpectralField":

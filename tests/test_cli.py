@@ -146,6 +146,14 @@ def test_snapshot_format_is_the_half_spectrum(tmp_path):
         read_snapshot(str(path))
 
 
+@pytest.mark.parametrize("size", [0, 23])
+def test_snapshot_shorter_than_its_header_is_refused(tmp_path, size):
+    path = tmp_path / "short.bin"
+    path.write_bytes(struct.pack("<qdd", 8, 2.0, 3.0)[:size])
+    with pytest.raises(ValueError, match="24-byte snapshot header"):
+        read_snapshot(str(path))
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfgfile = tmp_path / "exp.ini"
     cfgfile.write_text("[figures]\nid = 6\nn_points = 11\n")
@@ -493,6 +501,7 @@ def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, a
     assert run_cli(argv + ["--output-dir", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -507,6 +516,7 @@ def test_overflowing_sobolev_weight_rejected(tmp_path, capsys, monkeypatch, argv
     assert run_cli(argv + ["--output-dir", str(out)]) == 1
     assert f"error: s = {argv[-1]} overflows" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_overflowing_s_without_a_case_1_row_still_runs(tmp_path):

@@ -9,6 +9,9 @@ from hypothesis import given, strategies as st
 
 from gbbmlab.dispersion import SQRT3, omega, omega_prime, reflection, solve_group_velocity
 from gbbmlab.resonance import (
+    ASYMPTOTE_MARGIN,
+    ROOT_TOL,
+    SCAN_SAMPLES_PER_UNIT,
     PhasePoint,
     SCALAR_PHASE_FUNCTIONS,
     anomalous_resonance,
@@ -18,6 +21,7 @@ from gbbmlab.resonance import (
     phase,
     phase_gradient,
     scalar_function,
+    _bisect,
 )
 
 
@@ -119,6 +123,52 @@ def test_find_roots_validates():
 def test_find_roots_plain_function():
     roots = find_roots(lambda x: np.cos(x), (1.05, 7.0))
     assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2], abs=1e-10)
+
+
+def _whole_scan_roots(fn, bracket, samples_per_unit):
+    """find_roots' scan as one linspace per side of the dead zone, bisected
+    from every sign change, plus the samples where fn is exactly 0."""
+    a, b = bracket
+    lo = 1.0 + ASYMPTOTE_MARGIN
+    segments = [(a, min(b, -lo))] * (a < -lo) + [(max(a, lo), b)] * (b > lo)
+    roots = set()
+    for seg_a, seg_b in segments:
+        xs = np.linspace(seg_a, seg_b, max(8, math.ceil((seg_b - seg_a) * samples_per_unit)) + 1)
+        vals = fn(xs)
+        for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
+            roots.add(_bisect(fn, float(xs[i]), float(xs[i + 1]), ROOT_TOL))
+        roots.update(float(x) for x in xs[vals == 0.0])
+    return sorted(roots)
+
+
+#: The census's scans, (bracket, samples per unit): the anomalous point's and
+#: the implicit families' root notes, plus both sides of the dead zone at once.
+_CENSUS_SCANS = [((4.0, 7.0), SCAN_SAMPLES_PER_UNIT), ((1.0 + 1e-3, 50.0), 2000), ((-50.0, 50.0), 2000)]
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_PHASE_FUNCTIONS))
+def test_blocked_scan_finds_the_whole_scans_roots(name):
+    fn = SCALAR_PHASE_FUNCTIONS[name]
+    for bracket, samples_per_unit in _CENSUS_SCANS:
+        assert find_roots(fn, bracket, samples_per_unit=samples_per_unit) == _whole_scan_roots(
+            fn, bracket, samples_per_unit
+        ), (name, bracket)
+
+
+def test_blocked_scan_samples_are_the_linspace():
+    # the blocks share their end samples and together are bitwise the
+    # whole scan's linspace, so each sign-change pair is the same two floats
+    blocks = []
+
+    def record(x):
+        blocks.append(x.copy())
+        return np.ones_like(x)
+
+    find_roots(record, (1.1, 7.3), samples_per_unit=3001)  # where n step + a != b: the last sample is b
+    assert len(blocks) > 2
+    assert all(prev[-1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+    scan = np.concatenate([blocks[0]] + [blk[1:] for blk in blocks[1:]])
+    assert np.array_equal(scan, np.linspace(1.1, 7.3, math.ceil((7.3 - 1.1) * 3001) + 1))
 
 
 # ---------------------------------------------------------------------------

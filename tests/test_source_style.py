@@ -58,6 +58,29 @@ def _calls(tree, scope=()):
         yield from _calls(node, scope)
 
 
+def _attributes(tree, scope=()):
+    """(enclosing function's dotted name, attribute name) of every attribute read."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _attributes(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Attribute):
+            yield ".".join(scope), node.attr
+        yield from _attributes(node, scope)
+
+
+def test_grid_points_are_read_by_from_function_only():
+    # Grid.points builds an n-point coordinate array (2 MB on linear-decay's
+    # 2^18 grid); anywhere else, the one coordinate needed is -L + dx i
+    reads = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, attr in _attributes(ast.parse(path.read_text()))
+        if attr == "points"
+    ]
+    assert reads == ["spectral.SpectralField.from_function"]
+
+
 def test_state_stays_a_half_spectrum():
     calls = []
     for path in sorted(SRC.glob("*.py")):

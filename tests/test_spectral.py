@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gbbmlab.solver import gaussian_data
 from gbbmlab.spectral import Grid, SpectralField
 
 
@@ -94,3 +96,32 @@ def test_frequencies_are_the_half_spectrum():
     g = Grid(64, 8.0)
     assert np.array_equal(g.frequencies, g.dxi * np.arange(33))
     assert np.array_equal(g.frequencies[:32], 2.0 * math.pi * np.fft.fftfreq(64, d=g.dx)[:32])
+
+
+@pytest.mark.parametrize("n", [2, 4, 2**12, 2**18])
+def test_coefficients_are_bitwise_the_full_transform(n):
+    # the half-spectrum is fft(values)[: n/2 + 1] to the last bit, the
+    # Nyquist entry's round-off imaginary part included, held in an array of
+    # its own rather than a view of the n-point transform; random samples,
+    # and linear-decay's Gaussian profile on its 2^18 grid
+    g = Grid(n, 9000.0)
+    values = np.random.default_rng(n).standard_normal(n)
+    fn = (lambda x: np.exp(-(x * x) / 0.5)) if n == 2**18 else (lambda x: values)
+    expected = np.fft.fft(fn(g.points))[: n // 2 + 1].view(np.float64)
+    for f in (SpectralField.from_physical(g, fn(g.points)), SpectralField.from_function(g, fn)):
+        assert np.array_equal(f.coeffs.view(np.float64), expected)
+        assert f.coeffs.base is None
+
+
+def test_gaussian_data_peak_memory():
+    # the samples are freed before the transform, which runs in place in
+    # their one complex copy (16 bytes a point) beside the kept half-spectrum
+    # (8 more): 26 bytes a point bounds the peak
+    g = Grid(2**18, 9000.0)
+    tracemalloc.start()
+    try:
+        gaussian_data(g, 1.0, 0.5, time=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * g.n_modes
