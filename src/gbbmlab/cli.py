@@ -37,10 +37,6 @@ from .spectral import Grid, SpectralField
 OUTPUT_DIR_ENV = "GBBMLAB_OUTPUT_DIR"
 
 
-class ValidationError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
@@ -112,12 +108,12 @@ def _ini_flags(path: str, subcommand: str) -> list[str]:
         with open(path) as f:
             cp.read_file(f)
     except OSError as e:
-        raise ValidationError(f"cannot read config file {path}: {e.strerror}") from None
+        raise ValueError(f"cannot read config file {path}: {e.strerror}") from None
     flags = []
     for key, raw in cp.items(subcommand) if cp.has_section(subcommand) else []:
         key = key.replace("-", "_")
         if key not in _DEFAULTS[subcommand]:
-            raise ValidationError(f"unknown config key '{key}' in [{subcommand}]")
+            raise ValueError(f"unknown config key '{key}' in [{subcommand}]")
         flags.append(f"--{key.replace('_', '-')}={raw}")
     return flags
 
@@ -239,14 +235,14 @@ def _data_family(cfg: dict) -> tuple[float, float]:
     try:
         return _DATA_FAMILIES[cfg["profile"]](cfg)
     except KeyError:  # an unknown name, or a family reading a key the subcommand lacks (band's k)
-        raise ValidationError(f"unknown profile '{cfg['profile']}' for this subcommand") from None
+        raise ValueError(f"unknown profile '{cfg['profile']}' for this subcommand") from None
 
 
 def _dyadic_times(t_min: float, t_max: float) -> list[float]:
     """t_min, 2 t_min, 4 t_min, ... up to t_max within one part in 10^9; a NaN fails
     the range check, and t overflowing to inf ends the list."""
     if not 0.0 < t_min <= t_max < math.inf:
-        raise ValidationError(f"need 0 < t_min <= t_max < inf, got t_min = {t_min:g}, t_max = {t_max:g}")
+        raise ValueError(f"need 0 < t_min <= t_max < inf, got t_min = {t_min:g}, t_max = {t_max:g}")
     ts = []
     t = t_min
     while t <= t_max or math.isclose(t, t_max, rel_tol=1e-9):
@@ -260,11 +256,11 @@ def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
     records (at t = 1, every record_stride-th step and t_end) fewer than the 4 samples a fit needs
     or, if dyadic, whose record lattice misses a dyadic snapshot time 2, 4, ... below t_end."""
     if scfg.dt <= 0:
-        raise ValidationError(f"dt = {scfg.dt:g} must be positive: the run goes forward from t = 1")
+        raise ValueError(f"dt = {scfg.dt:g} must be positive: the run goes forward from t = 1")
     n_steps = scfg.n_steps(1.0)
     n_records = 1 + -(-n_steps // scfg.record_stride)
     if n_records < 4:
-        raise ValidationError(f"{n_records} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
+        raise ValueError(f"{n_records} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
     if not dyadic:
         return
     stride = scfg.dt * scfg.record_stride
@@ -274,11 +270,14 @@ def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
         except ValueError:  # dt does not divide t_end - t: t is not a step at all
             missed = True
         if missed:
-            raise ValidationError(f"dt * record_stride = {stride:g} does not divide {t - 1:g}: no snapshot at {t:g}")
+            raise ValueError(f"dt * record_stride = {stride:g} does not divide {t - 1:g}: no snapshot at {t:g}")
 
 
 def run_linear_decay(cfg: dict, sink: OutputSink):
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
+    if len(times) < 4:
+        raise ValueError(f"{len(times)} dyadic times from t_min = {cfg['t_min']:g} to t_max = {cfg['t_max']:g}; "
+                         "the fit needs 4")
     width, carrier = _data_family(cfg)
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     k = cfg["k"]
@@ -311,7 +310,7 @@ def _nonlinear_run(cfg: dict, per_time_unit: bool = False):
     scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
     width, carrier = _data_family(cfg)
     if per_time_unit and scfg.t_end < 16.0:
-        raise ValidationError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
+        raise ValueError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
     _require_records(scfg, cfg["snapshots"] == "dyadic")
     if per_time_unit:
         scfg.record_stride = scfg.n_steps(1.0) - scfg.n_steps(2.0)
@@ -366,7 +365,7 @@ def _median(values: list[float]) -> float:
 def run_verify_estimates(cfg: dict, sink: OutputSink):
     k_min, k_max = cfg["k_min"], cfg["k_max"]
     if k_max < k_min:
-        raise ValidationError("k_max must be >= k_min")
+        raise ValueError("k_max must be >= k_min")
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     linear_flow.require_band_on_grid(grid, k_max)
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
@@ -470,7 +469,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ValidationError(message)
+        raise ValueError(message)
 
 
 @functools.cache
@@ -503,13 +502,13 @@ def main(argv=None) -> int:
         cfg = {key: getattr(args, key) for key in _DEFAULTS[sub]}
         for key, ok, requirement in _CHECKS:
             if key in cfg and not ok(cfg[key]):
-                raise ValidationError(f"{key} must be {requirement}, got {cfg[key]!r}")
+                raise ValueError(f"{key} must be {requirement}, got {cfg[key]!r}")
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"
         sink = OutputSink(out_dir, sub, cfg)
         _RUNNERS[sub][0](cfg, sink)
         sink.finalize()
         return 0
-    except (ValidationError, ValueError, configparser.Error, MemoryError) as e:
+    except (ValueError, configparser.Error, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:

@@ -15,16 +15,15 @@ the resolution; disagreement raises instead of returning a silently wrong
 number.  The coarse rule's nodes are every other fine node, so psi_k, fhat
 and the phase are evaluated once, on the fine nodes.
 
-The decay bounds split into five regimes by frequency-vs-time balance; each
-regime has its own right-hand side built from sup|fhat|, the band-localized
-L2 norm of d fhat/dxi, or a Sobolev norm of the data.  A sweep over bands
-and times (``EstimateSweep``) does each job once at the level it depends on:
-per field the continuum coefficients, the frequencies, the fhat interpolant,
-sup|fhat| and (for a case-1 row only) the Sobolev norm; per band the range of
-omega' and the d/dxi norm of psi_k fhat; per (band, time) row only the case
-arithmetic and the quadrature.  Every row function takes the sweep and reads
-the profile and the Sobolev index from it; ``verify_dispersive_estimate`` is
-the one place that builds a sweep.
+The decay bounds split into five regimes by frequency-vs-time balance, one
+row each of ``_REGIMES``: the lowest 2^k at time t and a right-hand side from
+sup|fhat|, the band-localized L2 norm of d fhat/dxi, or a Sobolev norm.  A
+sweep over bands and times (``EstimateSweep``) does each job once at the level
+it depends on: per field the continuum coefficients, the frequencies, the fhat
+interpolant, sup|fhat| and (for a case-1 row only) the Sobolev norm; per band
+the range of omega' and the d/dxi norm of psi_k fhat; per (band, time) row
+only the table lookup and the quadrature.  Every row function reads the profile
+and the Sobolev index from the sweep, which only ``verify_dispersive_estimate`` builds.
 """
 
 from __future__ import annotations
@@ -257,27 +256,29 @@ def sup_norm_of_piece(sweep: EstimateSweep, k: int, t: float, points_per_wavelen
 # Five-regime decay bounds
 # ---------------------------------------------------------------------------
 
-def classify_case(k: int, t: float) -> int:
-    """Which of the five decay regimes the pair (band k, time t) falls in.
+#: The five decay regimes, case 1 to 5 from the highest frequency down: (lowest 2^k at
+#: time t, rhs of the bound from (sweep, k, t, 2^k)).  (k, t) is in the first regime whose
+#: floor is at most 2^k, so case 2 is empty for t < 2^-9 and case 4 for t < 1/8.
+_REGIMES = (
+    (lambda t: CASE_C_HI * t ** (1.0 / 9.0),  # 1: very high frequency; Sobolev tail
+     lambda sweep, k, t, lam: lam ** (-(sweep.s - 1.0)) * sweep.sobolev()),
+    (lambda t: 8.0,  # 2: high frequency
+     lambda sweep, k, t, lam: t**-0.5 * lam**1.5 * sweep.fsup + t**-0.75 * lam**2.25 * sweep.band_dxi_l2(k)),
+    (lambda t: 0.5,  # 3: intermediate, includes the inflection point sqrt(3)
+     lambda sweep, k, t, lam: t ** (-1.0 / 3.0) * sweep.fsup + t**-0.5 * sweep.band_dxi_l2(k)),
+    (lambda t: CASE_C_LO * t ** (-1.0 / 3.0),  # 4: low frequency
+     lambda sweep, k, t, lam: t**-0.5 * lam**-0.5 * sweep.fsup + t**-0.75 * lam**-0.75 * sweep.band_dxi_l2(k)),
+    (lambda t: 0.0,  # 5: very low frequency; trivial bound
+     lambda sweep, k, t, lam: lam * sweep.fsup),
+)
 
-    1: 2^k >= CASE_C_HI t^(1/9)        (very high frequency; Sobolev tail)
-    2: 8 <= 2^k < CASE_C_HI t^(1/9)    (high frequency)
-    3: 1/2 <= 2^k < 8                  (intermediate, includes the inflection)
-    4: CASE_C_LO t^(-1/3) <= 2^k < 1/2 (low frequency)
-    5: 2^k < CASE_C_LO t^(-1/3)        (very low frequency; trivial bound)
-    """
+
+def classify_case(k: int, t: float) -> int:
+    """Which of the five decay regimes (``_REGIMES``) the pair (band k, time t) falls in."""
     if t <= 0:
         raise ValueError("t must be positive")
     lam = 2.0**k
-    if lam >= CASE_C_HI * t ** (1.0 / 9.0):
-        return 1
-    if lam >= 8.0:
-        return 2
-    if lam >= 0.5:
-        return 3
-    if lam >= CASE_C_LO * t ** (-1.0 / 3.0):
-        return 4
-    return 5
+    return next(case for case, (floor, _) in enumerate(_REGIMES, 1) if lam >= floor(t))
 
 
 @dataclass
@@ -301,20 +302,7 @@ def dispersive_bound(sweep: EstimateSweep, k: int, t: float) -> DispersiveCaseBo
     (constants taken to be 1; only the t- and k- scalings are asserted by the
     verification)."""
     case = classify_case(k, t)
-    lam = 2.0**k
-    fsup = sweep.fsup
-    if case == 1:
-        rhs = lam ** (-(sweep.s - 1.0)) * sweep.sobolev()
-    elif case == 5:
-        rhs = lam * fsup
-    else:
-        dk = sweep.band_dxi_l2(k)
-        if case == 2:
-            rhs = t**-0.5 * lam**1.5 * fsup + t**-0.75 * lam**2.25 * dk
-        elif case == 3:
-            rhs = t ** (-1.0 / 3.0) * fsup + t**-0.5 * dk
-        else:
-            rhs = t**-0.5 * lam**-0.5 * fsup + t**-0.75 * lam**-0.75 * dk
+    rhs = _REGIMES[case - 1][1](sweep, k, t, 2.0**k)
     lhs, _ = sup_norm_of_piece(sweep, k, t)
     return DispersiveCaseBound(k=k, t=t, case=case, lhs=lhs, rhs=rhs)
 

@@ -234,6 +234,9 @@ def gaussian_data(
 
     def u(x):
         envelope = epsilon * np.exp(-(x * x) / (2.0 * width * width))
-        return envelope * np.cos(carrier * x) if carrier != 0.0 else envelope
+        if carrier != 0.0:  # the cosine is taken in place in carrier x's one buffer
+            wave = np.multiply(x, carrier)
+            envelope *= np.cos(wave, out=wave)
+        return envelope
 
     return SpectralField.from_function(grid, u, time)

@@ -472,6 +472,10 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         # 2^48 points is 2 PiB, beyond the 47-bit user address space, so the
         # allocation fails at once under any overcommit setting
         (["figures", "--id", "3", "--n-points", str(2**48)], "error: Unable to allocate", None),
+        # the decay fit needs 4 dyadic times: 100, 200 and 400 are 3
+        (["linear-decay", "--t-max", "400"], "3 dyadic times from t_min = 100 to t_max = 400; the fit needs 4", None),
+        (["linear-decay", "--profile", "band", "--k", "-2", "--t-max", "400"], "3 dyadic times", None),
+        (["linear-decay", "--t-min", "1e300", "--t-max", "1e300"], "1 dyadic times from t_min = 1e+300", None),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -487,6 +491,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "linear-decay-near-sqrt3-width-inf", "scatter-width-inf", "evolve-width-inf",
         "ini-linear-decay-width-0", "ini-evolve-carrier-nan", "resonances-tol-inf",
         "ini-no-section-header", "ini-duplicate-key", "figures-n-points-2-48",
+        "linear-decay-three-times", "linear-decay-band-three-times", "linear-decay-one-time",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):

@@ -188,6 +188,26 @@ def test_classify_case_boundaries():
         classify_case(0, 0.0)
 
 
+def _reference_case(k, t):
+    """The regime of (k, t) as the if-chain that preceded the regime table split it."""
+    lam = 2.0**k
+    if lam >= linear_flow.CASE_C_HI * t ** (1.0 / 9.0):
+        return 1
+    if lam >= 8.0:
+        return 2
+    if lam >= 0.5:
+        return 3
+    if lam >= linear_flow.CASE_C_LO * t ** (-1.0 / 3.0):
+        return 4
+    return 5
+
+
+def test_classify_case_is_the_reference_split():
+    # t = 2^-12 and 2^-9 bracket case 2's emptiness, 0.1 and 1/8 case 4's
+    times = [2.0**-12, 2.0**-9, 0.1, 0.125, 1.0, 16.0, 512.0, 4096.0, 1e6, 1e12]
+    assert all(classify_case(k, t) == _reference_case(k, t) for k in range(-12, 13) for t in times)
+
+
 def test_case_thresholds_monotone_in_k():
     for t in (16.0, 256.0, 4096.0):
         cases = [classify_case(k, t) for k in range(-12, 12)]
@@ -258,8 +278,9 @@ def _reference_row(field, k, t, s=5.5):
     """A decay-bound row as computed before rows shared a sweep: fresh
     continuum coefficients for the rhs and again for the interpolant, the
     band's omega' range per use, and independent coarse and fine linspace
-    node sets, each with its own psi_k, fhat and phase."""
-    case = classify_case(k, t)
+    node sets, each with its own psi_k, fhat and phase; the case and its rhs
+    by the if-chains that preceded the regime table."""
+    case = _reference_case(k, t)
     lam = 2.0**k
     fhat = field.continuum_coeffs
     fsup = linf_fhat(fhat)

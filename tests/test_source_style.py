@@ -139,6 +139,19 @@ def test_nonlinear_run_is_built_by_one_cli_function():
     assert sorted(calls) == ["cli._nonlinear_run: Recorder", "cli._nonlinear_run: evolve"]
 
 
+def test_decay_regimes_are_a_table_not_a_branch_on_the_case():
+    # classify_case and dispersive_bound read one _REGIMES row per regime; a
+    # comparison with the case number would be a second copy of the split
+    tree = ast.parse((SRC / "linear_flow.py").read_text())
+    compares = [
+        f"linear_flow.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Name) and side.id == "case" for side in [node.left, *node.comparators])
+    ]
+    assert compares == []
+
+
 #: The solver's kernels take every array and flag from the run that calls them.
 KERNELS = ("quartic_hat", "rhs", "step", "discrete_profile_of")
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gbbmlab.dispersion import SQRT3
 from gbbmlab.solver import gaussian_data
 from gbbmlab.spectral import Grid, SpectralField
 
@@ -116,12 +117,23 @@ def test_coefficients_are_bitwise_the_full_transform(n):
 def test_gaussian_data_peak_memory():
     # the samples are freed before the transform, which runs in place in
     # their one complex copy (16 bytes a point) beside the kept half-spectrum
-    # (8 more): 26 bytes a point bounds the peak
+    # (8 more): 26 bytes a point bounds the peak, with a carrier too, whose
+    # cosine is taken in place in one buffer beside x and the envelope
     g = Grid(2**18, 9000.0)
-    tracemalloc.start()
-    try:
-        gaussian_data(g, 1.0, 0.5, time=0.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 26 * g.n_modes
+    for width, carrier in [(0.5, 0.0), (2.0, SQRT3)]:
+        tracemalloc.start()
+        try:
+            gaussian_data(g, 1.0, width, carrier, time=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * g.n_modes, carrier
+
+
+@pytest.mark.parametrize("carrier", [SQRT3, 1.7])
+def test_gaussian_data_with_a_carrier_is_bitwise_the_product(carrier):
+    g = Grid(2**12, 64.0)
+    x = g.points
+    envelope = 0.3 * np.exp(-(x * x) / (2.0 * 2.0 * 2.0))
+    expected = SpectralField.from_physical(g, envelope * np.cos(carrier * x), 1.0)
+    assert np.array_equal(gaussian_data(g, 0.3, 2.0, carrier).coeffs.view(np.float64), expected.coeffs.view(np.float64))
