@@ -19,7 +19,6 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -28,6 +27,11 @@ import struct
 import sys
 
 import numpy as np
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL (3.6 MB resident) for one digest per file
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    from _sha256 import sha256  # CPython 3.10-3.11
 
 from . import __version__, diagnostics, linear_flow, resonance, solver
 from .dispersion import SQRT3, omega_prime, reflection
@@ -145,7 +149,7 @@ class OutputSink:
     def _write_bytes(self, name: str, data: bytes):
         """Every output's one writer, so each manifest entry is the sha256 of its file."""
         self._create(name, data)
-        self.checksums[name] = hashlib.sha256(data).hexdigest()
+        self.checksums[name] = sha256(data).hexdigest()
 
     def write_text(self, name: str, text: str):
         self._write_bytes(name, text.encode())

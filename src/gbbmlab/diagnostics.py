@@ -113,10 +113,16 @@ def compute_norms(profile: SpectralField, field: SpectralField, s: float = 10.0)
 
 
 def fit_decay(samples, window: tuple[float, float] | None = None) -> DecayFit:
-    """Least-squares power law through (t, value) samples.
+    """Least-squares power law through (t, value) samples: the line through
+    (log t, log value) in closed form on the centred logs dx, dy, slope
+    sum(dx dy) / sum(dx^2) and r^2 = 1 - sum((dy - slope dx)^2) / sum(dy^2),
+    by numpy reductions only (np.polyfit would run LAPACK on OpenBLAS, whose
+    first call maps about 1 MB of workspace, for two numbers).
 
     Raises ValueError on fewer than 4 usable samples or non-positive values
-    inside the window.
+    inside the window, and ArithmeticError on a sample whose log is not
+    finite (a NaN or infinite value, a time not in (0, inf)) or a window of
+    one time only.
     """
     pts = [(float(t), float(v)) for t, v in samples]
     if window is not None:
@@ -125,12 +131,20 @@ def fit_decay(samples, window: tuple[float, float] | None = None) -> DecayFit:
         raise ValueError("need at least 4 samples in the fit window")
     if any(v <= 0 for _, v in pts):
         raise ValueError("non-positive value in fit window")
+    bad = [(t, v) for t, v in pts if not (0 < t < math.inf and v < math.inf)]  # a NaN fails every comparison
+    if bad:
+        raise ArithmeticError(f"sample (t, value) = {bad[0]} in the fit window has no finite log")
     lt = np.log([t for t, _ in pts])
     lv = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(lt, lv, 1)
-    pred = slope * lt + intercept
-    ss_res = float(np.sum((lv - pred) ** 2))
-    ss_tot = float(np.sum((lv - np.mean(lv)) ** 2))
+    mt, mv = np.mean(lt), np.mean(lv)
+    dt, dv = lt - mt, lv - mv
+    sxx = np.sum(dt * dt)
+    if sxx == 0.0:
+        raise ArithmeticError(f"the fit window holds one time only, t = {pts[0][0]}")
+    slope = np.sum(dt * dv) / sxx
+    intercept = mv - slope * mt
+    ss_res = float(np.sum((dv - slope * dt) ** 2))  # residuals on the centred logs: no log(prefactor) to cancel
+    ss_tot = float(np.sum(dv**2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     return DecayFit(
         exponent=float(slope),

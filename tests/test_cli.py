@@ -584,6 +584,24 @@ def test_median_is_bitwise_np_median(values):
     assert (math.isnan(got) and math.isnan(want)) or (got == want and math.copysign(1.0, got) == math.copysign(1.0, want))
 
 
+def test_no_subcommand_loads_openssl(tmp_path):
+    # in a fresh interpreter: the manifest digests come from the interpreter's
+    # own SHA-256, not from hashlib's OpenSSL binding
+    code = (
+        "import sys\n"
+        "from gbbmlab import cli\n"
+        f"assert cli.main(['resonances', '--output-dir', {str(tmp_path / 'res')!r}]) == 0\n"
+        "assert cli.main(['evolve', '--n-modes', '256', '--half-length', '64', '--t-end', '5',"
+        f" '--output-dir', {str(tmp_path / 'evolve')!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert (tmp_path / "res" / "manifest.json").is_file() and (tmp_path / "evolve" / "manifest.json").is_file()
+    assert out.stdout.split() == ["False"]
+
+
 def test_verify_estimates_does_not_import_numpy_ma(tmp_path):
     # in a fresh interpreter: this test process has imported numpy.ma already
     code = (

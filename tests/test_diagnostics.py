@@ -1,5 +1,6 @@
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,74 @@ def test_fit_decay_validation():
         fit_decay([(1.0, 1.0), (2.0, 1.0)])
     with pytest.raises(ValueError):
         fit_decay([(1.0, 1.0), (2.0, -1.0), (4.0, 1.0), (8.0, 1.0)])
+
+
+def _polyfit_reference(pts):
+    """(exponent, log prefactor, r^2) as np.polyfit gives them, r^2 from its line as 1 - ss_res / ss_tot."""
+    lt, lv = np.log([t for t, _ in pts]), np.log([v for _, v in pts])
+    slope, intercept = np.polyfit(lt, lv, 1)
+    ss_res = np.sum((lv - (slope * lt + intercept)) ** 2)
+    ss_tot = np.sum((lv - np.mean(lv)) ** 2)
+    return slope, intercept, 1.0 - ss_res / ss_tot
+
+
+_RNG = np.random.default_rng(7)
+
+#: The shapes the CLI fits: the minimum of 4 points; 7 dyadic times with
+#: +-10% noise (scatter's differences); 41 lattice times, t = 1 ... 41, with
+#: a slope near 2e-7 (evolve's weighted growth), its values near 1, where
+#: np.polyfit's own r^2 is not round-off (the next test takes a prefactor far from 1).
+FIT_SHAPES = {
+    "minimum": [(t, 3.0 * t ** (-1.0 / 3.0) * w) for t, w in zip([1.0, 2.0, 4.0, 8.0], [1.0, 1.05, 0.97, 1.02])],
+    "dyadic": [(2.0**j, 2.0 ** (-j / 2.0) * (1.0 + 0.1 * _RNG.uniform(-1.0, 1.0))) for j in range(7)],
+    "lattice": [(float(t), t**2e-7 * (1.0 + 1e-9 * _RNG.uniform(-1.0, 1.0))) for t in range(1, 42)],
+}
+
+
+@pytest.mark.parametrize("pts", FIT_SHAPES.values(), ids=FIT_SHAPES.keys())
+def test_fit_decay_matches_np_polyfit(pts):
+    slope, intercept, r2 = _polyfit_reference(pts)
+    fit = fit_decay(pts)
+    assert fit.exponent == pytest.approx(slope, rel=0.0, abs=1e-12)
+    assert fit.log_prefactor == pytest.approx(intercept, rel=0.0, abs=1e-12)
+    assert fit.r_squared == pytest.approx(r2, rel=0.0, abs=1e-12)
+
+
+def test_fit_decay_r_squared_on_centred_logs_is_exact():
+    # evolve's weighted norm is about 3.3e-3 t^2e-7; with 1e-8 relative noise
+    # the residuals are 1e-8 against a log prefactor of -5.7, so r^2 from
+    # log v - (slope log t + intercept) loses digits (np.polyfit's line gives
+    # r^2 1.2e-11 off); the centred residuals match exact rational arithmetic
+    # on the same float logs
+    rng = np.random.default_rng(0)
+    pts = [(float(t), 3.3e-3 * t**2e-7 * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0))) for t in range(1, 42)]
+    x = [Fraction(float(a)) for a in np.log([t for t, _ in pts])]
+    y = [Fraction(float(b)) for b in np.log([v for _, v in pts])]
+    xm, ym = sum(x) / len(x), sum(y) / len(y)
+    slope = sum((a - xm) * (b - ym) for a, b in zip(x, y)) / sum((a - xm) ** 2 for a in x)
+    r2 = 1 - sum((b - ym - slope * (a - xm)) ** 2 for a, b in zip(x, y)) / sum((b - ym) ** 2 for b in y)
+    fit = fit_decay(pts)
+    assert fit.exponent == pytest.approx(float(slope), rel=1e-12)
+    assert fit.log_prefactor == pytest.approx(float(ym - slope * xm), rel=0.0, abs=1e-14)
+    assert fit.r_squared == pytest.approx(float(r2), rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(1.0, 1.0), (2.0, math.nan), (4.0, 1.0), (8.0, 1.0)],
+        [(1.0, 1.0), (2.0, math.inf), (4.0, 1.0), (8.0, 1.0)],
+        [(0.0, 1.0), (2.0, 1.0), (4.0, 1.0), (8.0, 1.0)],
+        [(math.nan, 1.0), (2.0, 1.0), (4.0, 1.0), (8.0, 1.0)],
+        [(2.0, 1.0), (2.0, 3.0), (2.0, 1.0), (2.0, 3.0)],
+    ],
+    ids=["nan-value", "inf-value", "zero-time", "nan-time", "one-time"],
+)
+def test_fit_decay_refuses_a_line_it_cannot_fit(pts, capfd):
+    # a NaN once came out as exponent nan with r^2 0.0, LAPACK printing to stderr
+    with pytest.raises(ArithmeticError):
+        fit_decay(pts)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_scattering_linear_flow_is_silent(grid):

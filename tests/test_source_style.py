@@ -21,8 +21,9 @@ def test_no_source_line_over_120_characters():
 
 #: numpy names that run a BLAS or LAPACK routine.  On a large array OpenBLAS
 #: starts a second thread that keeps spinning after the call returns, so the
-#: solver and the per-record norms use plain numpy reductions instead.
-BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
+#: solver and the per-record norms use plain numpy reductions instead;
+#: polyfit and lstsq run LAPACK's dgelsd on OpenBLAS even for a two-parameter fit.
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg", "polyfit", "lstsq"}
 
 
 def test_solver_and_diagnostics_call_no_blas():
