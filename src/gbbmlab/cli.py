@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -129,20 +130,34 @@ _SNAPSHOT_HEADER = struct.Struct("<qdd")
 class OutputSink:
     """Collects output files and writes the manifest at the end.  The output
     directory is created at the first write, so a run that fails before it
-    leaves no directory behind."""
+    leaves no directory behind.  Each file is written under a temporary name
+    and renamed at ``finalize``, the manifest last; ``discard`` removes what a
+    failed run wrote, so no file appears that no manifest vouches for, and an
+    earlier run's files in the same directory are left as they were."""
 
     def __init__(self, out_dir: str, subcommand: str, cfg: dict):
         self.out_dir = out_dir
         self.subcommand = subcommand
         self.cfg = cfg
         self.checksums: dict[str, str] = {}
+        self._pending: list[str] = []  # written, not yet renamed
+        self._made_dirs: list[str] | None = None  # directories this sink created, innermost first
 
     def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
+        """Where the file ``name`` is now: its temporary name, ``name.partial``, until finalize renames it."""
+        return os.path.join(self.out_dir, name + ".partial" if name in self._pending else name)
 
     def _create(self, name: str, data: bytes):
-        """Write ``data`` to the file ``name``, creating the directory first."""
-        os.makedirs(self.out_dir, exist_ok=True)
+        """Write ``data`` to the file ``name``'s temporary name, creating the directory first."""
+        if self._made_dirs is None:
+            new, d = [], os.path.abspath(self.out_dir)
+            while not os.path.exists(d):
+                new.append(d)
+                d = os.path.dirname(d)
+            os.makedirs(self.out_dir, exist_ok=True)
+            self._made_dirs = new
+        if name not in self._pending:
+            self._pending.append(name)
         with open(self.path(name), "wb") as f:
             f.write(data)
 
@@ -192,6 +207,21 @@ class OutputSink:
             "outputs": self.checksums,
         }
         self._create("manifest.json", (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+        while self._pending:  # in the order written: the manifest last
+            name = self._pending[0]
+            os.replace(self.path(name), os.path.join(self.out_dir, name))
+            self._pending.pop(0)
+
+    def discard(self):
+        """Remove the temporary files of a failed run, then each directory this sink created that
+        is empty.  Removal is best effort, so the run's own error is the one reported."""
+        for name in self._pending:
+            with contextlib.suppress(OSError):
+                os.remove(self.path(name))
+        self._pending.clear()
+        for d in self._made_dirs or ():
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
 
 
 def read_snapshot(path: str) -> SpectralField:
@@ -235,11 +265,18 @@ _DATA_FAMILIES = {
 
 
 def _data_family(cfg: dict) -> tuple[float, float]:
-    """(width, carrier) of the configured family's Gaussian."""
+    """(width, carrier) of the configured family's Gaussian, ``gaussian`` for a subcommand with no
+    profile key.  A width w whose 2 w^2, gaussian_data's divisor of -x^2, is not a positive normal
+    float is refused: its data would be 0/0 at x = 0, or -x^2 / inf."""
+    profile = cfg.get("profile", "gaussian")
     try:
-        return _DATA_FAMILIES[cfg["profile"]](cfg)
+        width, carrier = _DATA_FAMILIES[profile](cfg)
     except KeyError:  # an unknown name, or a family reading a key the subcommand lacks (band's k)
-        raise ValueError(f"unknown profile '{cfg['profile']}' for this subcommand") from None
+        raise ValueError(f"unknown profile '{profile}' for this subcommand") from None
+    if not sys.float_info.min <= 2.0 * width * width <= sys.float_info.max:
+        raise ValueError(f"the {profile} data's Gaussian has width w = {width:g}, "
+                         f"and 2 w^2 = {2.0 * width * width:g} is not a positive normal float")
+    return width, carrier
 
 
 def _dyadic_times(t_min: float, t_max: float) -> list[float]:
@@ -373,8 +410,11 @@ def run_verify_estimates(cfg: dict, sink: OutputSink):
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     linear_flow.require_band_on_grid(grid, k_max)
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
-    profile = solver.gaussian_data(grid, 1.0, cfg["width"], time=0.0)
-    rows = linear_flow.verify_dispersive_estimate(profile, range(k_min, k_max + 1), times, cfg["s"])
+    width, carrier = _data_family(cfg)
+    # no reference to the profile is kept here, so the sweep frees it before its first row
+    rows = linear_flow.verify_dispersive_estimate(
+        solver.gaussian_data(grid, 1.0, width, carrier, time=0.0), range(k_min, k_max + 1), times, cfg["s"]
+    )
     cells = [(r.t, r.k, r.case, r.lhs, r.rhs, r.ratio) for r in rows]
     sink.write_csv("estimates.csv", "t,k,case_id,lhs,rhs,ratio", cells)
     ratios = [r.ratio for r in rows]
@@ -509,8 +549,12 @@ def main(argv=None) -> int:
                 raise ValueError(f"{key} must be {requirement}, got {cfg[key]!r}")
         out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or f"gbbmlab_{sub.replace('-', '_')}"
         sink = OutputSink(out_dir, sub, cfg)
-        _RUNNERS[sub][0](cfg, sink)
-        sink.finalize()
+        try:
+            _RUNNERS[sub][0](cfg, sink)
+            sink.finalize()
+        except BaseException:
+            sink.discard()
+            raise
         return 0
     except (ValueError, configparser.Error, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)

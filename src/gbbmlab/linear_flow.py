@@ -19,11 +19,13 @@ The decay bounds split into five regimes by frequency-vs-time balance, one
 row each of ``_REGIMES``: the lowest 2^k at time t and a right-hand side from
 sup|fhat|, the band-localized L2 norm of d fhat/dxi, or a Sobolev norm.  A
 sweep over bands and times (``EstimateSweep``) does each job once at the level
-it depends on: per field the continuum coefficients, the frequencies, the fhat
-interpolant, sup|fhat| and (for a case-1 row only) the Sobolev norm; per band
-the range of omega' and the d/dxi norm of psi_k fhat; per (band, time) row
-only the table lookup and the quadrature.  Every row function reads the profile
-and the Sobolev index from the sweep, which only ``verify_dispersive_estimate`` builds.
+it depends on: per field the continuum coefficients, the frequencies, sup|fhat|
+and (for a case-1 row only) the Sobolev norm; per band the range of omega' and
+the d/dxi norm of psi_k fhat; per (band, time) row only the table lookup, the
+fhat interpolant on the band's nodes and the quadrature.  Every row function
+reads the profile and the Sobolev index from the sweep, which only
+``verify_dispersive_estimate`` builds, and which keeps fhat and the frequencies
+and no other grid-sized array.
 """
 
 from __future__ import annotations
@@ -114,33 +116,37 @@ def _band_velocity_range(k: int) -> tuple[float, float]:
 
 
 class EstimateSweep:
-    """What the rows of a decay-bound sweep over the profile ``field`` (with
+    """What the rows of a decay-bound sweep over a profile ``field`` (with
     Sobolev index ``s``) share, each computed once and kept for every row.
 
-    Per field, here: one read of ``continuum_coeffs``, the frequencies, the
-    real and imaginary parts the fhat interpolant reads, and sup|fhat|; the
-    H^s norm at the first case-1 row.  Per band, at its first row: the range of
-    omega' over the band; at its first case 2-4 row, psi_k fhat, cut into one
-    buffer the sweep owns, and its d/dxi L2 norm."""
+    Per field, here: the grid, one read of ``continuum_coeffs`` (fhat), the
+    frequencies xi and sup|fhat|.  fhat and xi are the only grid-sized arrays
+    the sweep keeps: it holds no reference to ``field``.  The H^s norm is
+    taken at the first case-1 row.  Per band, at its first row: the range of
+    omega' over the band; at its first case 2-4 row, the d/dxi L2 norm of
+    psi_k fhat, cut into a transient array."""
 
     def __init__(self, field: SpectralField, s: float = 5.5):
-        self.field, self.s = field, s
+        self.grid, self.s = field.grid, s
         self.fhat = field.continuum_coeffs
         self.xi = field.grid.frequencies
         self.fsup = diagnostics.linf_fhat(self.fhat)
-        self._re, self._im = self.fhat.real.copy(), self.fhat.imag.copy()
-        self._cut = np.zeros_like(self.fhat)
         self._hs: float | None = None
         self._velocity: dict[int, tuple[float, float]] = {}
         self._dk: dict[int, float] = {}
 
     def fhat_at(self, q: np.ndarray) -> np.ndarray:
-        """Complex linear interpolant of the continuum coefficients on 0 <= xi <= xi_N."""
-        return np.interp(q, self.xi, self._re) + 1j * np.interp(q, self.xi, self._im)
+        """Complex linear interpolant of the continuum coefficients on 0 <= xi <= xi_N,
+        over the slice of xi that brackets q: bitwise np.interp over the whole grid,
+        as the interval found for each point, and so its slope, are the same."""
+        lo = max(int(np.searchsorted(self.xi, q.min(), side="right")) - 1, 0)
+        hi = int(np.searchsorted(self.xi, q.max())) + 1
+        xi, f = self.xi[lo:hi], self.fhat[lo:hi]
+        return np.interp(q, xi, f.real) + 1j * np.interp(q, xi, f.imag)
 
     def sobolev(self) -> float:
         if self._hs is None:
-            self._hs = diagnostics.sobolev(self.field.grid, self.fhat, self.s)
+            self._hs = diagnostics.sobolev(self.grid, self.fhat, self.s)
         return self._hs
 
     def velocity_range(self, k: int) -> tuple[float, float]:
@@ -150,14 +156,13 @@ class EstimateSweep:
 
     def band_dxi_l2(self, k: int) -> float:
         """L2 norm of d/dxi of the band-localized profile psi_k fhat.  psi_k is
-        exactly 0 off the band's indices, so only those are written to the
-        buffer, and zeroed again after."""
+        exactly 0 off the band's indices, so only those are written, into a
+        zero-filled array whose untouched pages are never faulted in."""
         if k not in self._dk:
             lo, hi = np.searchsorted(self.xi, _band_interval(k))
-            band = self._cut[lo:hi]
-            np.multiply(self.fhat[lo:hi], psi_k(k, self.xi[lo:hi]), out=band)
-            self._dk[k] = diagnostics.dxi_l2(self.field.grid, self._cut)
-            band[:] = 0.0
+            cut = np.zeros(self.fhat.shape, dtype=complex)
+            np.multiply(self.fhat[lo:hi], psi_k(k, self.xi[lo:hi]), out=cut[lo:hi])
+            self._dk[k] = diagnostics.dxi_l2(self.grid, cut)
         return self._dk[k]
 
 
@@ -183,16 +188,18 @@ def _chirp_z_sum(amp, nodes, x):
     m j = (m^2 + j^2 - (m - j)^2) / 2 turns the sum over j into a linear
     convolution with the chirp exp(-i theta d^2 / 2), done by FFT at a
     length >= N + M - 1 so it does not wrap.  The squares are formed
-    exactly in integers before scaling.
+    exactly in integers before scaling.  The convolution lives in one array
+    of that length: the chirp's transform multiplies it in place, and the
+    inverse transform overwrites it.
     """
     n, m = nodes.size, x.size
     half_theta = 0.5 * (x[-1] - x[0]) / (m - 1) * (nodes[-1] - nodes[0]) / (n - 1)
     j, mm, d = np.arange(n), np.arange(m), np.arange(1 - n, m)
     size = 1 << (n + m - 2).bit_length()
-    pre = amp * np.exp(1j * (x[0] * (nodes - nodes[0]) + half_theta * (j * j)))
-    chirp = np.exp(-1j * half_theta * (d * d))
-    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp, size))[n - 1 : n - 1 + m]
-    return np.exp(1j * (x * nodes[0] + half_theta * (mm * mm))) * conv
+    conv = np.fft.fft(amp * np.exp(1j * (x[0] * (nodes - nodes[0]) + half_theta * (j * j))), size)
+    conv *= np.fft.fft(np.exp(-1j * half_theta * (d * d)), size)
+    np.fft.ifft(conv, out=conv)
+    return np.exp(1j * (x * nodes[0] + half_theta * (mm * mm))) * conv[n - 1 : n - 1 + m]
 
 
 def _piece_on_nodes(x, nodes, psi, f, phase):
@@ -206,15 +213,15 @@ def _piece_on_nodes(x, nodes, psi, f, phase):
 
 
 def evaluate_lp_piece(sweep: EstimateSweep, k: int, t: float, a: float, b: float, m: int) -> np.ndarray:
-    """Dyadic piece u_k(t, x) of the linear solution with profile data
-    ``sweep.field`` (interpreted at time 0), by direct oscillatory quadrature,
+    """Dyadic piece u_k(t, x) of the linear solution with the sweep's profile
+    data (interpreted at time 0), by direct oscillatory quadrature,
     on the uniform scan x = np.linspace(a, b, m), m >= 2.
 
     Returns real values at those points.  Raises ArithmeticError if
     doubling the quadrature resolution moves the answer by more than
     CONVERGENCE_RTOL relative to the overall sup of the piece.
     """
-    require_band_on_grid(sweep.field.grid, k)
+    require_band_on_grid(sweep.grid, k)
     x = np.linspace(a, b, m)
     # linspace hits both ends exactly, so this is max|x|
     nodes = _quadrature_nodes(k, t, max(abs(a), abs(b)), sweep.velocity_range(k))
@@ -241,7 +248,7 @@ def stationary_cone(t: float, velocity: tuple[float, float]) -> tuple[float, flo
 
 
 def sup_norm_of_piece(sweep: EstimateSweep, k: int, t: float, points_per_wavelength: int = 8) -> tuple[float, float]:
-    """(sup_x |u_k(t, x)|, argmax x) for the profile ``sweep.field``, scanning
+    """(sup_x |u_k(t, x)|, argmax x) for the sweep's profile, scanning
     the group-velocity cone of the band at a spacing of
     1/points_per_wavelength of the band wavelength."""
     a, b = stationary_cone(t, sweep.velocity_range(k))
@@ -298,7 +305,7 @@ class DispersiveCaseBound:
 
 def dispersive_bound(sweep: EstimateSweep, k: int, t: float) -> DispersiveCaseBound:
     """Evaluate both sides of the frequency-localized decay estimate for the
-    profile ``sweep.field`` on band k at time t, with Sobolev index ``sweep.s``
+    sweep's profile on band k at time t, with Sobolev index ``sweep.s``
     (constants taken to be 1; only the t- and k- scalings are asserted by the
     verification)."""
     case = classify_case(k, t)
@@ -309,6 +316,9 @@ def dispersive_bound(sweep: EstimateSweep, k: int, t: float) -> DispersiveCaseBo
 
 def verify_dispersive_estimate(field: SpectralField, bands, times, s: float = 5.5) -> list[DispersiveCaseBound]:
     """Decay-bound table over a sweep of bands and times, sorted by (k, t):
-    one dispersive_bound row per pair, all sharing one EstimateSweep."""
+    one dispersive_bound row per pair, all sharing one EstimateSweep.  The
+    field is dropped once the sweep is built: a caller that keeps no reference
+    to it frees its coefficients before the first row."""
     sweep = EstimateSweep(field, s)
+    del field
     return [dispersive_bound(sweep, k, t) for k in bands for t in times]

@@ -230,10 +230,15 @@ def gaussian_data(
 ) -> SpectralField:
     """Initial data epsilon * exp(-x^2 / (2 width^2)) * cos(carrier x) at the
     given time; carrier != 0 concentrates the transform near +-carrier.  Built
-    inside ``from_function``, so no grid-sized temporary lives through the FFT."""
+    inside ``from_function``, so no grid-sized temporary lives through the FFT,
+    and in place in one array, in the expression's own order of operations."""
 
     def u(x):
-        envelope = epsilon * np.exp(-(x * x) / (2.0 * width * width))
+        envelope = np.multiply(x, x)
+        np.negative(envelope, out=envelope)
+        envelope /= 2.0 * width * width
+        np.exp(envelope, out=envelope)
+        envelope *= epsilon
         if carrier != 0.0:  # the cosine is taken in place in carrier x's one buffer
             wave = np.multiply(x, carrier)
             envelope *= np.cos(wave, out=wave)

@@ -52,7 +52,11 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        return -self.half_length + self.dx * np.arange(self.n_modes)
+        """x_j = -L + dx j, formed in place in one array: bitwise -L + dx * arange(n)."""
+        x = np.arange(self.n_modes, dtype=float)
+        x *= self.dx
+        x += -self.half_length
+        return x
 
     @property
     def frequencies(self) -> np.ndarray:

@@ -119,6 +119,7 @@ def test_snapshot_roundtrip(tmp_path):
     field.coeffs[-1] += 0.25j
     sink = OutputSink(str(tmp_path), "evolve", {})
     sink.write_snapshot("final_state.bin", field)
+    sink.finalize()
     f = read_snapshot(str(tmp_path / "final_state.bin"))
     assert (f.grid, f.time) == (field.grid, field.time)
     assert np.array_equal(f.coeffs, field.coeffs)
@@ -273,7 +274,8 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
     ]
     for name, table in (("mixed.csv", rows), ("empty.csv", [])):
         sink.write_csv(name, "a,b,c,d", iter(table))
-        assert (tmp_path / name).read_text() == _per_cell_csv("a,b,c,d", table)
+        assert Path(sink.path(name)).read_text() == _per_cell_csv("a,b,c,d", table)
+    sink.finalize()
     assert (tmp_path / "empty.csv").read_text() == "a,b,c,d\n"
 
 
@@ -476,6 +478,13 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         (["linear-decay", "--t-max", "400"], "3 dyadic times from t_min = 100 to t_max = 400; the fit needs 4", None),
         (["linear-decay", "--profile", "band", "--k", "-2", "--t-max", "400"], "3 dyadic times", None),
         (["linear-decay", "--t-min", "1e300", "--t-max", "1e300"], "1 dyadic times from t_min = 1e+300", None),
+        # 2 w^2 underflows to 0, where the data would be 0/0 at x = 0, to a subnormal, or overflows
+        (["evolve", "--width", "1e-300", "--n-modes", "256", "--half-length", "64", "--t-end", "16"],
+         "the gaussian data's Gaussian has width w = 1e-300, and 2 w^2 = 0 is not a positive normal float", None),
+        (["linear-decay", "--profile", "near-sqrt3", "--width", "1e300", "--n-modes", "1024", "--half-length", "512",
+          "--t-min", "1", "--t-max", "8"], "the near-sqrt3 data's Gaussian has width w = 1e-300, and 2 w^2 = 0 is", None),
+        (["verify-estimates", "--width", "1e-160"], "w = 1e-160, and 2 w^2 = 1.99998e-320 is not", None),
+        (_SMALL_EVOLVE_4 + ["--width", "1e160"], "w = 1e+160, and 2 w^2 = inf is not", None),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -492,6 +501,8 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "ini-linear-decay-width-0", "ini-evolve-carrier-nan", "resonances-tol-inf",
         "ini-no-section-header", "ini-duplicate-key", "figures-n-points-2-48",
         "linear-decay-three-times", "linear-decay-band-three-times", "linear-decay-one-time",
+        "evolve-width-1e-300", "linear-decay-near-sqrt3-width-1e300", "verify-estimates-width-subnormal-square",
+        "evolve-width-square-overflows",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):
@@ -541,6 +552,7 @@ def test_scatter_is_a_reading_of_evolve(tmp_path):
     profiles = [(t, read_snapshot(str(ev / f"profile_t{t}.bin"))) for t in (1, 2, 4, 8, 16)]
     sink = OutputSink(str(tmp_path / "read"), "scatter", {})
     sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", diagnostics.scattering_test(profiles))
+    sink.finalize()
     assert (tmp_path / "read" / "scattering.csv").read_bytes() == (sc / "scattering.csv").read_bytes()
 
 
@@ -552,6 +564,43 @@ def test_scatter_records_whole_times_only(tmp_path, monkeypatch):
     monkeypatch.setattr(diagnostics.Recorder, "__call__", lambda self, f, p: times.append(f.time) or record(self, f, p))
     assert run_cli(["scatter", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(tmp_path / "sc")]) == 0
     assert times == [float(t) for t in range(1, 17)]
+
+
+#: Writes diagnostics.csv and six .bin files, then exits 1: the bootstrap fit finds a weighted norm of 0.
+_FAILS_AFTER_WRITING = ["evolve", "--epsilon", "1e-300", "--n-modes", "256", "--half-length", "64", "--t-end", "16"]
+
+
+def test_run_failing_after_its_first_write_leaves_nothing(tmp_path, capsys):
+    # neither the written files nor the two directories the run made remain
+    out = tmp_path / "new" / "run"
+    assert run_cli(_FAILS_AFTER_WRITING + ["--output-dir", str(out)]) == 1
+    assert "non-positive value in fit window" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_failing_into_a_finished_run_leaves_it_as_it_was(tmp_path):
+    # the failing run writes diagnostics.csv, final_state.bin and profile_t1.bin to profile_t4.bin,
+    # names the finished run used, before it fails
+    out = tmp_path / "run"
+    assert run_cli(_SMALL_EVOLVE_4 + ["--output-dir", str(out)]) == 0
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    assert {"diagnostics.csv", "profile_t4.bin", "manifest.json"} <= set(before)
+    assert run_cli(_FAILS_AFTER_WRITING + ["--output-dir", str(out)]) == 1
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+
+
+def test_scatter_fits_its_late_rows(tmp_path):
+    # t_end = 128 gives the rows t = 1 ... 64; the fit takes the four at t >= 8, and
+    # three successive pairs start there.  The exponent is the slope of a fit made here.
+    out = tmp_path / "sc"
+    assert run_cli(["scatter", "--t-end", "128", "--n-modes", "1024", "--half-length", "128",
+                    "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "scattering_summary.json").read_text())
+    assert (summary["fit_window"], summary["fit_points"], summary["late_pairs"]) == ([8.0, 64.0], 4, 3)
+    rows = [[float(v) for v in line.split(",")] for line in (out / "scattering.csv").read_text().splitlines()[1:]]
+    assert [t for t, _, _ in rows] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    late = np.log([(t, d) for t, d, _ in rows if t >= 8.0])
+    assert summary["fitted_exponent"] == pytest.approx(np.polyfit(late[:, 0], late[:, 1], 1)[0], rel=1e-9)
 
 
 def test_off_lattice_dyadic_time_allowed_without_snapshots(tmp_path):

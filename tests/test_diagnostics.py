@@ -248,6 +248,30 @@ def test_scattering_validation(grid):
         scattering_test([(1.0, u0), (2.0, u0), (4.0, u0)])
 
 
+def test_scattering_rows_are_the_full_grid_norms_of_each_difference():
+    # each difference's full spectrum, all n modes and the Nyquist entry once,
+    # formed here from the physical samples; its sup and L2 sum are the row
+    g = Grid(64, 8.0)
+    rng = np.random.default_rng(7)
+    samples = {t: rng.standard_normal(g.n_modes) for t in (1.0, 2.0, 4.0, 8.0)}
+    rows = scattering_test([(t, SpectralField.from_physical(g, x, t)) for t, x in samples.items()])
+    assert [t for t, _, _ in rows] == [1.0, 2.0, 4.0]
+    for t, linf, l2 in rows:
+        full = np.fft.fft(samples[2.0 * t] - samples[t]) * (g.dx / math.sqrt(2.0 * math.pi))
+        assert linf == pytest.approx(float(np.max(np.abs(full))), rel=1e-12)
+        assert l2 == pytest.approx(math.sqrt(float(np.sum(np.abs(full) ** 2)) * g.dxi), rel=1e-12)
+
+
+def test_bootstrap_report_budgets_each_sup_by_its_own_exponent():
+    # sup of w t^-P0 and of s t^-P1, with P0 = 1/6 - 1e-3 and P1 = 1e-3 written out here
+    ts = [1.0, 2.0, 4.0, 8.0, 16.0]
+    samples = [NormSample(t=t, linf_fhat=1.0 / t, weighted_l2=3.0 * t**0.25, sobolev=2.0 + t, sup_u=0.5) for t in ts]
+    rep = bootstrap_report(samples)
+    assert rep["sup_linf_fhat"] == 1.0
+    assert rep["sup_weighted_budgeted"] == pytest.approx(max(3.0 * t**0.25 * t ** -(1.0 / 6.0 - 1e-3) for t in ts))
+    assert rep["sup_sobolev_budgeted"] == pytest.approx(max((2.0 + t) * t**-1e-3 for t in ts))
+
+
 def test_bootstrap_report_linear_flow(grid):
     rec = Recorder()
     evolve(gaussian_data(grid, 1e-2), SolverConfig(dt=0.1, t_end=256.0, record_stride=30), rec, nonlinear=False)

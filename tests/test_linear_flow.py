@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from gbbmlab import linear_flow, solver
+from gbbmlab import diagnostics, linear_flow, solver
 from gbbmlab.diagnostics import dxi_l2, linf_fhat, sobolev
 from gbbmlab.dispersion import SQRT3, omega, omega_prime
 from gbbmlab.linear_flow import (
@@ -254,8 +255,7 @@ def test_dispersive_bound_rows(gaussian_field):
 def test_dispersive_bound_band_is_the_whole_grid_product(gaussian_field, monkeypatch):
     # psi_k is evaluated on the band's indices only; the profile it hands to
     # dxi_l2 is bitwise fhat * psi_k over the whole grid, band after band of one
-    # sweep (so the sweep's buffer is clean again after each band), and the
-    # field is untouched
+    # sweep (so each band's cut holds that band only), and the field is untouched
     g, coeffs = gaussian_field.grid, gaussian_field.coeffs.copy()
     sweep = EstimateSweep(gaussian_field)
     seen = []
@@ -378,3 +378,74 @@ def test_sweep_does_per_field_and_per_band_work_once(estimates_field, monkeypatc
     assert (counts["coeffs"], counts["dxi_l2"], counts["rows"]) == (1, banded, 18)
     # one for the sweep, one if the Sobolev weight of this grid is not cached yet
     assert 1 <= counts["frequencies"] <= 2
+
+
+def _held_by(obj):
+    """Every value reachable from an object's attributes through dicts, lists and tuples."""
+    stack, seen = list(vars(obj).values()), []
+    while stack:
+        v = stack.pop()
+        seen.append(v)
+        if isinstance(v, dict):
+            stack += v.values()
+        elif isinstance(v, (list, tuple)):
+            stack += v
+    return seen
+
+
+def test_sweep_keeps_no_reference_to_its_profile():
+    field = solver.gaussian_data(Grid(2**10, 64.0), 1.0, 0.5, time=0.0)
+    ref = weakref.ref(field)
+    sweep = EstimateSweep(field)
+    del field
+    assert ref() is None
+    assert sweep.grid == Grid(2**10, 64.0)
+
+
+def test_verify_dispersive_estimate_frees_the_field_before_its_first_row(monkeypatch):
+    # a caller that hands the sweep its profile and keeps none, as verify-estimates does
+    refs, alive = [], []
+
+    def profile():
+        field = solver.gaussian_data(Grid(2**10, 64.0), 1.0, 0.5, time=0.0)
+        refs.append(weakref.ref(field))
+        return field
+
+    def row(sweep, k, t):
+        alive.append(refs[0]() is not None)
+        return dispersive_bound(sweep, k, t)
+
+    monkeypatch.setattr(linear_flow, "dispersive_bound", row)
+    rows = verify_dispersive_estimate(profile(), [0, 1], [16.0])  # outside an assert, which would keep the argument
+    assert len(rows) == 2
+    assert alive == [False, False]
+
+
+def test_sweep_holds_fhat_and_xi_and_no_other_spectrum_sized_array(estimates_field):
+    # after a case 1, 3 and 4 row each, every band's work and the H^s norm are done
+    sweep = EstimateSweep(estimates_field)
+    for k, t in [(5, 16.0), (0, 16.0), (-3, 32.0)]:
+        dispersive_bound(sweep, k, t)
+    assert {classify_case(k, t) for k, t in [(5, 16.0), (0, 16.0), (-3, 32.0)]} == {1, 3, 4}
+    held = _held_by(sweep)
+    assert not any(isinstance(v, SpectralField) for v in held)
+    big = [v for v in held if isinstance(v, np.ndarray) and v.size >= estimates_field.coeffs.size]
+    assert sorted(map(id, big)) == sorted(map(id, (sweep.fhat, sweep.xi)))
+    # neither is a view that keeps a larger array alive
+    assert sweep.fhat.base is None and sweep.xi.base is None
+
+
+def test_one_estimates_row_allocates_below_its_measured_peak(estimates_field):
+    # the k = 5, t = 16 row (case 1: the H^s norm, then the quadrature) on the
+    # estimates grid.  Measured at 1.04 MB, against 1.22 MB when the
+    # Bluestein convolution held four arrays of transform length; the H^s
+    # weight is cached once per process and is not the row's
+    sweep = EstimateSweep(estimates_field)
+    diagnostics.sobolev_weight(sweep.grid, sweep.s)
+    tracemalloc.start()
+    try:
+        dispersive_bound(sweep, 5, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * estimates_field.coeffs.nbytes
