@@ -264,10 +264,10 @@ _DATA_FAMILIES = {
 }
 
 
-def _data_family(cfg: dict) -> tuple[float, float]:
-    """(width, carrier) of the configured family's Gaussian, ``gaussian`` for a subcommand with no
-    profile key.  A width w whose 2 w^2, gaussian_data's divisor of -x^2, is not a positive normal
-    float is refused: its data would be 0/0 at x = 0, or -x^2 / inf."""
+def _data_family(cfg: dict, grid: Grid) -> tuple[float, float]:
+    """(width, carrier) of the configured family's Gaussian on ``grid``, ``gaussian`` for a subcommand
+    with no profile key.  A width w is refused if 2 w^2, gaussian_data's divisor of -x^2, is not a positive
+    normal float (the data would be 0/0 at x = 0, or -x^2 / inf) or x^2 / (2 w^2) overflows at x = -L."""
     profile = cfg.get("profile", "gaussian")
     try:
         width, carrier = _DATA_FAMILIES[profile](cfg)
@@ -276,6 +276,9 @@ def _data_family(cfg: dict) -> tuple[float, float]:
     if not sys.float_info.min <= 2.0 * width * width <= sys.float_info.max:
         raise ValueError(f"the {profile} data's Gaussian has width w = {width:g}, "
                          f"and 2 w^2 = {2.0 * width * width:g} is not a positive normal float")
+    if grid.half_length * grid.half_length / (2.0 * width * width) > sys.float_info.max:
+        raise ValueError(f"the {profile} data's Gaussian has width w = {width:g}, "
+                         f"and x^2 / (2 w^2) overflows at the box edge x = {-grid.half_length:g}")
     return width, carrier
 
 
@@ -292,35 +295,13 @@ def _dyadic_times(t_min: float, t_max: float) -> list[float]:
     return ts
 
 
-def _require_records(scfg: solver.SolverConfig, dyadic: bool) -> None:
-    """Reject a run from t = 1 whose dt does not divide t_end - 1 (``SolverConfig.n_steps``), that
-    records (at t = 1, every record_stride-th step and t_end) fewer than the 4 samples a fit needs
-    or, if dyadic, whose record lattice misses a dyadic snapshot time 2, 4, ... below t_end."""
-    if scfg.dt <= 0:
-        raise ValueError(f"dt = {scfg.dt:g} must be positive: the run goes forward from t = 1")
-    n_steps = scfg.n_steps(1.0)
-    n_records = 1 + -(-n_steps // scfg.record_stride)
-    if n_records < 4:
-        raise ValueError(f"{n_records} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
-    if not dyadic:
-        return
-    stride = scfg.dt * scfg.record_stride
-    for t in _dyadic_times(1.0, scfg.t_end):
-        try:  # t is step n - n_steps(t) from t = 1, recorded if that is a whole number of strides
-            missed = t < scfg.t_end and (n_steps - scfg.n_steps(t)) % scfg.record_stride
-        except ValueError:  # dt does not divide t_end - t: t is not a step at all
-            missed = True
-        if missed:
-            raise ValueError(f"dt * record_stride = {stride:g} does not divide {t - 1:g}: no snapshot at {t:g}")
-
-
 def run_linear_decay(cfg: dict, sink: OutputSink):
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
     if len(times) < 4:
         raise ValueError(f"{len(times)} dyadic times from t_min = {cfg['t_min']:g} to t_max = {cfg['t_max']:g}; "
                          "the fit needs 4")
-    width, carrier = _data_family(cfg)
     grid = Grid(cfg["n_modes"], cfg["half_length"])
+    width, carrier = _data_family(cfg, grid)
     k = cfg["k"]
     if cfg["profile"] == "band":
         linear_flow.require_band_on_grid(grid, k)
@@ -345,16 +326,27 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
 
 def _nonlinear_run(cfg: dict, per_time_unit: bool = False):
     """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1,
-    recorded at its s up to t_end.  Per time unit (scatter), t_end must be >= 16, and the checked
-    run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so it is kept."""
+    recorded at its s up to t_end on ``SolverConfig.lattice(1)``, refused if that records fewer than the
+    4 samples a fit needs or, if dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit
+    (scatter), t_end must be >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each
+    dyadic time is a step, so it is kept."""
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
-    width, carrier = _data_family(cfg)
+    width, carrier = _data_family(cfg, grid)
     if per_time_unit and scfg.t_end < 16.0:
         raise ValueError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
-    _require_records(scfg, cfg["snapshots"] == "dyadic")
-    if per_time_unit:
-        scfg.record_stride = scfg.n_steps(1.0) - scfg.n_steps(2.0)
+    if scfg.dt <= 0:
+        raise ValueError(f"dt = {scfg.dt:g} must be positive: the run goes forward from t = 1")
+    lat = scfg.lattice(1.0)
+    if len(lat.records) < 4:
+        raise ValueError(f"{len(lat.records)} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
+    kept = {lat.time(i) for i in lat.snapshots}
+    missed = [t for t in _dyadic_times(1.0, scfg.t_end) if t < scfg.t_end and t not in kept]
+    if missed and cfg["snapshots"] == "dyadic":
+        raise ValueError(f"dt * record_stride = {scfg.dt * scfg.record_stride:g} does not divide "
+                         f"{missed[0] - 1:g}: no snapshot at {missed[0]:g}")
+    if per_time_unit:  # the stride is the step index of t = 2, the stride-1 lattice's second snapshot
+        scfg = solver.SolverConfig(scfg.dt, scfg.t_end, lat.snapshots[1])
     u0 = solver.gaussian_data(grid, cfg["epsilon"], width, carrier, time=1.0)
     rec = diagnostics.Recorder(s=cfg["s"])
     return rec, solver.evolve(u0, scfg, rec)
@@ -410,7 +402,7 @@ def run_verify_estimates(cfg: dict, sink: OutputSink):
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     linear_flow.require_band_on_grid(grid, k_max)
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
-    width, carrier = _data_family(cfg)
+    width, carrier = _data_family(cfg, grid)
     # no reference to the profile is kept here, so the sweep frees it before its first row
     rows = linear_flow.verify_dispersive_estimate(
         solver.gaussian_data(grid, 1.0, width, carrier, time=0.0), range(k_min, k_max + 1), times, cfg["s"]

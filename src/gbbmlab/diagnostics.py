@@ -175,21 +175,18 @@ def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
 
 
 class Recorder:
-    """Solver callback ``recorder(field, profile)``: tracks the
+    """Solver callback ``recorder(field, profile, snapshot)``: tracks the
     bootstrap-norm samples of every recorded profile and keeps the profile
-    itself at times that are exact powers of two, 1, 2, 4, ...
-    ``solver.evolve`` stamps whole lattice times exactly, so a dyadic time
-    gets a snapshot exactly when the record lattice (t0 + record_stride * dt
-    * j) lands on it; no nearest-state matching is done."""
+    itself where ``snapshot`` is true, at the run lattice's powers of two."""
 
     def __init__(self, s: float = 10.0):
         self.s = s
         self.samples: list[NormSample] = []
         self.profiles: list[tuple[float, SpectralField]] = []
 
-    def __call__(self, field: SpectralField, profile: SpectralField):
+    def __call__(self, field: SpectralField, profile: SpectralField, snapshot: bool):
         self.samples.append(compute_norms(profile, field, self.s))
-        if math.frexp(field.time)[0] == 0.5:
+        if snapshot:
             self.profiles.append((field.time, profile))
 
 

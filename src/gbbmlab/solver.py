@@ -23,6 +23,7 @@ adjoint of stepping with +dt, which the reversal test exploits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,31 @@ BLOWUP_GUARD = 1e10
 DEALIAS_PAD = 2.5
 
 
+@dataclass(frozen=True)
+class Lattice:
+    """A run's n steps of dt = span / n from t0 (span = t_end - t0), its
+    ``records`` (step 0, every record_stride-th step and n) and ``snapshots``,
+    the records whose time is an exact power of two."""
+
+    t0: float
+    span: float
+    n: int
+    dt: float
+    records: tuple[int, ...]
+
+    def time(self, i: int) -> float:
+        """Time after step i, t0 + span * i / n and not a sum of dt's, stamped as the
+        whole number within 1e-9 |span| of it if there is one; t0 itself at i = 0."""
+        if i == 0:
+            return self.t0
+        t = self.t0 + self.span * i / self.n
+        return float(round(t)) if abs(t - round(t)) <= 1e-9 * abs(self.span) else t
+
+    @functools.cached_property
+    def snapshots(self) -> tuple[int, ...]:
+        return tuple(i for i in self.records if math.frexp(self.time(i))[0] == 0.5)
+
+
 @dataclass
 class SolverConfig:
     dt: float = 0.01
@@ -59,8 +85,8 @@ class SolverConfig:
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
-    def n_steps(self, t0: float) -> int:
-        """Number of dt-steps from t0 to t_end (0 if they coincide); ValueError if dt
+    def lattice(self, t0: float) -> Lattice:
+        """The lattice from t0 to t_end (n = 0 if they coincide); ValueError if dt
         points away from t_end or misses the span by more than one part in 10^9."""
         span = self.t_end - t0
         if span * self.dt < 0:
@@ -68,7 +94,7 @@ class SolverConfig:
         n = round(span / self.dt)
         if abs(n * self.dt - span) > 1e-9 * abs(span):
             raise ValueError(f"dt = {self.dt:g} does not divide t_end - t0 = {span:g} into whole steps")
-        return n
+        return Lattice(t0, span, n, span / n if n else self.dt, (*range(0, n, self.record_stride), n))
 
 
 def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -168,42 +194,26 @@ def step(c: np.ndarray, symbol: np.ndarray, dt: float, nonlinear: bool, buffers:
 
 
 def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool = True) -> SpectralField:
-    """Advance u0 to cfg.t_end in n = cfg.n_steps(t0) steps of dt = (t_end -
-    t0) / n, calling ``recorder(field, profile)`` on the initial state, on
-    every record_stride-th step and at the final time.  The run builds its
-    symbol, log_factor = rk4_linear_log_factor(symbol, dt), quartic buffers
-    and RK4 stages once and hands them down; ``profile`` is
-    ``discrete_profile_of(field, log_factor, i)`` after i steps.  The loop
-    steps bare coefficients, checked finite here (OverflowError), and makes a
-    field only to record it and to return it.
-
-    A cfg.dt that does not divide the span raises ValueError before anything
-    is recorded, so the step taken differs from cfg.dt by round-off only.
-    The state after step i is stamped with the lattice time t0 + span * i /
-    n (not a sum of dt's), and a lattice time within n_steps' own tolerance,
-    1e-9 |span|, of a whole number is stamped as that whole number, so
-    t_end, dyadic and other whole times carry their exact values."""
-    t0, grid = u0.time, u0.grid
-    n = cfg.n_steps(t0)
-    span = cfg.t_end - t0
-    dt = span / n if n else cfg.dt
+    """Advance u0 to cfg.t_end over the steps of ``cfg.lattice(u0.time)``,
+    calling ``recorder(field, profile, snapshot)`` at each record i: the state
+    stamped with its lattice time, ``discrete_profile_of(field,
+    rk4_linear_log_factor(symbol, dt), i)`` and whether i is a snapshot.  The
+    loop steps bare coefficients, checked finite here (OverflowError)."""
+    grid, lat = u0.grid, cfg.lattice(u0.time)
     symbol = linear_symbol(grid)
-    log_factor = rk4_linear_log_factor(symbol, dt)
-    if recorder is not None:
-        recorder(u0, discrete_profile_of(u0, log_factor, 0))
+    log_factor = rk4_linear_log_factor(symbol, lat.dt)
     buffers = quartic_buffers(grid.n_modes)
     stages = np.empty((3, u0.coeffs.size), dtype=complex)
-    c, t = u0.coeffs, t0
-    for i in range(1, n + 1):
-        c = step(c, symbol, dt, nonlinear, buffers, stages)
-        t = t0 + span * i / n
-        t = float(round(t)) if abs(t - round(t)) <= 1e-9 * abs(span) else t
-        if not np.all(np.isfinite(c)):
-            raise OverflowError(f"non-finite state at t={t}")
-        if recorder is not None and (i % cfg.record_stride == 0 or i == n):
-            field = SpectralField(grid, c, t)
-            recorder(field, discrete_profile_of(field, log_factor, i))
-    return SpectralField(grid, c, t)
+    c = u0.coeffs
+    for previous, r in zip((0, *lat.records), lat.records):
+        for i in range(previous + 1, r + 1):
+            c = step(c, symbol, lat.dt, nonlinear, buffers, stages)
+            if not np.all(np.isfinite(c)):
+                raise OverflowError(f"non-finite state at t={lat.time(i)}")
+        if recorder is not None:
+            field = SpectralField(grid, c, lat.time(r))
+            recorder(field, discrete_profile_of(field, log_factor, r), r in lat.snapshots)
+    return SpectralField(grid, c, lat.time(lat.n))
 
 
 def rk4_linear_log_factor(symbol: np.ndarray, dt: float) -> np.ndarray:

@@ -485,6 +485,9 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
           "--t-min", "1", "--t-max", "8"], "the near-sqrt3 data's Gaussian has width w = 1e-300, and 2 w^2 = 0 is", None),
         (["verify-estimates", "--width", "1e-160"], "w = 1e-160, and 2 w^2 = 1.99998e-320 is not", None),
         (_SMALL_EVOLVE_4 + ["--width", "1e160"], "w = 1e+160, and 2 w^2 = inf is not", None),
+        # 2 w^2 = 2.42e-308 is normal, but 64^2 / (2 w^2) = 1.7e311 at the box edge is not a float
+        (["evolve", "--width", "1.1e-154", "--n-modes", "256", "--half-length", "64", "--t-end", "16"],
+         "w = 1.1e-154, and x^2 / (2 w^2) overflows at the box edge x = -64", None),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -502,7 +505,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "ini-no-section-header", "ini-duplicate-key", "figures-n-points-2-48",
         "linear-decay-three-times", "linear-decay-band-three-times", "linear-decay-one-time",
         "evolve-width-1e-300", "linear-decay-near-sqrt3-width-1e300", "verify-estimates-width-subnormal-square",
-        "evolve-width-square-overflows",
+        "evolve-width-square-overflows", "evolve-width-edge-exponent-overflows",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):
@@ -561,7 +564,12 @@ def test_scatter_records_whole_times_only(tmp_path, monkeypatch):
     # and not every step
     times = []
     record = diagnostics.Recorder.__call__
-    monkeypatch.setattr(diagnostics.Recorder, "__call__", lambda self, f, p: times.append(f.time) or record(self, f, p))
+
+    def timed(self, field, profile, snapshot):
+        times.append(field.time)
+        record(self, field, profile, snapshot)
+
+    monkeypatch.setattr(diagnostics.Recorder, "__call__", timed)
     assert run_cli(["scatter", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(tmp_path / "sc")]) == 0
     assert times == [float(t) for t in range(1, 17)]
 
@@ -608,6 +616,14 @@ def test_off_lattice_dyadic_time_allowed_without_snapshots(tmp_path):
     argv = ["evolve", "--t-end", "5", "--record-stride", "3", "--snapshots", "none"] + _SMALL_GRID
     assert run_cli(argv + ["--output-dir", str(out)]) == 0
     assert (out / "manifest.json").exists()
+
+
+def test_dyadic_check_reads_the_snapshots_the_run_keeps(tmp_path):
+    # t_end = 16 + 1e-10 is within 1e-9 (t_end - 1) of 16, so the last record
+    # is stamped 16 and kept: the check accepts the snapshot the run writes
+    out = tmp_path / "ev"
+    assert run_cli(["evolve", "--t-end", "16.0000000001"] + _SMALL_GRID + ["--output-dir", str(out)]) == 0
+    assert read_snapshot(str(out / "profile_t16.bin")).time == 16.0
 
 
 @pytest.mark.parametrize(

@@ -267,7 +267,7 @@ def test_evolve_reversal(small_data):
 
 def test_evolve_recorder_called(small_data):
     times = []
-    evolve(small_data, SolverConfig(dt=0.05, t_end=2.0, record_stride=10), lambda f, p: times.append(f.time))
+    evolve(small_data, SolverConfig(dt=0.05, t_end=2.0, record_stride=10), lambda f, p, snapshot: times.append(f.time))
     assert times[0] == 1.0
     assert times[-1] == pytest.approx(2.0, abs=1e-12)
     assert len(times) == 3  # t = 1, 1.5, 2
@@ -275,7 +275,7 @@ def test_evolve_recorder_called(small_data):
 
 def test_evolve_records_exact_lattice_times(small_data):
     times = []
-    evolve(small_data, SolverConfig(dt=0.1, t_end=16.0, record_stride=1), lambda f, p: times.append(f.time))
+    evolve(small_data, SolverConfig(dt=0.1, t_end=16.0, record_stride=1), lambda f, p, snapshot: times.append(f.time))
     assert times == [1 + 15 * i / 150 for i in range(151)]
     assert 8.0 in times and times[-1] == 16.0
 
@@ -284,14 +284,14 @@ def test_evolve_records_whole_times_exactly_when_t_end_is_not_a_binary_fraction(
     # the span 16.9 - 1 rounds to 15.899999999999999, so the lattice time
     # 1 + span * 30 / 159 is 3.9999999999999996, not 4
     times = []
-    evolve(small_data, SolverConfig(dt=0.1, t_end=16.9, record_stride=10), lambda f, p: times.append(f.time))
+    evolve(small_data, SolverConfig(dt=0.1, t_end=16.9, record_stride=10), lambda f, p, snapshot: times.append(f.time))
     assert times == [float(j) for j in range(1, 17)] + [16.9]
 
 
 def test_evolve_rejects_non_dividing_dt(small_data):
     calls = []
     with pytest.raises(ValueError, match="divide"):
-        evolve(small_data, SolverConfig(dt=0.07, t_end=16.0), lambda f, p: calls.append(f.time))
+        evolve(small_data, SolverConfig(dt=0.07, t_end=16.0), lambda f, p, snapshot: calls.append(f.time))
     assert calls == []
 
 
@@ -304,14 +304,15 @@ def test_evolve_evaluates_omega_once_per_run(monkeypatch):
     monkeypatch.setattr(solver, "omega", lambda xi: calls.append(xi) or omega(xi))
     for run in range(1, 3):
         records = []
-        evolve(u0, SolverConfig(dt=0.05, t_end=1.5, record_stride=5), lambda f, p: records.append(f.time))
+        evolve(u0, SolverConfig(dt=0.05, t_end=1.5, record_stride=5), lambda f, p, snapshot: records.append(f.time))
         assert records == [1.0, 1.25, 1.5]
         assert len(calls) == run
 
 
 def test_evolve_returns_the_last_recorded_field(small_data):
     records = []
-    out = evolve(small_data, SolverConfig(dt=0.05, t_end=2.0, record_stride=7), lambda f, p: records.append(f))
+    cfg = SolverConfig(dt=0.05, t_end=2.0, record_stride=7)
+    out = evolve(small_data, cfg, lambda f, p, snapshot: records.append(f))
     assert [f.time for f in records] == [1.0, 1.35, 1.7, 2.0]
     assert out.time == 2.0
     assert np.array_equal(out.coeffs, records[-1].coeffs)
@@ -319,22 +320,84 @@ def test_evolve_returns_the_last_recorded_field(small_data):
 
 def test_evolve_without_steps_returns_u0(small_data):
     records = []
-    out = evolve(small_data, SolverConfig(dt=0.05, t_end=small_data.time), lambda f, p: records.append(f))
+    out = evolve(small_data, SolverConfig(dt=0.05, t_end=small_data.time), lambda f, p, snapshot: records.append(f))
     assert [f.time for f in records] == [small_data.time]
     assert out.time == small_data.time
     assert np.array_equal(out.coeffs, small_data.coeffs)
 
 
-def test_n_steps_is_the_step_lattice():
-    assert SolverConfig(dt=0.1, t_end=16.0).n_steps(1.0) == 150
-    assert SolverConfig(dt=-0.1, t_end=1.0).n_steps(6.0) == 50
-    assert SolverConfig(dt=0.1, t_end=1.0).n_steps(1.0) == 0
+def test_lattice_is_the_step_lattice():
+    lat = SolverConfig(dt=0.1, t_end=16.0, record_stride=10).lattice(1.0)
+    assert (lat.t0, lat.span, lat.n, lat.dt) == (1.0, 15.0, 150, 0.1)
+    assert lat.records == (*range(0, 150, 10), 150)
+    assert SolverConfig(dt=-0.1, t_end=1.0).lattice(6.0).n == 50
+    lat = SolverConfig(dt=0.1, t_end=1.0).lattice(1.0)
+    assert (lat.n, lat.dt, lat.records, lat.time(0)) == (0, 0.1, (0,), 1.0)
     with pytest.raises(ValueError, match="divide"):
-        SolverConfig(dt=0.07, t_end=16.0).n_steps(1.0)
+        SolverConfig(dt=0.07, t_end=16.0).lattice(1.0)
     with pytest.raises(ValueError, match="sign"):
-        SolverConfig(dt=0.1, t_end=0.5).n_steps(1.0)
+        SolverConfig(dt=0.1, t_end=0.5).lattice(1.0)
     with pytest.raises(ValueError, match="finite"):
         SolverConfig(t_end=math.inf)
+
+
+def test_lattice_snapshots_are_the_records_at_exact_powers_of_two():
+    lat = SolverConfig(dt=0.1, t_end=4.0, record_stride=10).lattice(-4.0)
+    assert [lat.time(i) for i in lat.records] == [float(t) for t in range(-4, 5)]
+    assert [lat.time(i) for i in lat.snapshots] == [1.0, 2.0, 4.0]  # not 0, -4 or 3
+    # the span 16.9 - 1 rounds to 15.899999999999999, so the lattice time
+    # 1 + span * 30 / 159 is 3.9999999999999996; it is stamped as 4
+    lat = SolverConfig(dt=0.1, t_end=16.9, record_stride=10).lattice(1.0)
+    assert 1.0 + lat.span * 30 / 159 == 3.9999999999999996
+    assert lat.snapshots == (0, 10, 30, 70, 150)
+    assert [lat.time(i) for i in lat.snapshots] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    # a time one part in 2^40 off 4, beyond the 1e-9 |span| of a short span, is not 4
+    t_end = 4.0 * (1.0 + 2.0**-40)
+    lat = SolverConfig(dt=0.001, t_end=t_end).lattice(t_end - 0.001)
+    assert lat.time(lat.n) != 4.0 and abs(lat.time(lat.n) - 4.0) < 1e-11
+    assert lat.snapshots == ()
+
+
+def _reference_lattice(dt: float, t_end: float, stride: int, t0: float = 1.0):
+    """Records, their times and the snapshots as a run stamped and kept them
+    step by step: the step count of dt, then i % stride == 0 or i == n, the
+    time t0 + span * i / n snapped to a whole number within 1e-9 |span| (t0
+    itself at i = 0), and a snapshot where frexp of the time is 0.5."""
+    span = t_end - t0
+    if span * dt < 0:
+        raise ValueError("dt sign inconsistent with t_end")
+    n = round(span / dt)
+    if abs(n * dt - span) > 1e-9 * abs(span):
+        raise ValueError(f"dt = {dt:g} does not divide t_end - t0 = {span:g} into whole steps")
+    records, times, snapshots = [0], [t0], [0] if math.frexp(t0)[0] == 0.5 else []
+    for i in range(1, n + 1):
+        t = t0 + span * i / n
+        t = float(round(t)) if abs(t - round(t)) <= 1e-9 * abs(span) else t
+        if i % stride == 0 or i == n:
+            records.append(i)
+            times.append(t)
+            if math.frexp(t)[0] == 0.5:
+                snapshots.append(i)
+    return tuple(records), times, tuple(snapshots)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10])
+@pytest.mark.parametrize("t_end", [16.9, 7.3, 16.0, 33.0, 1.0, 0.5])
+@pytest.mark.parametrize("dt", [0.04, 0.06, 0.07, 1 / 30, -0.01, 0.1, 0.05])
+def test_lattice_is_the_step_by_step_records(dt, t_end, stride):
+    try:
+        reference = _reference_lattice(dt, t_end, stride)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(1.0)
+        assert str(raised.value) == str(e)
+        return
+    lat = SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(1.0)
+    records, times, snapshots = reference
+    assert lat.records == records
+    # bitwise: the times as IEEE doubles, so 3.9999999999999996 is not 4.0
+    assert np.array([lat.time(i) for i in lat.records]).tobytes() == np.array(times).tobytes()
+    assert lat.snapshots == snapshots
 
 
 def test_evolve_realness(small_data):

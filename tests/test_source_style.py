@@ -165,3 +165,29 @@ def test_solver_kernels_declare_no_defaults():
         if isinstance(node, ast.FunctionDef) and node.name in KERNELS
     }
     assert defaults == dict.fromkeys(KERNELS, 0)
+
+
+def test_the_run_lattice_has_one_owner():
+    # which steps are recorded and kept is solver.Lattice's decision: the
+    # power-of-two test lives in solver, the lattice is built by the run and
+    # by the one CLI function that checks it, and no caller overwrites a
+    # config's stride
+    frexp = sorted(path.name for path in SRC.glob("*.py") if path.name != "solver.py" and "frexp" in path.read_text())
+    lattice_callers = sorted(
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, callee in _calls(ast.parse(path.read_text()))
+        if callee == "lattice"
+    )
+    stride_writes = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "record_stride" and isinstance(node.ctx, ast.Store)
+        or isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", "")) in ("setattr", "__setattr__")
+        and any(isinstance(arg, ast.Constant) and arg.value == "record_stride" for arg in node.args)
+    ]
+    assert frexp == []
+    assert lattice_callers == ["cli._nonlinear_run", "solver.evolve"]
+    assert stride_writes == []
