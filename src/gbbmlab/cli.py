@@ -34,7 +34,7 @@ try:  # the interpreter's own SHA-256: hashlib would load OpenSSL (3.6 MB reside
 except ImportError:
     from _sha256 import sha256  # CPython 3.10-3.11
 
-from . import __version__, diagnostics, linear_flow, resonance, solver
+from . import __version__, diagnostics, linear_flow, solver
 from .dispersion import SQRT3, omega_prime, reflection
 from .spectral import Grid, SpectralField
 
@@ -239,8 +239,15 @@ def read_snapshot(path: str) -> SpectralField:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _resonance():
+    """The census module, imported at first use, so only the subcommands that read it load it."""
+    from . import resonance
+
+    return resonance
+
+
 def run_resonances(cfg: dict, sink: OutputSink):
-    records = resonance.enumerate_resonances(cfg["tol"])
+    records = _resonance().enumerate_resonances(cfg["tol"])
     anom = next(r for r in records if r.label == "anomalous-point").representative_points[0]
     census = {
         "tolerance": cfg["tol"],
@@ -324,12 +331,13 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
     sink.write_json("decay_summary.json", summary)
 
 
-def _nonlinear_run(cfg: dict, per_time_unit: bool = False):
+def _nonlinear_run(cfg: dict, keep=None, per_time_unit: bool = False):
     """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1,
-    recorded at its s up to t_end on ``SolverConfig.lattice(1)``, refused if that records fewer than the
-    4 samples a fit needs or, if dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit
-    (scatter), t_end must be >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each
-    dyadic time is a step, so it is kept."""
+    recorded at its s up to t_end on ``SolverConfig.lattice(1)``, each snapshot handed to ``keep`` (see
+    ``diagnostics.Recorder``), refused if that records fewer than the 4 samples a fit needs or, if
+    dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit (scatter), t_end must be
+    >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so
+    it is kept."""
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
     width, carrier = _data_family(cfg, grid)
@@ -348,17 +356,20 @@ def _nonlinear_run(cfg: dict, per_time_unit: bool = False):
     if per_time_unit:  # the stride is the step index of t = 2, the stride-1 lattice's second snapshot
         scfg = solver.SolverConfig(scfg.dt, scfg.t_end, lat.snapshots[1])
     u0 = solver.gaussian_data(grid, cfg["epsilon"], width, carrier, time=1.0)
-    rec = diagnostics.Recorder(s=cfg["s"])
+    rec = diagnostics.Recorder(s=cfg["s"], keep=keep)
     return rec, solver.evolve(u0, scfg, rec)
 
 
 def run_evolve(cfg: dict, sink: OutputSink):
-    rec, final = _nonlinear_run(cfg)
+    def keep(t: float, profile: SpectralField):
+        # each dyadic profile is written as it is taken, so the run holds none of them
+        if cfg["snapshots"] != "none":
+            sink.write_snapshot(f"profile_t{t:g}.bin", profile)
+
+    rec, final = _nonlinear_run(cfg, keep)
     cells = [(smp.t, smp.linf_fhat, smp.weighted_l2, smp.sobolev, smp.sup_u) for smp in rec.samples]
     sink.write_csv("diagnostics.csv", "t,linf_fhat,weighted_l2,sobolev_s,sup_u", cells)
     if cfg["snapshots"] != "none":
-        for t, prof in rec.profiles:
-            sink.write_snapshot(f"profile_t{t:g}.bin", prof)
         sink.write_snapshot("final_state.bin", final)
     sink.write_json("bootstrap_summary.json", diagnostics.bootstrap_report(rec.samples))
 
@@ -437,18 +448,18 @@ _ETA_FAR = (1.05, 50.0)
 
 
 def _scalar(name: str):
-    return lambda x, anomalous: resonance.scalar_function(name, x)
+    return lambda x, anomalous: _resonance().scalar_function(name, x)
 
 
 def _aux_phase(signs: tuple[int, int, int], eta0: float | None = None):
     """Column of the auxiliary phase at eta0, by default the anomalous eta0."""
-    return lambda x, anomalous: resonance.aux_phase(signs, x, anomalous().eta1 if eta0 is None else eta0)
+    return lambda x, anomalous: _resonance().aux_phase(signs, x, anomalous().eta1 if eta0 is None else eta0)
 
 
 #: Figure id -> (header, x range, columns).  A column maps (x, anomalous) to
 #: its values, where anomalous() returns the anomalous point, computed at most
 #: once per figure; the x range is a (lo, hi) pair or a function of
-#: anomalous.  Functions of ``resonance`` are looked up at call time.
+#: anomalous.  Functions of ``resonance`` are looked up, and the module imported, at call time.
 _FIGURES = {
     1: ("xi,group_velocity", (-10.0, 10.0), [lambda x, anomalous: omega_prime(x)]),
     2: ("xi,phase_ppp,phase_mpp", (-20.0, 20.0), [_aux_phase((1, 1, 1), SQRT3), _aux_phase((-1, 1, 1), SQRT3)]),
@@ -473,7 +484,7 @@ _FIGURES = {
 def _figure_data(fig_id: int, n_points: int):
     """(header, columns) for each numbered figure target."""
     header, x_range, columns = _FIGURES[fig_id]
-    anomalous = functools.cache(lambda: resonance.anomalous_resonance().representative_points[0])
+    anomalous = functools.cache(lambda: _resonance().anomalous_resonance().representative_points[0])
     lo, hi = x_range(anomalous) if callable(x_range) else x_range
     x = np.linspace(lo, hi, n_points)
     return header, [x] + [column(x, anomalous) for column in columns]

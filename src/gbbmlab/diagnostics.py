@@ -176,18 +176,23 @@ def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
 
 class Recorder:
     """Solver callback ``recorder(field, profile, snapshot)``: tracks the
-    bootstrap-norm samples of every recorded profile and keeps the profile
-    itself where ``snapshot`` is true, at the run lattice's powers of two."""
+    bootstrap-norm samples of every recorded profile and hands the profile
+    itself to ``keep(t, profile)`` where ``snapshot`` is true, at the run
+    lattice's powers of two.  By default ``keep`` appends (t, profile) to
+    ``profiles``; a caller that writes each profile out as it comes passes
+    its own, and the Recorder then holds none."""
 
-    def __init__(self, s: float = 10.0):
+    def __init__(self, s: float = 10.0, keep=None):
         self.s = s
         self.samples: list[NormSample] = []
         self.profiles: list[tuple[float, SpectralField]] = []
+        profiles = self.profiles
+        self.keep = keep if keep is not None else lambda t, profile: profiles.append((t, profile))
 
     def __call__(self, field: SpectralField, profile: SpectralField, snapshot: bool):
         self.samples.append(compute_norms(profile, field, self.s))
         if snapshot:
-            self.profiles.append((field.time, profile))
+            self.keep(field.time, profile)
 
 
 def bootstrap_report(samples: list[NormSample]) -> dict:

@@ -24,7 +24,9 @@ adjoint of stepping with +dt, which the reversal test exploits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,29 @@ DEALIAS_PAD = 2.5
 
 
 @dataclass(frozen=True)
+class Records(Sequence):
+    """A run's record step indices, ``(*range(0, n, stride), n)``: step 0, every
+    stride-th step and n, held as (n, stride), so a long run's lattice costs
+    two numbers; it is indexed by int, iterated and searched as that tuple."""
+
+    n: int
+    stride: int
+
+    def __len__(self) -> int:
+        return len(range(0, self.n, self.stride)) + 1
+
+    def __getitem__(self, j: int) -> int:
+        steps = range(0, self.n, self.stride)
+        return self.n if j in (len(steps), -1) else steps[j if j >= 0 else j + 1]
+
+    def __iter__(self):
+        return itertools.chain(range(0, self.n, self.stride), (self.n,))
+
+    def __contains__(self, i) -> bool:
+        return i == self.n or i in range(0, self.n, self.stride)
+
+
+@dataclass(frozen=True)
 class Lattice:
     """A run's n steps of dt = span / n from t0 (span = t_end - t0), its
     ``records`` (step 0, every record_stride-th step and n) and ``snapshots``,
@@ -54,7 +79,7 @@ class Lattice:
     span: float
     n: int
     dt: float
-    records: tuple[int, ...]
+    records: Records
 
     def time(self, i: int) -> float:
         """Time after step i, t0 + span * i / n and not a sum of dt's, stamped as the
@@ -66,7 +91,23 @@ class Lattice:
 
     @functools.cached_property
     def snapshots(self) -> tuple[int, ...]:
-        return tuple(i for i in self.records if math.frexp(self.time(i))[0] == 0.5)
+        """The records i whose time(i) is an exact power of two p (frexp 0.5).  Only the
+        records near step (p - t0) n / span of each p between t0 and t_end are stamped:
+        the window covers the 1e-9 |span| snap and the rounding of t0 + span * i / n."""
+        if self.n == 0:
+            return (0,) if math.frexp(self.t0)[0] == 0.5 else ()
+        lo, hi = sorted((self.t0, self.t0 + self.span))
+        tol = 1e-9 * abs(self.span) + 1e-15 * max(abs(lo), abs(hi))
+        first = math.frexp(lo - tol)[1] - 1 if lo - tol > 0.0 else -1074
+        found = set()
+        for e in range(first, math.frexp(hi + tol)[1] if hi > 0.0 else first):
+            p = math.ldexp(1.0, e)
+            x = (p - self.t0) / self.span * self.n
+            w = (tol + 1e-15 * p) / abs(self.span) * self.n + 1.0
+            for i in range(max(math.floor(x - w), 0), min(math.ceil(x + w), self.n) + 1):
+                if i in self.records and math.frexp(self.time(i))[0] == 0.5:
+                    found.add(i)
+        return tuple(sorted(found))
 
 
 @dataclass
@@ -94,24 +135,33 @@ class SolverConfig:
         n = round(span / self.dt)
         if abs(n * self.dt - span) > 1e-9 * abs(span):
             raise ValueError(f"dt = {self.dt:g} does not divide t_end - t0 = {span:g} into whole steps")
-        return Lattice(t0, span, n, span / n if n else self.dt, (*range(0, n, self.record_stride), n))
+        return Lattice(t0, span, n, span / n if n else self.dt, Records(n, self.record_stride))
 
 
 def quartic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays of quartic_hat on n modes, one row each for the even and
-    the odd samples of the m-point fine grid (m = 2 * ceil(DEALIAS_PAD * n /
-    2)): the half-spectrum fed to each half-length irfft, the m/2 samples and
-    their rfft, and the twiddles exp(+-2 pi i k / m) for k <= n/2.  ``evolve``
-    makes the one set of its run, so the fine-grid pages are not faulted in
-    anew on every call."""
+    """Work arrays of quartic_hat on n modes, one row each, which the even and
+    then the odd samples of the m-point fine grid (m = 2 * ceil(DEALIAS_PAD * n
+    / 2)) take in turn: the half-spectrum fed to each half-length irfft, the m/2
+    samples and their rfft; and the twiddles exp(+-2 pi i k / m) for k <= n/2.
+    ``evolve`` makes the one set of its run, so the fine-grid pages are not
+    faulted in anew on every call."""
     half, h = n // 2, math.ceil(DEALIAS_PAD * n / 2)
     twiddle = np.exp(2j * np.pi * np.arange(half + 1) / (2 * h))
     return (
-        np.empty((2, half + 1), dtype=complex),
-        np.empty((2, h)),
-        np.empty((2, h // 2 + 1), dtype=complex),
+        np.empty(half + 1, dtype=complex),
+        np.empty(h),
+        np.empty(h // 2 + 1, dtype=complex),
         np.stack([twiddle, twiddle.conj()]),
     )
+
+
+def _fourth_power_spectrum(ph: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """rfft of the fourth power of the v.size samples irfft(ph, v.size), formed in
+    v and written to f, which is returned; ph is left as it was."""
+    np.fft.irfft(ph, v.size, out=v)  # same field sampled on every other point
+    v *= v
+    v *= v
+    return np.fft.rfft(v, out=f)
 
 
 def quartic_hat(c: np.ndarray, buffers: tuple, out: np.ndarray) -> np.ndarray:
@@ -121,32 +171,31 @@ def quartic_hat(c: np.ndarray, buffers: tuple, out: np.ndarray) -> np.ndarray:
     at -n/2, so its imaginary part counts here.  The fine grid's even samples are
     irfft(ph, m/2) and its odd samples irfft(ph * exp(2 pi i k / m), m/2);
     with E and O the rfft of each half's fourth power, a kept mode k of the
-    m-point transform is E_k + exp(-2 pi i k / m) O_k.  On 2^14 modes
-    pocketfft faults its scratch in anew on every transform of m = 40960
-    points, and on none of m/2.  v^4 is two in-place squarings: ``v**4``
+    m-point transform is E_k + exp(-2 pi i k / m) O_k.  The even half is done
+    first and its E_k parked in ``out``; ph is then twiddled in place and its
+    buffers reused for the odd half, so the workspace is one row of each.  On
+    2^14 modes pocketfft faults its scratch in anew on every transform of m =
+    40960 points, and on none of m/2.  v^4 is two in-place squarings: ``v**4``
     takes numpy's slow generic pow when samples are negative.  ``buffers`` is
     the run's ``quartic_buffers(n)``; the result is written to ``out`` (n/2 +
     1 points, not sharing memory with c), which is returned."""
     half = c.size - 1
     n = 2 * half
     ph, v, f, twiddle = buffers
-    h = v.shape[1]
+    h = v.size
     m = 2 * h
-    np.multiply(c, h / n, out=ph[0])
-    ph[0, half] *= 0.5  # the Nyquist mode is split evenly between +-n/2
-    np.multiply(ph[0], twiddle[0], out=ph[1])  # shifted by one fine-grid point
-    for p, u, w in zip(ph, v, f):
-        np.fft.irfft(p, h, out=u)  # same field sampled on every other point
-        u *= u
-        u *= u
-        np.fft.rfft(u, out=w)
-    np.multiply(twiddle[1], f[1, : half + 1], out=out)
-    out += f[0, : half + 1]
+    np.multiply(c, h / n, out=ph)
+    ph[half] *= 0.5  # the Nyquist mode is split evenly between +-n/2
+    nyquist = ph[half]  # a scalar copy: ph is twiddled in place below
+    out[:] = _fourth_power_spectrum(ph, v, f)[: half + 1]  # E, of the even samples
+    np.multiply(ph, twiddle[0], out=ph)  # shifted by one fine-grid point
+    odd = _fourth_power_spectrum(ph, v, f)[: half + 1]  # O, of the odd samples
+    np.add(np.multiply(twiddle[1], odd, out=odd), out, out=out)
     if m - 2 * n == half:
         # the one alias on m = 5n/2 points, 4 x (-n/2) == +n/2 (mod m): irfft
-        # puts conj(a) at -n/2 for the halved Nyquist entry a = 2 ph[0, n/2], so
+        # puts conj(a) at -n/2 for the halved Nyquist entry a = 2 nyquist, so
         # it adds conj(a)^4 / m^3
-        out[half] -= np.conj(2.0 * ph[0, half]) ** 4 / m**3
+        out[half] -= np.conj(2.0 * nyquist) ** 4 / m**3
     out[half] = out[half].real * 2.0
     out /= m / n
     return out
@@ -157,13 +206,18 @@ def linear_symbol(grid: Grid) -> np.ndarray:
     return -1j * omega(grid.frequencies)
 
 
+def _guard(c: np.ndarray, scratch: np.ndarray):
+    """The blow-up guard: OverflowError if any |c| exceeds BLOWUP_GUARD, |c| formed in ``scratch``."""
+    if np.max(np.abs(c, out=scratch)) > BLOWUP_GUARD:
+        raise OverflowError("blow-up guard tripped: coefficients exceed 1e10")
+
+
 def rhs(c: np.ndarray, symbol: np.ndarray, nonlinear: bool, buffers: tuple, out: np.ndarray) -> np.ndarray:
     """Time derivative symbol * (c + (u^4)^) of the coefficients c (symbol *
     c if not ``nonlinear``), written to ``out`` (not sharing memory with c)
     and returned; the quartic is formed in ``buffers`` (see quartic_hat) and
     the guard's |c| in out's real parts, so nothing grid-sized is allocated."""
-    if np.max(np.abs(c, out=out.real)) > BLOWUP_GUARD:
-        raise OverflowError("blow-up guard tripped: coefficients exceed 1e10")
+    _guard(c, out.real)
     if nonlinear:
         np.add(c, quartic_hat(c, buffers, out), out=out)
     else:
@@ -198,18 +252,21 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
     calling ``recorder(field, profile, snapshot)`` at each record i: the state
     stamped with its lattice time, ``discrete_profile_of(field,
     rk4_linear_log_factor(symbol, dt), i)`` and whether i is a snapshot.  The
-    loop steps bare coefficients, checked finite here (OverflowError)."""
+    loop steps bare coefficients, checked finite here (OverflowError); u0 meets
+    the blow-up guard before its record, whose norms it would overflow."""
     grid, lat = u0.grid, cfg.lattice(u0.time)
     symbol = linear_symbol(grid)
     log_factor = rk4_linear_log_factor(symbol, lat.dt)
     buffers = quartic_buffers(grid.n_modes)
     stages = np.empty((3, u0.coeffs.size), dtype=complex)
-    c = u0.coeffs
-    for previous, r in zip((0, *lat.records), lat.records):
+    c, previous = u0.coeffs, 0
+    _guard(c, stages[0].real)
+    for r in lat.records:
         for i in range(previous + 1, r + 1):
             c = step(c, symbol, lat.dt, nonlinear, buffers, stages)
             if not np.all(np.isfinite(c)):
                 raise OverflowError(f"non-finite state at t={lat.time(i)}")
+        previous = r
         if recorder is not None:
             field = SpectralField(grid, c, lat.time(r))
             recorder(field, discrete_profile_of(field, log_factor, r), r in lat.snapshots)
@@ -230,9 +287,11 @@ def rk4_linear_log_factor(symbol: np.ndarray, dt: float) -> np.ndarray:
 def discrete_profile_of(field: SpectralField, log_factor: np.ndarray, n: int) -> SpectralField:
     """Interaction-picture profile of a field n steps into its run: the
     coefficients times exp(-n log_factor), log_factor being the log of the
-    run's linear factor per step, ``rk4_linear_log_factor`` for R(xi)^{-n}."""
-    factor = np.exp(-n * log_factor)
-    return SpectralField(field.grid, field.coeffs * factor, field.time)
+    run's linear factor per step, ``rk4_linear_log_factor`` for R(xi)^{-n}.  The
+    factor and the profile are one array, the factor overwritten by the product."""
+    profile = np.multiply(-n, log_factor)
+    np.exp(profile, out=profile)
+    return SpectralField(field.grid, np.multiply(field.coeffs, profile, out=profile), field.time)
 
 
 def gaussian_data(

@@ -7,6 +7,9 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -574,6 +577,71 @@ def test_scatter_records_whole_times_only(tmp_path, monkeypatch):
     assert times == [float(t) for t in range(1, 17)]
 
 
+def test_evolve_writes_each_snapshot_as_it_is_taken(tmp_path, monkeypatch):
+    # each dyadic profile goes to its file at its record and is dropped there,
+    # so at every write no earlier snapshot is still held
+    written = []
+    write = OutputSink.write_snapshot
+
+    def traced(self, name, field):
+        assert [n for n, ref in written if ref() is not None] == []
+        written.append((name, weakref.ref(field)))
+        write(self, name, field)
+
+    monkeypatch.setattr(OutputSink, "write_snapshot", traced)
+    assert run_cli(["evolve", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(tmp_path / "ev")]) == 0
+    assert [n for n, _ in written] == [f"profile_t{t}.bin" for t in (1, 2, 4, 8, 16)] + ["final_state.bin"]
+
+
+def test_evolve_without_snapshots_holds_and_writes_no_profile(tmp_path, monkeypatch):
+    recorders, taken = [], []
+    record = diagnostics.Recorder.__call__
+
+    def traced(self, field, profile, snapshot):
+        assert [ref for ref in taken if ref() is not None] == []
+        recorders.append(self)
+        if snapshot:
+            taken.append(weakref.ref(profile))
+        record(self, field, profile, snapshot)
+
+    monkeypatch.setattr(diagnostics.Recorder, "__call__", traced)
+    out = tmp_path / "ev"
+    assert run_cli(["evolve", "--t-end", "16", "--snapshots", "none"] + _SMALL_GRID + ["--output-dir", str(out)]) == 0
+    assert len(taken) == 5 and [ref for ref in taken if ref() is not None] == []
+    assert recorders[0].profiles == []
+    assert sorted(p.name for p in out.iterdir()) == ["bootstrap_summary.json", "diagnostics.csv", "manifest.json"]
+
+
+def test_evolve_memory_does_not_grow_with_its_snapshots(tmp_path):
+    # 5 snapshots by t = 16 and 7 by t = 64 on 2^12 modes: as none is held past
+    # its record, the two runs' traced peaks differ by less than one half-spectrum
+    argv = ["evolve", "--n-modes", "4096", "--half-length", "512"]
+
+    def peak(t_end: str) -> int:
+        tracemalloc.start()
+        try:
+            assert run_cli(argv + ["--t-end", t_end, "--output-dir", str(tmp_path / t_end)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a first run on the grid builds what every later run shares: the parser, the cached H^s weight
+    assert run_cli(argv + ["--t-end", "5", "--output-dir", str(tmp_path / "first")]) == 0
+    assert abs(peak("64") - peak("16")) < (4096 // 2 + 1) * np.dtype(complex).itemsize
+
+
+def test_huge_data_trips_the_guard_before_its_first_record(tmp_path, capsys):
+    # |fhat| ~ 1e200 would overflow the first record's norms (RuntimeWarnings);
+    # the guard meets the initial state first, so the run stops there, silently
+    out = tmp_path / "ev"
+    argv = ["evolve", "--epsilon", "1e200", "--n-modes", "256", "--half-length", "64", "--t-end", "16"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: blow-up guard tripped: coefficients exceed 1e10\n"
+    assert not out.exists()
+
+
 #: Writes diagnostics.csv and six .bin files, then exits 1: the bootstrap fit finds a weighted norm of 0.
 _FAILS_AFTER_WRITING = ["evolve", "--epsilon", "1e-300", "--n-modes", "256", "--half-length", "64", "--t-end", "16"]
 
@@ -679,3 +747,30 @@ def test_verify_estimates_does_not_import_numpy_ma(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == ["False"]
+
+
+def test_census_module_is_imported_by_its_own_subcommands_only(tmp_path):
+    # in a fresh interpreter: the solver and estimate subcommands never load
+    # gbbmlab.resonance; the census and a figure at the anomalous point do
+    runs = [
+        ["evolve", "--n-modes", "256", "--half-length", "64", "--t-end", "5"],
+        ["scatter", "--n-modes", "256", "--half-length", "64", "--t-end", "16"],
+        ["verify-estimates", "--t-max", "32"],
+        ["figures", "--id", "14"],
+    ]
+    code = (
+        "import sys\n"
+        "from gbbmlab import cli\n"
+        "print('gbbmlab.resonance' in sys.modules)\n"
+        f"for k, argv in enumerate({runs!r} if sys.argv[1] == 'runs' else [['resonances']]):\n"
+        f"    assert cli.main(argv + ['--output-dir', {str(tmp_path)!r} + f'/{{sys.argv[1]}}{{k}}']) == 0\n"
+        "    print('gbbmlab.resonance' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = {
+        which: subprocess.run([sys.executable, "-c", code, which], env=env, capture_output=True, text=True,
+                              timeout=120, check=True).stdout.split()
+        for which in ("runs", "census")
+    }
+    assert loaded == {"runs": ["False", "False", "False", "False", "True"], "census": ["False", "True"]}

@@ -1,5 +1,6 @@
 import ast
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -301,6 +302,21 @@ def test_recorder_keeps_a_profile_where_told_only(grid):
         rec(field, field, snapshot)
     assert len(rec.samples) == 3
     assert [t for t, _ in rec.profiles] == [3.0, 4.0]
+
+
+def test_recorder_hands_each_snapshot_to_keep_and_holds_none(grid):
+    # a keep that writes each profile out leaves the Recorder, and the run, no reference to it
+    taken = []
+
+    def keep(t, profile):
+        assert all(ref() is None for _, ref in taken)  # the earlier snapshots are gone already
+        taken.append((t, weakref.ref(profile)))
+
+    rec = Recorder(keep=keep)
+    evolve(gaussian_data(grid, 1e-2), SolverConfig(dt=0.05, t_end=8.0, record_stride=20), rec)
+    assert [t for t, _ in taken] == [1.0, 2.0, 4.0, 8.0]
+    assert all(ref() is None for _, ref in taken)
+    assert rec.profiles == [] and len(rec.samples) == 8
 
 
 def test_diagnostics_does_not_import_solver():

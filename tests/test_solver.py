@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,44 @@ def test_quartic_hat_matches_3n_product_with_complex_nyquist(n):
     c = _random_real_coeffs(n, 0.7 - 0.4j, n)
     ref = _quartic_hat_3n(c)
     assert np.max(np.abs(_quartic(c) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def _quartic_hat_two_rows(c):
+    # the two-row loop quartic_hat ran before its one-row workspace: both
+    # half-spectra, then each half's irfft, fourth power and rfft in its own row
+    half = c.size - 1
+    n = 2 * half
+    h = math.ceil(solver.DEALIAS_PAD * n / 2)
+    m = 2 * h
+    twiddle = np.exp(2j * np.pi * np.arange(half + 1) / m)
+    twiddle = np.stack([twiddle, twiddle.conj()])
+    ph, v, f = np.empty((2, half + 1), dtype=complex), np.empty((2, h)), np.empty((2, h // 2 + 1), dtype=complex)
+    out = np.empty(half + 1, dtype=complex)
+    np.multiply(c, h / n, out=ph[0])
+    ph[0, half] *= 0.5
+    np.multiply(ph[0], twiddle[0], out=ph[1])
+    for p, u, w in zip(ph, v, f):
+        np.fft.irfft(p, h, out=u)
+        u *= u
+        u *= u
+        np.fft.rfft(u, out=w)
+    np.multiply(twiddle[1], f[1, : half + 1], out=out)
+    out += f[0, : half + 1]
+    if m - 2 * n == half:
+        out[half] -= np.conj(2.0 * ph[0, half]) ** 4 / m**3
+    out[half] = out[half].real * 2.0
+    out /= m / n
+    return out
+
+
+@pytest.mark.parametrize("nyquist", [0.7, 0.7 - 0.4j])
+@pytest.mark.parametrize("n", [2, 4, 256, 4096])
+def test_quartic_hat_is_bitwise_the_two_row_loop(n, nyquist):
+    # one row of each work array, the even half parked in out: the same bits
+    c = _random_real_coeffs(n, nyquist, n + 1)
+    buffers = solver.quartic_buffers(n)
+    assert [b.shape for b in buffers[:3]] == [(n // 2 + 1,), (buffers[1].size,), (buffers[1].size // 2 + 1,)]
+    assert quartic_hat(c, buffers, np.empty_like(c)).tobytes() == _quartic_hat_two_rows(c).tobytes()
 
 
 def test_quartic_hat_result_survives_next_call():
@@ -329,10 +368,10 @@ def test_evolve_without_steps_returns_u0(small_data):
 def test_lattice_is_the_step_lattice():
     lat = SolverConfig(dt=0.1, t_end=16.0, record_stride=10).lattice(1.0)
     assert (lat.t0, lat.span, lat.n, lat.dt) == (1.0, 15.0, 150, 0.1)
-    assert lat.records == (*range(0, 150, 10), 150)
+    assert tuple(lat.records) == (*range(0, 150, 10), 150)
     assert SolverConfig(dt=-0.1, t_end=1.0).lattice(6.0).n == 50
     lat = SolverConfig(dt=0.1, t_end=1.0).lattice(1.0)
-    assert (lat.n, lat.dt, lat.records, lat.time(0)) == (0, 0.1, (0,), 1.0)
+    assert (lat.n, lat.dt, tuple(lat.records), lat.time(0)) == (0, 0.1, (0,), 1.0)
     with pytest.raises(ValueError, match="divide"):
         SolverConfig(dt=0.07, t_end=16.0).lattice(1.0)
     with pytest.raises(ValueError, match="sign"):
@@ -356,6 +395,35 @@ def test_lattice_snapshots_are_the_records_at_exact_powers_of_two():
     lat = SolverConfig(dt=0.001, t_end=t_end).lattice(t_end - 0.001)
     assert lat.time(lat.n) != 4.0 and abs(lat.time(lat.n) - 4.0) < 1e-11
     assert lat.snapshots == ()
+
+
+def test_long_lattice_holds_its_records_as_two_numbers():
+    # a 10^7-step lattice and its snapshots cost no more than a short one: the
+    # records are (n, stride), and only the records near a power of two are stamped
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        lat = SolverConfig(dt=0.1, t_end=1e6, record_stride=10).lattice(1.0)
+        snapshots = lat.snapshots
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 2**20
+    assert [lat.time(i) for i in snapshots] == [2.0**k for k in range(20)]
+    assert (len(lat.records), lat.records[0], lat.records[-2], lat.records[-1]) == (10**6, 0, 9999980, 9999990)
+
+
+@pytest.mark.parametrize("n, stride", [(150, 10), (149, 10), (7, 3), (1, 5), (0, 2)])
+def test_records_index_iterate_and_search_as_their_tuple(n, stride):
+    records = solver.Records(n, stride)
+    want = (*range(0, n, stride), n)
+    assert tuple(records) == want and len(records) == len(want)
+    assert [records[j] for j in range(-len(want), len(want))] == [want[j] for j in range(-len(want), len(want))]
+    for j in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            records[j]
+    assert [i in records for i in range(-2, n + 3)] == [i in want for i in range(-2, n + 3)]
 
 
 def _reference_lattice(dt: float, t_end: float, stride: int, t0: float = 1.0):
@@ -394,7 +462,7 @@ def test_lattice_is_the_step_by_step_records(dt, t_end, stride):
         return
     lat = SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(1.0)
     records, times, snapshots = reference
-    assert lat.records == records
+    assert tuple(lat.records) == records
     # bitwise: the times as IEEE doubles, so 3.9999999999999996 is not 4.0
     assert np.array([lat.time(i) for i in lat.records]).tobytes() == np.array(times).tobytes()
     assert lat.snapshots == snapshots
