@@ -147,8 +147,9 @@ class OutputSink:
         """Where the file ``name`` is now: its temporary name, ``name.partial``, until finalize renames it."""
         return os.path.join(self.out_dir, name + ".partial" if name in self._pending else name)
 
-    def _create(self, name: str, data: bytes):
-        """Write ``data`` to the file ``name``'s temporary name, creating the directory first."""
+    def _create(self, name: str, *parts) -> str:
+        """Write the buffers ``parts``, in order and each where it lies, to the file ``name``'s temporary
+        name, creating the directory first; the sha256 of what was written."""
         if self._made_dirs is None:
             new, d = [], os.path.abspath(self.out_dir)
             while not os.path.exists(d):
@@ -158,13 +159,16 @@ class OutputSink:
             self._made_dirs = new
         if name not in self._pending:
             self._pending.append(name)
+        digest = sha256()
         with open(self.path(name), "wb") as f:
-            f.write(data)
+            for part in parts:
+                f.write(part)
+                digest.update(part)
+        return digest.hexdigest()
 
-    def _write_bytes(self, name: str, data: bytes):
+    def _write_bytes(self, name: str, *parts):
         """Every output's one writer, so each manifest entry is the sha256 of its file."""
-        self._create(name, data)
-        self.checksums[name] = sha256(data).hexdigest()
+        self.checksums[name] = self._create(name, *parts)
 
     def write_text(self, name: str, text: str):
         self._write_bytes(name, text.encode())
@@ -195,9 +199,10 @@ class OutputSink:
 
     def write_snapshot(self, name: str, field: SpectralField):
         """Binary snapshot: little-endian header (n int64; L, t float64) then
-        the field's n/2 + 1 half-spectrum coefficients as little-endian complex128."""
+        the field's n/2 + 1 half-spectrum coefficients as little-endian complex128: on a little-endian
+        host, the array's own buffer, not a copy."""
         header = _SNAPSHOT_HEADER.pack(field.grid.n_modes, field.grid.half_length, field.time)
-        self._write_bytes(name, header + field.coeffs.astype("<c16").tobytes())
+        self._write_bytes(name, header, np.ascontiguousarray(field.coeffs, dtype="<c16"))
 
     def finalize(self):
         manifest = {
@@ -332,12 +337,11 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
 
 
 def _nonlinear_run(cfg: dict, keep=None, per_time_unit: bool = False):
-    """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1,
-    recorded at its s up to t_end on ``SolverConfig.lattice(1)``, each snapshot handed to ``keep`` (see
-    ``diagnostics.Recorder``), refused if that records fewer than the 4 samples a fit needs or, if
-    dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit (scatter), t_end must be
-    >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so
-    it is kept."""
+    """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1, recorded
+    at its s up to t_end on ``SolverConfig.lattice(1)``, each snapshot handed to ``keep`` as it is taken (evolve's
+    writer, scatter's fold; see ``diagnostics.Recorder``), refused if that records fewer than the 4 samples a fit
+    needs or, if dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit (scatter), t_end must be
+    >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so it is kept."""
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
     width, carrier = _data_family(cfg, grid)
@@ -375,9 +379,12 @@ def run_evolve(cfg: dict, sink: OutputSink):
 
 
 def run_scatter(cfg: dict, sink: OutputSink):
-    # evolve's run: evolve's defaults (gaussian, carrier 0, s = 10) for the keys scatter lacks, checked at stride 1
-    rec, _ = _nonlinear_run(_DEFAULTS["evolve"] | cfg | {"record_stride": 1}, per_time_unit=True)
-    rows = diagnostics.scattering_test(rec.profiles)
+    """The scattering test of evolve's run, with evolve's defaults (gaussian, carrier 0, s = 10) for
+    the keys scatter lacks, checked at stride 1.  Its ``keep`` is the fold ``DyadicDifferences``,
+    so the run holds one profile's coefficients, not one per dyadic time."""
+    differences = diagnostics.DyadicDifferences()
+    _nonlinear_run(_DEFAULTS["evolve"] | cfg | {"record_stride": 1}, differences, per_time_unit=True)
+    rows = differences.result()
     sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", rows)
     late = [(t, d) for t, d, _ in rows if t >= 8.0]
     fit = diagnostics.fit_decay(late if len(late) >= 4 else [(t, d) for t, d, _ in rows])

@@ -155,23 +155,41 @@ def fit_decay(samples, window: tuple[float, float] | None = None) -> DecayFit:
     )
 
 
-def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
-    """Successive dyadic profile differences.
+class DyadicDifferences:
+    """The scattering Cauchy test as a fold, a ``keep(t, profile)`` fed the
+    snapshots at dyadic times t, 2t, 4t, ...: each appends the row (t,
+    sup|d|, L2 of d), d = fhat(2t) - fhat(t), holding only the last t and
+    fhat.  The L2 is m L2(d / m), m = sup|d|, so it underflows only where m
+    does.  A successor at other than twice the last t, and ``result()`` with
+    fewer than 3 rows, raise ValueError."""
 
-    Input: (t, profile field) pairs at dyadic times t, 2t, 4t, ...  Output
-    rows (t, sup|fhat(2t) - fhat(t)|, L2 of the same difference).  Raises
-    ValueError with fewer than 3 dyadic pairs.
-    """
-    snaps = sorted(profile_snapshots, key=lambda p: p[0])
-    rows = []
-    for (t1, f1), (t2, f2) in zip(snaps[:-1], snaps[1:]):
-        if not math.isclose(t2, 2.0 * t1, rel_tol=1e-9):
-            raise ValueError(f"snapshots not dyadic: {t1} followed by {t2}")
-        d = f2.continuum_coeffs - f1.continuum_coeffs
-        rows.append((t1, linf_fhat(d), sobolev(f1.grid, d, 0.0)))
-    if len(rows) < 3:
-        raise ValueError("need at least 3 dyadic pairs for the scattering test")
-    return rows
+    def __init__(self):
+        self.rows: list[tuple[float, float, float]] = []
+        self._last: tuple[float, np.ndarray] | None = None
+
+    def __call__(self, t: float, profile: SpectralField):
+        fhat = profile.continuum_coeffs
+        if self._last is not None:
+            t1, f1 = self._last
+            if not math.isclose(t, 2.0 * t1, rel_tol=1e-9):
+                raise ValueError(f"snapshots not dyadic: {t1} followed by {t}")
+            d = np.subtract(fhat, f1, out=f1)  # f1 is the fold's own array, not read again
+            m = linf_fhat(d)
+            self.rows.append((t1, m, m * sobolev(profile.grid, np.divide(d, m, out=d), 0.0) if m else 0.0))
+        self._last = t, fhat
+
+    def result(self) -> list[tuple[float, float, float]]:
+        if len(self.rows) < 3:
+            raise ValueError("need at least 3 dyadic pairs for the scattering test")
+        return self.rows
+
+
+def scattering_test(profile_snapshots) -> list[tuple[float, float, float]]:
+    """The rows of ``DyadicDifferences`` fed the (t, profile field) pairs in order of t."""
+    fold = DyadicDifferences()
+    for t, profile in sorted(profile_snapshots, key=lambda p: p[0]):
+        fold(t, profile)
+    return fold.result()
 
 
 class Recorder:
@@ -179,8 +197,8 @@ class Recorder:
     bootstrap-norm samples of every recorded profile and hands the profile
     itself to ``keep(t, profile)`` where ``snapshot`` is true, at the run
     lattice's powers of two.  By default ``keep`` appends (t, profile) to
-    ``profiles``; a caller that writes each profile out as it comes passes
-    its own, and the Recorder then holds none."""
+    ``profiles``; a caller that reads each as it comes passes its own (evolve's
+    writer, scatter's ``DyadicDifferences``), and the Recorder holds none."""
 
     def __init__(self, s: float = 10.0, keep=None):
         self.s = s

@@ -30,6 +30,7 @@ and no other grid-sized array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,8 +108,9 @@ def _band_interval(k: int) -> tuple[float, float]:
     return 2.0 ** (k - 1), 2.0 ** (k + 1)
 
 
+@functools.cache
 def _band_velocity_range(k: int) -> tuple[float, float]:
-    """Range of omega' over the positive band [2^(k-1), 2^(k+1)]."""
+    """Range of omega' over the positive band [2^(k-1), 2^(k+1)], once per k."""
     lo, hi = _band_interval(k)
     xs = np.linspace(lo, hi, 4097)
     v = omega_prime(xs)
@@ -122,17 +124,14 @@ class EstimateSweep:
     Per field, here: the grid, one read of ``continuum_coeffs`` (fhat), the
     frequencies xi and sup|fhat|.  fhat and xi are the only grid-sized arrays
     the sweep keeps: it holds no reference to ``field``.  The H^s norm is
-    taken at the first case-1 row.  Per band, at its first row: the range of
-    omega' over the band; at its first case 2-4 row, the d/dxi L2 norm of
-    psi_k fhat, cut into a transient array."""
+    taken at the first case-1 row.  Per band, at its first case 2-4 row: the
+    d/dxi L2 norm of psi_k fhat, cut into a transient array."""
 
     def __init__(self, field: SpectralField, s: float = 5.5):
         self.grid, self.s = field.grid, s
         self.fhat = field.continuum_coeffs
         self.xi = field.grid.frequencies
         self.fsup = diagnostics.linf_fhat(self.fhat)
-        self._hs: float | None = None
-        self._velocity: dict[int, tuple[float, float]] = {}
         self._dk: dict[int, float] = {}
 
     def fhat_at(self, q: np.ndarray) -> np.ndarray:
@@ -144,15 +143,9 @@ class EstimateSweep:
         xi, f = self.xi[lo:hi], self.fhat[lo:hi]
         return np.interp(q, xi, f.real) + 1j * np.interp(q, xi, f.imag)
 
+    @functools.cached_property
     def sobolev(self) -> float:
-        if self._hs is None:
-            self._hs = diagnostics.sobolev(self.grid, self.fhat, self.s)
-        return self._hs
-
-    def velocity_range(self, k: int) -> tuple[float, float]:
-        if k not in self._velocity:
-            self._velocity[k] = _band_velocity_range(k)
-        return self._velocity[k]
+        return diagnostics.sobolev(self.grid, self.fhat, self.s)
 
     def band_dxi_l2(self, k: int) -> float:
         """L2 norm of d/dxi of the band-localized profile psi_k fhat.  psi_k is
@@ -224,7 +217,7 @@ def evaluate_lp_piece(sweep: EstimateSweep, k: int, t: float, a: float, b: float
     require_band_on_grid(sweep.grid, k)
     x = np.linspace(a, b, m)
     # linspace hits both ends exactly, so this is max|x|
-    nodes = _quadrature_nodes(k, t, max(abs(a), abs(b)), sweep.velocity_range(k))
+    nodes = _quadrature_nodes(k, t, max(abs(a), abs(b)), _band_velocity_range(k))
     integrand = psi_k(k, nodes), sweep.fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
     coarse = _piece_on_nodes(x, nodes[::2], *(v[::2] for v in integrand))
     fine = _piece_on_nodes(x, nodes, *integrand)
@@ -251,7 +244,7 @@ def sup_norm_of_piece(sweep: EstimateSweep, k: int, t: float, points_per_wavelen
     """(sup_x |u_k(t, x)|, argmax x) for the sweep's profile, scanning
     the group-velocity cone of the band at a spacing of
     1/points_per_wavelength of the band wavelength."""
-    a, b = stationary_cone(t, sweep.velocity_range(k))
+    a, b = stationary_cone(t, _band_velocity_range(k))
     spacing = 2.0 * math.pi * 2.0 ** (-k) / points_per_wavelength
     n = max(16, int(math.ceil((b - a) / spacing)))
     vals = np.abs(evaluate_lp_piece(sweep, k, t, a, b, n + 1))
@@ -268,7 +261,7 @@ def sup_norm_of_piece(sweep: EstimateSweep, k: int, t: float, points_per_wavelen
 #: floor is at most 2^k, so case 2 is empty for t < 2^-9 and case 4 for t < 1/8.
 _REGIMES = (
     (lambda t: CASE_C_HI * t ** (1.0 / 9.0),  # 1: very high frequency; Sobolev tail
-     lambda sweep, k, t, lam: lam ** (-(sweep.s - 1.0)) * sweep.sobolev()),
+     lambda sweep, k, t, lam: lam ** (-(sweep.s - 1.0)) * sweep.sobolev),
     (lambda t: 8.0,  # 2: high frequency
      lambda sweep, k, t, lam: t**-0.5 * lam**1.5 * sweep.fsup + t**-0.75 * lam**2.25 * sweep.band_dxi_l2(k)),
     (lambda t: 0.5,  # 3: intermediate, includes the inflection point sqrt(3)

@@ -150,6 +150,25 @@ def test_snapshot_format_is_the_half_spectrum(tmp_path):
         read_snapshot(str(path))
 
 
+def test_snapshot_is_written_from_the_field_s_own_buffer(tmp_path):
+    # a 2^14-mode half-spectrum is 131 KB; the header and that buffer are written and digested
+    # where they lie, so writing one traces far less than one copy of it
+    field = solver.gaussian_data(Grid(2**14, 2048.0), 1e-2, time=3.0)
+    expected = struct.pack("<qdd", 2**14, 2048.0, 3.0) + field.coeffs.astype("<c16").tobytes()
+    sink = OutputSink(str(tmp_path), "evolve", {})
+    sink.write_snapshot("warm.bin", field)  # the first write makes the directory
+    tracemalloc.start()
+    try:
+        sink.write_snapshot("profile_t3.bin", field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sink.finalize()
+    assert peak < 16_000
+    assert (tmp_path / "profile_t3.bin").read_bytes() == expected
+    assert sink.checksums["profile_t3.bin"] == hashlib.sha256(expected).hexdigest()
+
+
 @pytest.mark.parametrize("size", [0, 23])
 def test_snapshot_shorter_than_its_header_is_refused(tmp_path, size):
     path = tmp_path / "short.bin"
@@ -628,6 +647,63 @@ def test_evolve_memory_does_not_grow_with_its_snapshots(tmp_path):
     # a first run on the grid builds what every later run shares: the parser, the cached H^s weight
     assert run_cli(argv + ["--t-end", "5", "--output-dir", str(tmp_path / "first")]) == 0
     assert abs(peak("64") - peak("16")) < (4096 // 2 + 1) * np.dtype(complex).itemsize
+
+
+def test_scatter_memory_does_not_grow_with_its_snapshots(tmp_path):
+    # 5 dyadic profiles by t = 16 and 7 by t = 64 on 2^12 modes: the fold holds one profile's
+    # coefficients, so the two runs' traced peaks differ by less than one half-spectrum
+    # (the run still keeps one NormSample, about 0.2 KB, per whole time, which 256 would show)
+    argv = ["scatter", "--n-modes", "4096", "--half-length", "512"]
+
+    def peak(t_end: str) -> int:
+        tracemalloc.start()
+        try:
+            assert run_cli(argv + ["--t-end", t_end, "--output-dir", str(tmp_path / t_end)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert run_cli(argv + ["--t-end", "16", "--output-dir", str(tmp_path / "first")]) == 0
+    assert abs(peak("64") - peak("16")) < (4096 // 2 + 1) * np.dtype(complex).itemsize
+
+
+def test_scatter_rows_are_the_scattering_test_of_its_snapshots(tmp_path, monkeypatch):
+    # the rows the fold forms live are bitwise those of the list function over the same profiles
+    fed = []
+    fold = diagnostics.DyadicDifferences.__call__
+
+    def logged(self, t, profile):
+        fed.append((self, t, profile))
+        fold(self, t, profile)
+
+    monkeypatch.setattr(diagnostics.DyadicDifferences, "__call__", logged)
+    assert run_cli(["scatter", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(tmp_path / "sc")]) == 0
+    assert [t for _, t, _ in fed] == [1.0, 2.0, 4.0, 8.0, 16.0] and len({id(f) for f, _, _ in fed}) == 1
+    assert fed[0][0].rows == diagnostics.scattering_test([(t, p) for _, t, p in fed])
+
+
+def test_scatter_holds_no_profile_past_the_next_snapshot(tmp_path, monkeypatch):
+    taken = []
+    fold = diagnostics.DyadicDifferences.__call__
+
+    def traced(self, t, profile):
+        assert [ref for ref in taken if ref() is not None] == []
+        taken.append(weakref.ref(profile))
+        fold(self, t, profile)
+
+    monkeypatch.setattr(diagnostics.DyadicDifferences, "__call__", traced)
+    assert run_cli(["scatter", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(tmp_path / "sc")]) == 0
+    assert len(taken) == 5
+
+
+def test_scatter_difference_l2_follows_its_sup_down(tmp_path):
+    # at epsilon = 1e-200 the differences are ~1e-215, whose squares underflow: the L2 column
+    # was all zero beside a nonzero sup column
+    out = tmp_path / "sc"
+    argv = ["scatter", "--epsilon", "1e-200", "--n-modes", "256", "--half-length", "64", "--t-end", "16"]
+    assert run_cli(argv + ["--output-dir", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")] for line in (out / "scattering.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4 and all(0.0 < l2 < math.inf and linf > 0.0 for _, linf, l2 in rows)
 
 
 def test_huge_data_trips_the_guard_before_its_first_record(tmp_path, capsys):

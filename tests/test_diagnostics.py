@@ -10,6 +10,7 @@ import pytest
 from gbbmlab import diagnostics
 from gbbmlab.diagnostics import (
     DecayFit,
+    DyadicDifferences,
     NormSample,
     Recorder,
     bootstrap_report,
@@ -243,10 +244,33 @@ def test_scattering_linear_flow_is_silent(grid):
 
 def test_scattering_validation(grid):
     u0 = gaussian_data(grid, 1e-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^snapshots not dyadic: 1\.0 followed by 3\.0$"):
         scattering_test([(1.0, u0), (3.0, u0), (6.0, u0), (12.0, u0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need at least 3 dyadic pairs for the scattering test$"):
         scattering_test([(1.0, u0), (2.0, u0), (4.0, u0)])
+
+
+def test_dyadic_differences_refuses_a_successor_as_it_arrives(grid):
+    u0 = gaussian_data(grid, 1e-2)
+    fold = DyadicDifferences()
+    fold(2.0, u0)
+    with pytest.raises(ValueError, match=r"^snapshots not dyadic: 2\.0 followed by 3\.0$"):
+        fold(3.0, u0)
+
+
+def test_dyadic_difference_l2_scales_with_its_sup():
+    # the L2 is m L2(d / m), m = sup|d|: data scaled by 2^-700, whose squares underflow, gives
+    # the rows scaled by 2^-700, and a zero difference gives 0 with no RuntimeWarning
+    g = Grid(64, 8.0)
+    rng = np.random.default_rng(3)
+    samples = {t: rng.standard_normal(g.n_modes) for t in (1.0, 2.0, 4.0, 8.0)}
+    rows = scattering_test([(t, SpectralField.from_physical(g, x, t)) for t, x in samples.items()])
+    tiny = scattering_test([(t, SpectralField.from_physical(g, x * 2.0**-700, t)) for t, x in samples.items()])
+    for (t, linf, l2), (tt, tiny_linf, tiny_l2) in zip(rows, tiny, strict=True):
+        assert tt == t and tiny_linf * 2.0**700 == pytest.approx(linf, rel=1e-15)
+        assert tiny_l2 * 2.0**700 == pytest.approx(l2, rel=1e-15)
+    u = SpectralField.from_physical(g, samples[1.0], 1.0)
+    assert scattering_test([(t, u) for t in samples]) == [(t, 0.0, 0.0) for t in (1.0, 2.0, 4.0)]
 
 
 def test_scattering_rows_are_the_full_grid_norms_of_each_difference():
