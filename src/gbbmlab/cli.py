@@ -294,6 +294,19 @@ def _data_family(cfg: dict, grid: Grid) -> tuple[float, float]:
     return width, carrier
 
 
+#: exp(-x^2 / (2 w^2)) is below 2^-53 of its peak beyond |x| = _GAUSSIAN_REACH w.
+_GAUSSIAN_REACH = math.sqrt(106.0 * math.log(2.0))
+
+
+def _require_unwrapped(grid: Grid, width: float, tau: float):
+    """ValueError if the linear waves of the Gaussian of width ``width``, run for a time tau, wrap around
+    the box (``Grid.max_unwrapped_time``): from then on the run is no longer one on the line."""
+    limit = grid.max_unwrapped_time(_GAUSSIAN_REACH * width)
+    if tau > limit:
+        raise ValueError(f"the waves wrap around the box [-L, L) with L = {grid.half_length:g} after a time "
+                         f"{limit:.6g}, short of the run's {tau:g}; the run needs a larger half_length")
+
+
 def _dyadic_times(t_min: float, t_max: float) -> list[float]:
     """t_min, 2 t_min, 4 t_min, ... up to t_max within one part in 10^9; a NaN fails
     the range check, and t overflowing to inf ends the list."""
@@ -314,6 +327,7 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
                          "the fit needs 4")
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     width, carrier = _data_family(cfg, grid)
+    _require_unwrapped(grid, width, times[-1])
     k = cfg["k"]
     if cfg["profile"] == "band":
         linear_flow.require_band_on_grid(grid, k)
@@ -340,8 +354,9 @@ def _nonlinear_run(cfg: dict, keep=None, per_time_unit: bool = False):
     """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1, recorded
     at its s up to t_end on ``SolverConfig.lattice(1)``, each snapshot handed to ``keep`` as it is taken (evolve's
     writer, scatter's fold; see ``diagnostics.Recorder``), refused if that records fewer than the 4 samples a fit
-    needs or, if dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit (scatter), t_end must be
-    >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so it is kept."""
+    needs, if dyadic, snapshots no dyadic time 2, 4, ... below t_end, or if its waves wrap around the box.  Per
+    time unit (scatter), t_end must be >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each
+    dyadic time is a step, so it is kept."""
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
     width, carrier = _data_family(cfg, grid)
@@ -352,13 +367,13 @@ def _nonlinear_run(cfg: dict, keep=None, per_time_unit: bool = False):
     lat = scfg.lattice(1.0)
     if len(lat.records) < 4:
         raise ValueError(f"{len(lat.records)} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
-    kept = {lat.time(i) for i in lat.snapshots}
-    missed = [t for t in _dyadic_times(1.0, scfg.t_end) if t < scfg.t_end and t not in kept]
+    missed = [t for t in _dyadic_times(1.0, scfg.t_end) if t < scfg.t_end and lat.step_at(t) not in lat.snapshots]
     if missed and cfg["snapshots"] == "dyadic":
         raise ValueError(f"dt * record_stride = {scfg.dt * scfg.record_stride:g} does not divide "
                          f"{missed[0] - 1:g}: no snapshot at {missed[0]:g}")
-    if per_time_unit:  # the stride is the step index of t = 2, the stride-1 lattice's second snapshot
-        scfg = solver.SolverConfig(scfg.dt, scfg.t_end, lat.snapshots[1])
+    _require_unwrapped(grid, width, scfg.t_end - 1.0)
+    if per_time_unit:  # the stride is the step of t = 2, so the records are t = 1, 2, ..., t_end
+        scfg = solver.SolverConfig(scfg.dt, scfg.t_end, lat.step_at(2.0))
     u0 = solver.gaussian_data(grid, cfg["epsilon"], width, carrier, time=1.0)
     rec = diagnostics.Recorder(s=cfg["s"], keep=keep)
     return rec, solver.evolve(u0, scfg, rec)

@@ -73,7 +73,7 @@ class Records(Sequence):
 class Lattice:
     """A run's n steps of dt = span / n from t0 (span = t_end - t0), its
     ``records`` (step 0, every record_stride-th step and n) and ``snapshots``,
-    the records whose time is an exact power of two."""
+    the records whose time is an exact power of two; ``step_at`` inverts ``time``."""
 
     t0: float
     span: float
@@ -89,25 +89,20 @@ class Lattice:
         t = self.t0 + self.span * i / self.n
         return float(round(t)) if abs(t - round(t)) <= 1e-9 * abs(self.span) else t
 
+    def step_at(self, t: float) -> int | None:
+        """The step i whose time(i) is t, or None: the one candidate round((t - t0) n / span), 0 if n = 0."""
+        i = round((t - self.t0) / self.span * self.n) if self.n else 0
+        return i if 0 <= i <= self.n and self.time(i) == t else None
+
     @functools.cached_property
     def snapshots(self) -> tuple[int, ...]:
-        """The records i whose time(i) is an exact power of two p (frexp 0.5).  Only the
-        records near step (p - t0) n / span of each p between t0 and t_end are stamped:
-        the window covers the 1e-9 |span| snap and the rounding of t0 + span * i / n."""
-        if self.n == 0:
-            return (0,) if math.frexp(self.t0)[0] == 0.5 else ()
+        """The records i whose time(i) is an exact power of two: step_at of each power of two between t0
+        and t_end, widened by the 1e-9 |span| snap and the rounding of t0 + span * i / n."""
         lo, hi = sorted((self.t0, self.t0 + self.span))
         tol = 1e-9 * abs(self.span) + 1e-15 * max(abs(lo), abs(hi))
         first = math.frexp(lo - tol)[1] - 1 if lo - tol > 0.0 else -1074
-        found = set()
-        for e in range(first, math.frexp(hi + tol)[1] if hi > 0.0 else first):
-            p = math.ldexp(1.0, e)
-            x = (p - self.t0) / self.span * self.n
-            w = (tol + 1e-15 * p) / abs(self.span) * self.n + 1.0
-            for i in range(max(math.floor(x - w), 0), min(math.ceil(x + w), self.n) + 1):
-                if i in self.records and math.frexp(self.time(i))[0] == 0.5:
-                    found.add(i)
-        return tuple(sorted(found))
+        steps = (self.step_at(math.ldexp(1.0, e)) for e in range(first, math.frexp(hi + tol)[1] if hi > 0.0 else first))
+        return tuple(sorted(i for i in steps if i is not None and i in self.records))
 
 
 @dataclass

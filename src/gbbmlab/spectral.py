@@ -22,6 +22,11 @@ import numpy as np
 
 _TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 
+#: The margin ahead of the fast front at x = tau, in units of its Airy scale (3 tau)^(1/3)
+#: (omega = xi - xi^3 + ... near xi = 0).  At this margin a linear run's sup|u| is within 1e-9
+#: of that on a box 8 times longer (L = 64 and 128, dx = 0.25, width 0.5); at 4, within 3e-5.
+AIRY_MARGIN = 8.0
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -57,6 +62,17 @@ class Grid:
         x *= self.dx
         x += -self.half_length
         return x
+
+    def max_unwrapped_time(self, reach: float) -> float:
+        """The largest tau with (9/8) tau + 2 reach + AIRY_MARGIN (3 tau)^(1/3) <= 2L, negative if
+        there is none.  Linear waves from data within ``reach`` of x = 0 travel at group velocities
+        in [-1/8, 1]; until tau the fast front, re-entering at -L, stays off the slow edge at
+        -tau/8 - reach.  With y = (3 tau)^(1/3) that is y^3 + p y = 16 (L - reach) / 3 with
+        p = 8 AIRY_MARGIN / 3, whose one real root has the closed form below."""
+        p = 8.0 * AIRY_MARGIN / 3.0
+        r = math.sqrt(p / 3.0)
+        y = 2.0 * r * math.sinh(math.asinh(8.0 * (self.half_length - reach) / (p * r)) / 3.0)
+        return y**3 / 3.0
 
     @property
     def frequencies(self) -> np.ndarray:

@@ -28,7 +28,8 @@ def _load(name):
 
 
 TARGETS = _load("tracing").TARGETS
-WORKLOADS = _load("workloads").WORKLOADS
+workloads = _load("workloads")
+WORKLOADS = workloads.WORKLOADS
 
 
 @pytest.mark.parametrize("module_name, owner_name, attr, span", TARGETS, ids=[f"{t[0]}.{t[1]}.{t[2]}" for t in TARGETS])
@@ -58,7 +59,9 @@ def _counted(calls, span, fn):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_fires_every_live_span(name, tmp_path, monkeypatch):
     # the traced pass's check, at seed 0: each call site of a live span is
-    # wrapped with a counter, as the tracer wraps it, for this test only
+    # wrapped with a counter, as the tracer wraps it, for this test only; each
+    # invocation's outputs must also pass the benchmark's own check against
+    # its reference, so a change that moves a row past its tolerance fails here
     live = WORKLOADS[name].live
     calls = dict.fromkeys(live, 0)
     for module_name, owner_name, attr, span in TARGETS:
@@ -72,6 +75,9 @@ def test_workload_fires_every_live_span(name, tmp_path, monkeypatch):
         else:
             monkeypatch.setattr(owner, attr, _counted(calls, span, current))
     cli = importlib.import_module("gbbmlab.cli")
+    references = workloads.load_reference(name)
     for j, argv in enumerate(WORKLOADS[name].invocations(0)):
-        assert cli.main(argv + ["--output-dir", str(tmp_path / f"inv{j:02d}")]) == 0, argv
+        out_dir = str(tmp_path / f"inv{j:02d}")
+        assert cli.main(argv + ["--output-dir", out_dir]) == 0, argv
+        assert workloads.check_invocation(argv, out_dir, references[j]).problems == [], argv
     assert [span for span in live if calls[span] == 0] == []

@@ -510,6 +510,11 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         # 2 w^2 = 2.42e-308 is normal, but 64^2 / (2 w^2) = 1.7e311 at the box edge is not a float
         (["evolve", "--width", "1.1e-154", "--n-modes", "256", "--half-length", "64", "--t-end", "16"],
          "w = 1.1e-154, and x^2 / (2 w^2) overflows at the box edge x = -64", None),
+        # the waves wrap around the box: this scatter run exits 0 with a fitted exponent of -0.125 otherwise
+        (["scatter", "--t-end", "1024", "--n-modes", "1024", "--half-length", "128"],
+         "the waves wrap around the box [-L, L) with L = 128 after a time 163.819, short of the run's 1023", None),
+        (["linear-decay", "--t-max", "102400"], "after a time 15735.4, short of the run's 102400", None),
+        (["evolve", "--t-end", "33"] + _SMALL_GRID, "wrap around the box [-L, L) with L = 32", None),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -528,6 +533,7 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
         "linear-decay-three-times", "linear-decay-band-three-times", "linear-decay-one-time",
         "evolve-width-1e-300", "linear-decay-near-sqrt3-width-1e300", "verify-estimates-width-subnormal-square",
         "evolve-width-square-overflows", "evolve-width-edge-exponent-overflows",
+        "scatter-waves-wrap", "linear-decay-waves-wrap", "evolve-waves-wrap",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):
@@ -543,6 +549,38 @@ def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, a
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
     assert not out.exists()
+
+
+class _DataBuilt(Exception):
+    """Raised in place of building a run's data: every up-front check has passed."""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve"],
+        ["scatter"],
+        ["linear-decay"],
+        ["linear-decay", "--profile", "near-sqrt3"],
+        ["linear-decay", "--profile", "band"],
+        ["verify-estimates"],
+        # the tightest boxes Tier-1 runs: 2L = 64 and 256
+        ["scatter", "--t-end", "16"] + _SMALL_GRID,
+        _SMALL_EVOLVE_4 + ["--profile", "near-sqrt3"],
+        ["scatter", "--t-end", "128", "--n-modes", "1024", "--half-length", "128"],
+    ],
+    ids=["evolve", "scatter", "linear-decay", "linear-decay-near-sqrt3", "linear-decay-band", "verify-estimates",
+         "scatter-small-grid", "evolve-near-sqrt3-small-grid", "scatter-t-end-128-half-length-128"],
+)
+def test_runs_inside_their_box_pass_the_wrap_check(tmp_path, monkeypatch, argv):
+    # each default and each tight box reaches its data unrefused; nothing is integrated
+    def gaussian_data(*args, **kwargs):
+        raise _DataBuilt
+
+    monkeypatch.setattr(solver, "gaussian_data", gaussian_data)
+    with pytest.raises(_DataBuilt):
+        run_cli(argv + ["--output-dir", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

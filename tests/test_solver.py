@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbbmlab import solver
 from gbbmlab.diagnostics import h1_norm
@@ -412,6 +413,60 @@ def test_long_lattice_holds_its_records_as_two_numbers():
     assert elapsed < 0.05 and peak < 2**20
     assert [lat.time(i) for i in snapshots] == [2.0**k for k in range(20)]
     assert (len(lat.records), lat.records[0], lat.records[-2], lat.records[-1]) == (10**6, 0, 9999980, 9999990)
+
+
+#: Run starts: negative and fractional times, and signed powers of two (the snapshot times themselves).
+_T0 = st.one_of(
+    st.floats(-50.0, 50.0, allow_subnormal=False),
+    st.builds(lambda sign, e: sign * 2.0**e, st.sampled_from([-1.0, 1.0]), st.integers(-6, 6)),
+)
+
+
+@settings(max_examples=60, deadline=1000)
+@given(
+    t0=_T0,
+    n=st.integers(0, 9999),
+    dt=st.sampled_from([0.1, 0.07, 0.05, 1 / 30, 0.01, 0.001]),
+    sign=st.sampled_from([-1.0, 1.0]),
+    stride=st.integers(1, 50),
+)
+def test_step_at_inverts_time_on_the_step_by_step_lattice(t0, n, dt, sign, stride):
+    dt *= sign
+    t_end = t0 + n * dt
+    try:
+        records, times, snapshots = _reference_lattice(dt, t_end, stride, t0)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(t0)
+        assert str(raised.value) == str(e)
+        return
+    lat = SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(t0)
+    assert tuple(lat.records) == records
+    assert np.array([lat.time(i) for i in lat.records]).tobytes() == np.array(times).tobytes()
+    assert lat.snapshots == snapshots
+    assert [lat.step_at(lat.time(i)) for i in lat.records] == list(records)
+    # a time strictly between two neighbouring steps' is no step's
+    for i in (0, lat.n // 3, lat.n - 1) if lat.n else ():
+        a, b = sorted((lat.time(i), lat.time(i + 1)))
+        between = a + (b - a) / 2
+        assert a < between < b and lat.step_at(between) is None
+
+
+def test_step_at_is_the_one_step_of_a_time():
+    lat = SolverConfig(dt=0.1, t_end=16.9, record_stride=10).lattice(1.0)
+    # the stamped 4.0 (1 + span * 30 / 159 is 3.9999999999999996) is step 30
+    assert lat.step_at(4.0) == 30 and lat.step_at(3.9999999999999996) is None
+    assert (lat.step_at(16.9), lat.step_at(1.0)) == (159, 0)
+    assert (lat.step_at(0.9), lat.step_at(17.0), lat.step_at(1.05)) == (None, None, None)
+    lat = SolverConfig(dt=-0.1, t_end=1.0).lattice(6.0)
+    assert (lat.step_at(4.0), lat.step_at(6.0), lat.step_at(1.0)) == (20, 0, 50)
+    lat = SolverConfig(dt=0.1, t_end=2.0).lattice(2.0)
+    assert (lat.n, lat.step_at(2.0), lat.step_at(1.0)) == (0, 0, None)
+    # a last step stamped as a power of two just beyond t_end, going forward and back, is a snapshot
+    lat = SolverConfig(dt=0.1, t_end=4.0 - 1e-10, record_stride=10).lattice(1.0)
+    assert (lat.time(30), lat.step_at(4.0), lat.snapshots) == (4.0, 30, (0, 10, 30))
+    lat = SolverConfig(dt=-0.1, t_end=1.0 + 1e-10, record_stride=10).lattice(6.0)
+    assert (lat.time(50), lat.step_at(1.0), lat.snapshots) == (1.0, 50, (20, 40, 50))
 
 
 @pytest.mark.parametrize("n, stride", [(150, 10), (149, 10), (7, 3), (1, 5), (0, 2)])

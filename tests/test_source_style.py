@@ -170,8 +170,9 @@ def test_solver_kernels_declare_no_defaults():
 def test_the_run_lattice_has_one_owner():
     # which steps are recorded and kept is solver.Lattice's decision: the
     # power-of-two test lives in solver, the lattice is built by the run and
-    # by the one CLI function that checks it, and no caller overwrites a
-    # config's stride
+    # by the one CLI function that checks it, no caller overwrites a
+    # config's stride, and the CLI asks the lattice by time (step_at), never
+    # stamping a step itself or picking a record or snapshot by position
     frexp = sorted(path.name for path in SRC.glob("*.py") if path.name != "solver.py" and "frexp" in path.read_text())
     lattice_callers = sorted(
         f"{path.stem}.{scope}"
@@ -188,6 +189,17 @@ def test_the_run_lattice_has_one_owner():
         and getattr(node.func, "attr", getattr(node.func, "id", "")) in ("setattr", "__setattr__")
         and any(isinstance(arg, ast.Constant) and arg.value == "record_stride" for arg in node.args)
     ]
+    cli = ast.parse((SRC / "cli.py").read_text())
+    cli_time_calls = [scope for scope, callee in _calls(cli) if callee == "time"]
+    cli_positional = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr in ("snapshots", "records")
+    ]
     assert frexp == []
     assert lattice_callers == ["cli._nonlinear_run", "solver.evolve"]
     assert stride_writes == []
+    assert cli_time_calls == []
+    assert cli_positional == []

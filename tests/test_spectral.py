@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gbbmlab.dispersion import SQRT3
-from gbbmlab.solver import gaussian_data
-from gbbmlab.spectral import Grid, SpectralField
+from gbbmlab.solver import gaussian_data, linear_symbol
+from gbbmlab.spectral import AIRY_MARGIN, Grid, SpectralField
 
 
 def test_grid_validation():
@@ -137,3 +137,33 @@ def test_gaussian_data_with_a_carrier_is_bitwise_the_product(carrier):
     envelope = 0.3 * np.exp(-(x * x) / (2.0 * 2.0 * 2.0))
     expected = SpectralField.from_physical(g, envelope * np.cos(carrier * x), 1.0)
     assert np.array_equal(gaussian_data(g, 0.3, 2.0, carrier).coeffs.view(np.float64), expected.coeffs.view(np.float64))
+
+
+#: The half-width of gaussian_data's envelope above 2^-53 of its peak, per unit width.
+_REACH = math.sqrt(106.0 * math.log(2.0))
+
+
+def test_max_unwrapped_time_solves_its_bound():
+    # evolve's box (L = 2048) at width 0.5 holds tau = 3000; the fast front meets
+    # the slow edge at (9/8) tau = 2L, and the bound stops short of that by the margins
+    grid, reach = Grid(2**14, 2048.0), 0.5 * _REACH
+    tau = grid.max_unwrapped_time(reach)
+    assert 3000.0 <= tau < 2.0 * 2048.0 * 8.0 / 9.0
+    assert 9.0 / 8.0 * tau + 2.0 * reach + AIRY_MARGIN * (3.0 * tau) ** (1.0 / 3.0) == pytest.approx(4096.0, rel=1e-12)
+    assert Grid(2**14, 4096.0).max_unwrapped_time(reach) > tau
+    assert grid.max_unwrapped_time(10.0 * reach) < tau
+    assert Grid(2, 1.0).max_unwrapped_time(2.0) < 0.0  # the data does not fit the box
+
+
+@pytest.mark.parametrize("half_length", [64.0, 128.0])
+def test_a_linear_run_to_the_unwrapped_time_keeps_the_lines_sup(half_length):
+    # the exact linear flow to the helper's tau, on the box and on one 8 times
+    # longer at the same dx: the lapped front has not reached the sup
+    width, dx = 0.5, 0.25
+    tau = Grid(2, half_length).max_unwrapped_time(width * _REACH)
+    sups = []
+    for L in (half_length, 8.0 * half_length):
+        u0 = gaussian_data(Grid(round(2.0 * L / dx), L), 1.0, width)
+        coeffs = u0.coeffs * np.exp(linear_symbol(u0.grid) * tau)
+        sups.append(np.max(np.abs(SpectralField(u0.grid, coeffs).physical())))
+    assert abs(sups[0] - sups[1]) <= 1e-9 * sups[1]
