@@ -9,11 +9,14 @@ evaluated by trapezoid quadrature on nodes fine enough that the phase
 advances by at most pi/10 between neighbours (using the a-priori bound
 |d/dxi (x xi - t omega)| <= |x| + t max|omega'| over the band).  The nodes
 are uniform, and so are the points, a scan x = linspace(a, b, m), so the
-sum over nodes is a chirp-z transform, evaluated with one FFT convolution
-(Bluestein) in O((N + M) log(N + M)).  Every value is cross-checked at twice
-the resolution; disagreement raises instead of returning a silently wrong
-number.  The coarse rule's nodes are every other fine node, so psi_k, fhat
-and the phase are evaluated once, on the fine nodes.
+sum over nodes is a chirp-z transform, evaluated with an FFT convolution
+(Bluestein) in O((N + M) log(N + M)).  Every value is cross-checked against
+the rule at half the resolution; disagreement raises instead of returning a
+silently wrong number.  The coarse rule's nodes are every other fine node, so
+psi_k, fhat and the phase are evaluated once, on the fine nodes, and the
+fine rule's sum is split as E + O over its even and odd nodes: the coarse
+rule is 2E, and O is a sum over the even nodes too, so one row makes two
+chirp-z sums on the even nodes that share one Bluestein set-up.
 
 The decay bounds split into five regimes by frequency-vs-time balance, one
 row each of ``_REGIMES``: the lowest 2^k at time t and a right-hand side from
@@ -162,9 +165,8 @@ class EstimateSweep:
 def _quadrature_nodes(k: int, t: float, xmax: float, velocity: tuple[float, float]) -> np.ndarray:
     """Uniform nodes covering the positive band, spaced so the oscillatory
     phase moves by at most PHASE_STEP between every other neighbour: the fine
-    rule's 2n + 1 nodes.  The coarse rule's are ``fine[::2]``, which is
-    bitwise ``np.linspace(lo, hi, n + 1)``, as the fine step is exactly half
-    the coarse one.  ``velocity`` is the band's range of omega'."""
+    rule's 2n + 1 nodes, whose even ones are the coarse rule's.  ``velocity``
+    is the band's range of omega'."""
     lo, hi = _band_interval(k)
     vmax = max(abs(velocity[0]), abs(velocity[1]))
     dphi_max = abs(xmax) + t * vmax
@@ -173,36 +175,34 @@ def _quadrature_nodes(k: int, t: float, xmax: float, velocity: tuple[float, floa
     return np.linspace(lo, hi, 2 * n + 1)
 
 
-def _chirp_z_sum(amp, nodes, x):
-    """sum_j amp_j exp(i x_m xi_j) for uniform x_m and xi_j (Bluestein).
+def _chirp_z_sum(amps, nodes, x):
+    """[sum_j amp_j exp(i x_m xi_j) for amp in amps] for uniform x_m and xi_j (Bluestein).
 
     With x_m = x_0 + m h_x, xi_j = xi_0 + j h_xi and theta = h_x h_xi,
     x_m xi_j = x_m xi_0 + x_0 (xi_j - xi_0) + theta m j, and
     m j = (m^2 + j^2 - (m - j)^2) / 2 turns the sum over j into a linear
     convolution with the chirp exp(-i theta d^2 / 2), done by FFT at a
     length >= N + M - 1 so it does not wrap.  The squares are formed
-    exactly in integers before scaling.  The convolution lives in one array
-    of that length: the chirp's transform multiplies it in place, and the
-    inverse transform overwrites it.
+    exactly in integers before scaling.  The chirps and the kernel's transform
+    are formed once for all the rows, which then run one after another
+    through one array of the transform length, transformed into it,
+    multiplied in place by the kernel's transform and inverted in place.
     """
     n, m = nodes.size, x.size
     half_theta = 0.5 * (x[-1] - x[0]) / (m - 1) * (nodes[-1] - nodes[0]) / (n - 1)
     j, mm, d = np.arange(n), np.arange(m), np.arange(1 - n, m)
     size = 1 << (n + m - 2).bit_length()
-    conv = np.fft.fft(amp * np.exp(1j * (x[0] * (nodes - nodes[0]) + half_theta * (j * j))), size)
-    conv *= np.fft.fft(np.exp(-1j * half_theta * (d * d)), size)
-    np.fft.ifft(conv, out=conv)
-    return np.exp(1j * (x * nodes[0] + half_theta * (mm * mm))) * conv[n - 1 : n - 1 + m]
-
-
-def _piece_on_nodes(x, nodes, psi, f, phase):
-    """Trapezoid evaluation of the band integral at the uniform scan x,
-    exploiting Hermitian symmetry of a real field (integral = 2 Re of the
-    xi>0 half), from psi_k, fhat and exp(-i omega t) at the nodes."""
-    w = np.full(nodes.size, nodes[1] - nodes[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return 2.0 * _chirp_z_sum(w * psi * f * phase, nodes, x).real / _SQRT_2PI
+    kernel = np.fft.fft(np.exp(-1j * half_theta * (d * d)), size)
+    chirp_in = np.exp(1j * (x[0] * (nodes - nodes[0]) + half_theta * (j * j)))
+    chirp_out = np.exp(1j * (x * nodes[0] + half_theta * (mm * mm)))
+    conv = np.empty(size, dtype=complex)
+    sums = []
+    for amp in amps:
+        np.fft.fft(amp * chirp_in, size, out=conv)
+        conv *= kernel
+        np.fft.ifft(conv, out=conv)
+        sums.append(chirp_out * conv[n - 1 : n - 1 + m])
+    return sums
 
 
 def evaluate_lp_piece(sweep: EstimateSweep, k: int, t: float, a: float, b: float, m: int) -> np.ndarray:
@@ -210,17 +210,26 @@ def evaluate_lp_piece(sweep: EstimateSweep, k: int, t: float, a: float, b: float
     data (interpreted at time 0), by direct oscillatory quadrature,
     on the uniform scan x = np.linspace(a, b, m), m >= 2.
 
-    Returns real values at those points.  Raises ArithmeticError if
-    doubling the quadrature resolution moves the answer by more than
-    CONVERGENCE_RTOL relative to the overall sup of the piece.
+    A trapezoid rule is 2 Re of its sum over xi > 0 (a real field's spectrum
+    is Hermitian).  The fine rule's sum (spacing h) is E + O over its even and
+    odd nodes; the coarse rule's (spacing 2h) is 2E, as its nodes are the even
+    ones with twice the fine weights; and O is exp(i x h) times the odd terms
+    summed over the even nodes.  Returns the fine rule's real values.  Raises
+    ArithmeticError if the two rules differ by more than CONVERGENCE_RTOL
+    relative to the overall sup of the piece.
     """
     require_band_on_grid(sweep.grid, k)
     x = np.linspace(a, b, m)
     # linspace hits both ends exactly, so this is max|x|
     nodes = _quadrature_nodes(k, t, max(abs(a), abs(b)), _band_velocity_range(k))
-    integrand = psi_k(k, nodes), sweep.fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
-    coarse = _piece_on_nodes(x, nodes[::2], *(v[::2] for v in integrand))
-    fine = _piece_on_nodes(x, nodes, *integrand)
+    h = nodes[1] - nodes[0]
+    terms = h * psi_k(k, nodes) * sweep.fhat_at(nodes) * np.exp(-1j * omega(nodes) * t)
+    even, odd = terms[::2].copy(), np.append(terms[1::2], 0.0)  # no odd node above the last even one
+    del terms
+    even[[0, -1]] *= 0.5
+    even, odd = _chirp_z_sum((even, odd), nodes[::2], x)
+    fine = 2.0 * (even + odd * np.exp(1j * h * x)).real / _SQRT_2PI
+    coarse = 4.0 * even.real / _SQRT_2PI
     scale = max(float(np.max(np.abs(fine))), 1e-300)
     if float(np.max(np.abs(fine - coarse))) > CONVERGENCE_RTOL * scale:
         raise ArithmeticError(

@@ -66,7 +66,13 @@ class Records(Sequence):
         return itertools.chain(range(0, self.n, self.stride), (self.n,))
 
     def __contains__(self, i) -> bool:
-        return i == self.n or i in range(0, self.n, self.stride)
+        """O(1) for any i: an int (np.integer, bool) or an integral float is looked up as
+        that int; anything else is no member, as for the tuple."""
+        if isinstance(i, (float, np.floating)) and i.is_integer():
+            i = int(i)
+        if not isinstance(i, (int, np.integer)):
+            return False
+        return i == self.n or (0 <= i < self.n and i % self.stride == 0)
 
 
 @dataclass(frozen=True)
@@ -81,13 +87,19 @@ class Lattice:
     dt: float
     records: Records
 
+    @functools.cached_property
+    def _snap(self) -> float:
+        """How near a whole number a step's time is stamped as it: 1e-9 |span|, capped at a
+        quarter step (which bites beyond 2.5e8 steps) so no two steps stamp the same one."""
+        return min(1e-9 * abs(self.span), abs(self.dt) / 4)
+
     def time(self, i: int) -> float:
         """Time after step i, t0 + span * i / n and not a sum of dt's, stamped as the
-        whole number within 1e-9 |span| of it if there is one; t0 itself at i = 0."""
+        whole number within ``_snap`` of it if there is one; t0 itself at i = 0."""
         if i == 0:
             return self.t0
         t = self.t0 + self.span * i / self.n
-        return float(round(t)) if abs(t - round(t)) <= 1e-9 * abs(self.span) else t
+        return float(round(t)) if abs(t - round(t)) <= self._snap else t
 
     def step_at(self, t: float) -> int | None:
         """The step i whose time(i) is t, or None: the one candidate round((t - t0) n / span), 0 if n = 0."""
@@ -97,9 +109,9 @@ class Lattice:
     @functools.cached_property
     def snapshots(self) -> tuple[int, ...]:
         """The records i whose time(i) is an exact power of two: step_at of each power of two between t0
-        and t_end, widened by the 1e-9 |span| snap and the rounding of t0 + span * i / n."""
+        and t_end, widened by the snap and the rounding of t0 + span * i / n."""
         lo, hi = sorted((self.t0, self.t0 + self.span))
-        tol = 1e-9 * abs(self.span) + 1e-15 * max(abs(lo), abs(hi))
+        tol = self._snap + 1e-15 * max(abs(lo), abs(hi))
         first = math.frexp(lo - tol)[1] - 1 if lo - tol > 0.0 else -1074
         steps = (self.step_at(math.ldexp(1.0, e)) for e in range(first, math.frexp(hi + tol)[1] if hi > 0.0 else first))
         return tuple(sorted(i for i in steps if i is not None and i in self.records))

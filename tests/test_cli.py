@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbbmlab import diagnostics, resonance, solver
+from gbbmlab import diagnostics, linear_flow, resonance, solver
 from gbbmlab.cli import _CHECKS, _DEFAULTS, OutputSink, _median, build_parser, main, read_snapshot
 from gbbmlab.dispersion import SQRT3
 from gbbmlab.spectral import Grid
@@ -595,6 +595,16 @@ def test_overflowing_sobolev_weight_rejected(tmp_path, capsys, monkeypatch, argv
     assert run_cli(argv + ["--output-dir", str(out)]) == 1
     assert f"error: s = {argv[-1]} overflows" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_quadrature_that_fails_to_self_converge_exits_2(tmp_path, capsys, monkeypatch):
+    # the benchmark's verify-estimates run at a phase step of 4 pi between every
+    # other fine node: band 3 at t = 16 is the first row whose two rules disagree
+    monkeypatch.setattr(linear_flow, "PHASE_STEP", 4.0 * math.pi)
+    out = tmp_path / "ve"
+    assert run_cli(["verify-estimates", "--t-max", "32", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: band quadrature failed to self-converge at k=3, t=16.0\n"
     assert not out.exists()
 
 

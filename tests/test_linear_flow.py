@@ -13,7 +13,6 @@ from gbbmlab.linear_flow import (
     EstimateSweep,
     _band_velocity_range,
     _chirp_z_sum,
-    _piece_on_nodes,
     _quadrature_nodes,
     aggregate_sup_norm,
     classify_case,
@@ -29,23 +28,26 @@ from gbbmlab.littlewood_paley import psi_k
 from gbbmlab.spectral import Grid, SpectralField
 
 
-def _integrand(field, k, t, nodes):
-    return psi_k(k, nodes), EstimateSweep(field).fhat_at(nodes), np.exp(-1j * omega(nodes) * t)
+def _amplitude(field, k, t, nodes):
+    """The trapezoid weights (the node spacing, halved at both ends) times the integrand at the
+    nodes, with fhat interpolated over the whole grid from fresh continuum coefficients."""
+    w = np.full(nodes.size, nodes[1] - nodes[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    xi, c = field.grid.frequencies, field.continuum_coeffs
+    f = np.interp(nodes, xi, c.real) + 1j * np.interp(nodes, xi, c.imag)
+    return w * psi_k(k, nodes) * f * np.exp(-1j * omega(nodes) * t)
 
 
 def _piece(field, k, t, xs, nodes):
     """One trapezoid rule of the band integral on the given nodes, at the uniform scan xs."""
-    return _piece_on_nodes(xs, nodes, *_integrand(field, k, t, nodes))
+    (total,) = _chirp_z_sum([_amplitude(field, k, t, nodes)], nodes, xs)
+    return 2.0 * total.real / math.sqrt(2 * math.pi)
 
 
 def _dense_piece(field, k, t, x, nodes):
     """The same trapezoid rule as a dense sum over the nodes, at any points x."""
-    psi, f, phase = _integrand(field, k, t, nodes)
-    w = np.full(nodes.size, nodes[1] - nodes[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    amp = w * psi * f * phase
-    return 2.0 * np.real(np.exp(1j * np.outer(x, nodes)) @ amp) / math.sqrt(2 * math.pi)
+    return 2.0 * np.real(np.exp(1j * np.outer(x, nodes)) @ _amplitude(field, k, t, nodes)) / math.sqrt(2 * math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -274,11 +276,48 @@ def test_dispersive_bound_case5_trivial(gaussian_field):
     assert b.rhs == pytest.approx(2.0**-10 * linf_fhat(gaussian_field.continuum_coeffs), rel=1e-12)
 
 
+def _velocity_range(k):
+    v = omega_prime(np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), 4097))
+    return float(np.min(v)), float(np.max(v))
+
+
+def _reference_scan(k, t):
+    """A row's scan of its band's cone, from the band's omega' range sampled afresh."""
+    vlo, vhi = _velocity_range(k)
+    a, b = min(1.05 * t * vlo, t * vlo) - 20.0, max(1.05 * t * vhi, t * vhi) + 20.0
+    return np.linspace(a, b, max(16, int(math.ceil((b - a) / (2.0 * math.pi * 2.0 ** (-k) / 8)))) + 1)
+
+
+def _reference_nodes(k, t, xs, refine):
+    """The coarse (refine = 1) or fine (refine = 2) rule's n * refine + 1 linspace nodes on the band."""
+    vlo, vhi = _velocity_range(k)
+    step = math.pi / 10.0 / max(float(np.max(np.abs(xs))) + t * max(abs(vlo), abs(vhi)), 1.0)
+    n = max(64, int(math.ceil((2.0 ** (k + 1) - 2.0 ** (k - 1)) / step))) * refine
+    return np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), n + 1)
+
+
+def _two_rules(field, k, t, xs):
+    """(coarse, fine) as two independent chirp-z sums, each on its own nodes with its own
+    psi_k, fhat and phase: the quadrature's arithmetic before the even/odd split."""
+    return tuple(_piece(field, k, t, xs, _reference_nodes(k, t, xs, refine)) for refine in (1, 2))
+
+
+def _even_odd_rules(field, k, t, xs):
+    """(coarse, fine) from the fine rule's sums E and O over its even and its odd nodes:
+    the coarse rule is 2 Re(2E), the fine one 2 Re(E + O), and O is exp(i x h) times the
+    odd terms summed over the even nodes, a zero term at the last."""
+    nodes = _reference_nodes(k, t, xs, 2)
+    terms = _amplitude(field, k, t, nodes)
+    e, o = _chirp_z_sum([terms[::2], np.append(terms[1::2], 0.0)], nodes[::2], xs)
+    fine = 2.0 * (e + o * np.exp(1j * (nodes[1] - nodes[0]) * xs)).real / math.sqrt(2.0 * math.pi)
+    return 4.0 * e.real / math.sqrt(2.0 * math.pi), fine
+
+
 def _reference_row(field, k, t, s=5.5):
     """A decay-bound row as computed before rows shared a sweep: fresh
     continuum coefficients for the rhs and again for the interpolant, the
-    band's omega' range per use, and independent coarse and fine linspace
-    node sets, each with its own psi_k, fhat and phase; the case and its rhs
+    band's omega' range per use, and the fine rule's linspace nodes, with
+    their own psi_k, fhat and phase, summed as E + O; the case and its rhs
     by the if-chains that preceded the regime table."""
     case = _reference_case(k, t)
     lam = 2.0**k
@@ -301,28 +340,7 @@ def _reference_row(field, k, t, s=5.5):
         else:
             rhs = t**-0.5 * lam**-0.5 * fsup + t**-0.75 * lam**-0.75 * dk
 
-    def velocity_range():
-        v = omega_prime(np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), 4097))
-        return float(np.min(v)), float(np.max(v))
-
-    vlo, vhi = velocity_range()
-    a, b = min(1.05 * t * vlo, t * vlo) - 20.0, max(1.05 * t * vhi, t * vhi) + 20.0
-    xs = np.linspace(a, b, max(16, int(math.ceil((b - a) / (2.0 * math.pi * 2.0 ** (-k) / 8)))) + 1)
-    xi, c = field.grid.frequencies, field.continuum_coeffs
-
-    def rule(refine):
-        vlo, vhi = velocity_range()
-        step = math.pi / 10.0 / max(float(np.max(np.abs(xs))) + t * max(abs(vlo), abs(vhi)), 1.0)
-        n = max(64, int(math.ceil((2.0 ** (k + 1) - 2.0 ** (k - 1)) / step))) * refine
-        nodes = np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), n + 1)
-        w = np.full(nodes.size, nodes[1] - nodes[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        f = np.interp(nodes, xi, c.real) + 1j * np.interp(nodes, xi, c.imag)
-        amp = w * psi_k(k, nodes) * f * np.exp(-1j * omega(nodes) * t)
-        return 2.0 * _chirp_z_sum(amp, nodes, xs).real / math.sqrt(2.0 * math.pi)
-
-    coarse, fine = rule(1), rule(2)
+    coarse, fine = _even_odd_rules(field, k, t, _reference_scan(k, t))
     assert np.max(np.abs(fine - coarse)) <= 1e-6 * np.max(np.abs(fine))
     return linear_flow.DispersiveCaseBound(k=k, t=t, case=case, lhs=float(np.max(np.abs(fine))), rhs=rhs)
 
@@ -351,6 +369,54 @@ def test_lone_rows_are_bitwise_the_per_row_reference(request, data, k, t, case):
     row = dispersive_bound(EstimateSweep(field), k, t)
     assert row.case == case
     assert dataclasses.astuple(row) == dataclasses.astuple(_reference_row(field, k, t))
+
+
+def test_default_rows_are_the_two_rule_arithmetic_within_1e_12(estimates_field):
+    # verify-estimates' 81 default rows: the even/odd split moves each row's sup by
+    # 3.5e-14 relative at most and its fine rule by 1.3e-13 of that sup, far inside
+    # the rows' 1e-6 tolerance.  The coarse rule, which only the 1e-6
+    # self-convergence check reads, moves by 1.5e-12 of the sup at most
+    sweep = EstimateSweep(estimates_field)
+    rows = verify_dispersive_estimate(estimates_field, range(-3, 6), [16.0 * 2.0**j for j in range(9)])
+    assert len(rows) == 81
+    for r in rows:
+        xs = _reference_scan(r.k, r.t)
+        coarse, fine = _two_rules(estimates_field, r.k, r.t, xs)
+        sup = np.max(np.abs(fine))
+        assert r.lhs == pytest.approx(sup, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(evaluate_lp_piece(sweep, r.k, r.t, xs[0], xs[-1], xs.size) - fine)) <= 1e-12 * sup
+        assert np.max(np.abs(_even_odd_rules(estimates_field, r.k, r.t, xs)[0] - coarse)) <= 1e-11 * sup
+
+
+def test_one_row_transforms_its_chirp_once_and_nothing_at_the_fine_length(estimates_field, monkeypatch):
+    # band -3 at t = 16: 129 fine nodes, 65 even ones and a 17-point scan, so the
+    # convolution's length is 128 and a fine rule's would be 256.  The chirp
+    # (65 + 17 - 1 points) is transformed once; each of E and O once forward and once back
+    k, t = -3, 16.0
+    nodes = _quadrature_nodes(k, t, float(np.max(np.abs(_reference_scan(k, t)))), _band_velocity_range(k))
+    assert (nodes.size, _reference_scan(k, t).size) == (129, 17)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, n=None, *args, **kwargs):
+            calls.append((name, len(a), n))
+            return fn(a, n, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    sup_norm_of_piece(EstimateSweep(estimates_field), k, t)
+    assert sorted(calls) == [("fft", 65, 128), ("fft", 65, 128), ("fft", 81, 128), ("ifft", 128, None), ("ifft", 128, None)]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_quadrature_refuses_a_rule_that_does_not_self_converge(estimates_field, monkeypatch, k):
+    # at a phase step of 4 pi between every other fine node the coarse rule is
+    # far off the fine one on the estimates data's high bands
+    monkeypatch.setattr(linear_flow, "PHASE_STEP", 4.0 * math.pi)
+    with pytest.raises(ArithmeticError, match=f"failed to self-converge at k={k}, t=32.0"):
+        dispersive_bound(EstimateSweep(estimates_field), k, 32.0)
 
 
 def test_sweep_does_per_field_and_per_band_work_once(estimates_field, monkeypatch):

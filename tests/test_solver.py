@@ -479,6 +479,31 @@ def test_records_index_iterate_and_search_as_their_tuple(n, stride):
         with pytest.raises(IndexError):
             records[j]
     assert [i in records for i in range(-2, n + 3)] == [i in want for i in range(-2, n + 3)]
+    others = (None, 2.5, float(stride), np.int64(n), True, -0.0, np.float32(n), math.nan, "5", (5,))
+    assert [i in records for i in others] == [i in want for i in others]
+
+
+def test_records_membership_takes_no_scan():
+    # range.__contains__ scans its range for anything but an int: 0.34 s for
+    # None in Records(10**7, 1), timed here first, and no end for 10**12
+    t0 = time.perf_counter()
+    assert None not in solver.Records(10**7, 1)
+    assert time.perf_counter() - t0 < 0.05
+    records = solver.Records(10**12, 1)
+    assert None not in records and 2.5 not in records and "x" not in records
+    assert 5.0 in records and np.int64(10**12) in records and float(10**12 - 1) in records
+
+
+def test_a_billion_step_lattice_stamps_each_whole_time_once():
+    # 1e-9 |span| is a whole step here: the snap is capped at a quarter step,
+    # so steps 21 (t = 2.05) and 59, 61 (3.95, 4.05) keep their own times
+    lat = SolverConfig(dt=0.05, t_end=1 + 5e7, record_stride=1).lattice(1.0)
+    assert lat.n == 10**9
+    assert [lat.time(i) for i in (19, 20, 21)] == [1.95, 2.0, 2.05]
+    assert [lat.time(i) == 4.0 for i in (59, 60, 61)] == [False, True, False]
+    times = [lat.time(i) for i in lat.snapshots]
+    assert times == [2.0**e for e in range(26)]
+    assert lat.snapshots[:3] == (0, 20, 60)
 
 
 def _reference_lattice(dt: float, t_end: float, stride: int, t0: float = 1.0):
