@@ -320,6 +320,17 @@ def _dyadic_times(t_min: float, t_max: float) -> list[float]:
     return ts
 
 
+def _cone_index(grid: Grid, u: np.ndarray, start: float) -> int:
+    """The full box's index j of the argmax i of the samples u a sweep read off a sub-box of m = u.size points:
+    j = i + m r for the one translate r with x_j = -L + dx j in the cone [start, start + m dx), i on the full box.
+    The translate is picked in integers, so x_j is bitwise the full box's sample."""
+    i, m = int(np.argmax(np.abs(u))), u.size
+    if m == grid.n_modes:
+        return i
+    first = math.ceil((start + grid.half_length) / grid.dx)
+    return first + (i - first) % m
+
+
 def run_linear_decay(cfg: dict, sink: OutputSink):
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
     if len(times) < 4:
@@ -339,10 +350,12 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
     else:
         rows = []
         # the profile is at t = 0, so the sweep's doubling times are the dyadic times themselves
-        for t, (sup, u) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times))):
+        reach = _GAUSSIAN_REACH * width
+        for t, (sup, u) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times), reach)):
             rows.append((t, "", "aggregate", sup, "", ""))
         if cfg["profile"] == "near-sqrt3":  # u holds the last time's samples
-            x_max, ray = -grid.half_length + grid.dx * int(np.argmax(np.abs(u))), -times[-1] / 8.0
+            ray = -times[-1] / 8.0
+            x_max = -grid.half_length + grid.dx * _cone_index(grid, u, ray - reach)
             summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
     fit = diagnostics.fit_decay([(t, sup) for t, _, _, sup, _, _ in rows])
     summary.update(fitted_exponent=fit.exponent, r_squared=fit.r_squared)

@@ -444,6 +444,19 @@ def test_evolve_near_sqrt3_transform_peaks_at_sqrt3(tmp_path):
     assert abs(abs(peak) - SQRT3) <= f.grid.dxi
 
 
+def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
+    # at t_max = 1600 the last time is read off a quarter of the default box; its argmax,
+    # mapped back into the cone, is the full box's sample
+    out = tmp_path / "ld"
+    assert run_cli(["linear-decay", "--profile", "near-sqrt3", "--t-max", "1600", "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "decay_summary.json").read_text())
+    grid, t = Grid(_DEFAULTS["linear-decay"]["n_modes"], _DEFAULTS["linear-decay"]["half_length"]), 1600.0
+    field = solver.gaussian_data(grid, 1.0, 1.0 / _DEFAULTS["linear-decay"]["width"], SQRT3, time=0.0)
+    x_max = -grid.half_length + grid.dx * int(np.argmax(np.abs(linear_flow.propagate_linear(field, t).physical())))
+    assert (summary["argmax_x"], summary["ray_x"]) == (x_max, -t / 8.0)
+    assert summary["ray_relative_error"] == abs(x_max + t / 8.0) / (t / 8.0)
+
+
 @pytest.mark.parametrize(
     "argv, message, ini",
     [

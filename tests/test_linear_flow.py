@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gbbmlab import diagnostics, linear_flow, solver
 from gbbmlab.diagnostics import dxi_l2, linf_fhat, sobolev
@@ -13,6 +14,7 @@ from gbbmlab.linear_flow import (
     EstimateSweep,
     _band_velocity_range,
     _chirp_z_sum,
+    _fold,
     _quadrature_nodes,
     aggregate_sup_norm,
     classify_case,
@@ -103,6 +105,67 @@ def test_linear_sup_sweep_allocates_nothing_grid_sized_after_the_first_time():
         tracemalloc.stop()
     # the finiteness check's mask is coeffs.nbytes / 16
     assert peak < field.coeffs.nbytes / 8
+
+
+#: The half-width of gaussian_data's envelope above 2^-53 of its peak, per unit width.
+_REACH = math.sqrt(106.0 * math.log(2.0))
+
+
+@pytest.mark.parametrize("width, carrier", [(0.5, 0.0), (2.0, SQRT3)], ids=["gaussian", "near-sqrt3"])
+def test_linear_sup_sweep_on_sub_boxes_matches_the_full_box(width, carrier):
+    # linear-decay's default grid and times, t = 100 ... 6400: the early times read off sub-boxes
+    # of 2^13 points and up, the last off the full box
+    g = Grid(2**18, 9000.0)
+    field = solver.gaussian_data(g, 1.0, width, carrier, time=0.0)
+    full = [sup for sup, _ in linear_sup_sweep(field, 100.0, 7)]
+    folded = [(sup, u.size) for sup, u in linear_sup_sweep(field, 100.0, 7, width * _REACH)]
+    assert (folded[0][1], folded[-1][1]) == (g.n_modes // 32, g.n_modes)
+    for a, (b, _) in zip(full, folded, strict=True):
+        assert abs(a - b) <= 1e-13 * a
+    assert folded[-1][0] == full[-1]
+
+
+def test_linear_sup_sweep_given_a_reach_allocates_nothing_grid_sized_after_the_first_time():
+    g = Grid(2**16, 2048.0)
+    field = solver.gaussian_data(g, 1.0, 0.5, time=0.0)
+    sweep = linear_sup_sweep(field, 10.0, 6, 0.5 * _REACH)
+    next(sweep)
+    tracemalloc.start()
+    try:
+        assert len(list(sweep)) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the finiteness check's mask is coeffs.nbytes / 16
+    assert peak < field.coeffs.nbytes / 8
+
+
+#: Multiples of L: uniform ones, and signed powers of two down to the scale of a sub-box of 2^20 points.
+_PER_L = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.builds(lambda sign, e: sign * 2.0**e, st.sampled_from([-1.0, 1.0]), st.integers(-20, 1)),
+)
+
+
+@settings(max_examples=60, deadline=1000)
+@given(e=st.integers(1, 20), half_length=st.floats(1e-3, 1e6), reach=_PER_L.map(abs), tau=_PER_L)
+@example(e=18, half_length=9000.0, reach=0.5 * _REACH / 9000.0, tau=100.0 / 9000.0)  # linear-decay's first time
+@example(e=18, half_length=9000.0, reach=0.5 * _REACH / 9000.0, tau=0.0)
+def test_fold_picks_the_smallest_sub_box_that_passes_the_wrap_rule_twice_over(e, half_length, reach, tau):
+    # numbers only: no array is built
+    n, reach, tau = 2**e, reach * half_length, tau * half_length
+
+    def holds(p):
+        return Grid(n // p, half_length / p).max_unwrapped_time(reach) >= 2.0 * abs(tau)
+
+    # the backward cone is the forward one's mirror image; with no reach, the full box
+    p = _fold(Grid(n, half_length), tau, reach)
+    assert p == _fold(Grid(n, half_length), -tau, reach)
+    assert _fold(Grid(n, half_length), tau, None) == 1
+    assert p & (p - 1) == 0 and 1 <= p <= n // 2
+    assert holds(p) or p == 1  # p = 1 whether or not the full box holds the cone
+    if 2 * p <= n // 2:  # the next sub-box has the 2 points a Grid needs
+        assert not holds(2 * p)
 
 
 def test_evaluate_piece_matches_analytic_quadrature(gaussian_field):

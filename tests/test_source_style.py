@@ -203,3 +203,17 @@ def test_the_run_lattice_has_one_owner():
     assert stride_writes == []
     assert cli_time_calls == []
     assert cli_positional == []
+
+
+def test_one_wrap_rule():
+    # the box a linear run's waves fit is Grid.max_unwrapped_time's one decision: the CLI's
+    # refusal and the linear sweep's sub-box choice ask it, and no other module reads its Airy margin
+    calls = sorted(
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, callee in _calls(ast.parse(path.read_text()))
+        if callee == "max_unwrapped_time"
+    )
+    margin_readers = sorted(path.name for path in SRC.glob("*.py") if "AIRY_MARGIN" in path.read_text())
+    assert calls == ["cli._require_unwrapped", "linear_flow._fold"]
+    assert margin_readers == ["spectral.py"]

@@ -167,3 +167,15 @@ def test_a_linear_run_to_the_unwrapped_time_keeps_the_lines_sup(half_length):
         coeffs = u0.coeffs * np.exp(linear_symbol(u0.grid) * tau)
         sups.append(np.max(np.abs(SpectralField(u0.grid, coeffs).physical())))
     assert abs(sups[0] - sups[1]) <= 1e-9 * sups[1]
+
+
+@pytest.mark.parametrize("n", [4, 64, 4096])
+def test_every_pth_mode_is_the_sum_of_the_p_translates(n):
+    # Poisson summation on the DFT: irfft(c[::p], n/p)[i] = sum_r irfft(c, n)[i + r n/p]; a complex
+    # Nyquist entry is read as its real part by both transforms
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    u = np.fft.irfft(c, n)
+    for p in (2**e for e in range(n.bit_length() - 1)):
+        folded = np.fft.irfft(c[::p], n // p)
+        assert np.max(np.abs(folded - u.reshape(p, n // p).sum(axis=0))) <= 1e-13 * np.max(np.abs(u))
