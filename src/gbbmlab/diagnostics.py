@@ -160,8 +160,9 @@ class DyadicDifferences:
     snapshots at dyadic times t, 2t, 4t, ...: each appends the row (t,
     sup|d|, L2 of d), d = fhat(2t) - fhat(t), holding only the last t and
     fhat.  The L2 is m L2(d / m), m = sup|d|, so it underflows only where m
-    does.  A successor at other than twice the last t, and ``result()`` with
-    fewer than 3 rows, raise ValueError."""
+    does (d / m is divided on d's real view: a complex quotient multiplies by
+    1/m, which overflows for a subnormal m).  A successor at other than twice
+    the last t, and ``result()`` with fewer than 3 rows, raise ValueError."""
 
     def __init__(self):
         self.rows: list[tuple[float, float, float]] = []
@@ -175,7 +176,9 @@ class DyadicDifferences:
                 raise ValueError(f"snapshots not dyadic: {t1} followed by {t}")
             d = np.subtract(fhat, f1, out=f1)  # f1 is the fold's own array, not read again
             m = linf_fhat(d)
-            self.rows.append((t1, m, m * sobolev(profile.grid, np.divide(d, m, out=d), 0.0) if m else 0.0))
+            if m:
+                np.divide(d.view(float), m, out=d.view(float))
+            self.rows.append((t1, m, m * sobolev(profile.grid, d, 0.0) if m else 0.0))
         self._last = t, fhat
 
     def result(self) -> list[tuple[float, float, float]]:

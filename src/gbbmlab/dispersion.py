@@ -60,50 +60,36 @@ def reflection(xi):
     return out
 
 
-def _xi_star(c: float) -> float:
-    """Positive root of omega_prime(xi) = c for c in (-1/8, 0) u (0, 1).
-
-    The naive closed form sqrt((-(2c+1) + sqrt(8c+1)) / (2c)) is 0/0 at
-    c = 0; multiplying by the conjugate gives the stable equivalent
-    xi*^2 = 2(1 - c) / (sqrt(8c+1) + 2c + 1), valid on the whole range.
-    """
-    disc = math.sqrt(8.0 * c + 1.0)
-    return math.sqrt(2.0 * (1.0 - c) / (disc + 2.0 * c + 1.0))
-
-
 def solve_group_velocity(c: float, tol: float = 1e-10) -> tuple[float, ...]:
     """All solutions of omega_prime(xi) = c, sorted ascending.
 
-    The census: empty for c < -1/8 or c > 1; {0} for c = 1; {-1, 1} for
-    c = 0; {-sqrt(3), sqrt(3)} for c = -1/8; two roots +-xi* for c in (0, 1);
-    four roots +-xi*, +-r(xi*) for c in (-1/8, 0).
+    omega_prime(xi) = c is the quadratic c X^2 + (2c + 1) X + (c - 1) = 0 in
+    X = xi^2, with discriminant 8c + 1, so no root lies outside [-1/8, 1].
+    The inner pair +-xi* comes from the root (-(2c+1) + sqrt(8c+1)) / (2c),
+    which is 0/0 at c = 0; multiplied by its conjugate it is the stable
+    xi*^2 = 2(1 - c) / (sqrt(8c+1) + 2c + 1).  For c < 0 the outer pair
+    +-r(xi*) comes from the other root, which has no cancellation there
+    (unlike r(xi*), whose argument nears the asymptote as c -> 0-).  Equal
+    roots merge by value: the two pairs at +-sqrt(3) for c = -1/8, and +-0
+    for c = 1.  The census: {0} for c = 1, two roots for c in [0, 1), four
+    for c in (-1/8, 0), two for c = -1/8, none outside [-1/8, 1].
 
-    Every returned value satisfies |omega_prime(xi) - c| < tol.
+    Every returned value is finite and satisfies |omega_prime(xi) - c| < tol;
+    ArithmeticError otherwise (the outer pair overflows for negative subnormal c).
     """
     if not math.isfinite(c):
         raise ValueError("group velocity must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if c < -0.125 or c > 1.0:
-        sols: tuple[float, ...] = ()
-    elif c == 1.0:
-        sols = (0.0,)
-    elif c == 0.0:
-        sols = (-1.0, 1.0)
-    elif c == -0.125:
-        sols = (-SQRT3, SQRT3)
-    else:
-        xs = _xi_star(c)
-        if c > 0.0:
-            sols = (-xs, xs)
-        else:
-            # outer root pair, from the second quadratic root; this form has
-            # no cancellation anywhere on (-1/8, 0) (unlike r(xi*), whose
-            # argument approaches the asymptote as c -> 0-)
-            rs = math.sqrt((-(2.0 * c + 1.0) - math.sqrt(8.0 * c + 1.0)) / (2.0 * c))
-            sols = tuple(sorted((-xs, xs, -rs, rs)))
+    if not -0.125 <= c <= 1.0:
+        return ()
+    disc = math.sqrt(8.0 * c + 1.0)
+    squares = [2.0 * (1.0 - c) / (disc + 2.0 * c + 1.0)]
+    if c < 0.0:
+        squares.append((-(2.0 * c + 1.0) - disc) / (2.0 * c))
+    sols = tuple(sorted({s for x2 in squares for s in (math.sqrt(x2), -math.sqrt(x2))}))
     for s in sols:
-        if abs(float(omega_prime(s)) - c) >= tol:
+        if not math.isfinite(s) or abs(float(omega_prime(s)) - c) >= tol:
             raise ArithmeticError(
                 f"group-velocity inversion failed at c={c}: xi={s}"
             )

@@ -74,20 +74,20 @@ def propagate_linear(field: SpectralField, t: float) -> SpectralField:
     return SpectralField(field.grid, np.multiply(field.coeffs, factor, out=factor), t)
 
 
-def _fold(grid: Grid, tau: float, reach: float | None) -> int:
-    """The largest power of two p with Grid(n/p, L/p).max_unwrapped_time(reach) >= 2 |tau|, else 1 (and 1
-    given no reach): the smallest sub-box that holds the waves of data within ``reach`` of x = 0 at elapsed
+def _fold(grid: Grid, tau: float, reach: float) -> int:
+    """The largest power of two p with Grid(n/p, L/p).max_unwrapped_time(reach) >= 2 |tau|, else 1 (as for
+    reach = inf): the smallest sub-box that holds the waves of data within ``reach`` of x = 0 at elapsed
     time tau, whose backward cone mirrors the forward one.  At the wrap rule's own bound the Airy tail ahead
     of the front folds into the sup at 7e-12 relative (gaussian data at tau = 400); at twice it, round-off."""
     p = 1
-    while reach is not None and grid.n_modes >= 4 * p:
+    while grid.n_modes >= 4 * p:
         if Grid(grid.n_modes // (2 * p), grid.half_length / (2 * p)).max_unwrapped_time(reach) < 2.0 * abs(tau):
             break
         p *= 2
     return p
 
 
-def linear_sup_sweep(field: SpectralField, t0: float, count: int, reach: float | None = None):
+def linear_sup_sweep(field: SpectralField, t0: float, count: int, reach: float):
     """Yield (sup_x |u|, u) for the linear solution u at the doubling times
     field.time + t0 2^j, j = 0 ... count - 1, u its real-space samples.
 
@@ -104,7 +104,7 @@ def linear_sup_sweep(field: SpectralField, t0: float, count: int, reach: float |
     Nyquist entry alike), irfft(c[::p], n/p)[i] = sum_r irfft(c, n)[i + r n/p].
     Of the p translates by 2L/p that sample i at -L + dx i sums, the one in
     [-tau/8 - reach, -tau/8 - reach + 2L/p) carries the waves, the others
-    round-off.  Without a reach, every time is the full box's transform."""
+    round-off.  Given reach = inf (data anywhere), the full box's transform."""
     grid = field.grid
     # propagating the unit half-spectrum gives exp(-i omega t0) itself, in an array of our own
     factor = propagate_linear(SpectralField(grid, np.ones_like(field.coeffs)), t0).coeffs
@@ -124,9 +124,9 @@ def linear_sup_sweep(field: SpectralField, t0: float, count: int, reach: float |
 def aggregate_sup_norm(field: SpectralField, t: float) -> float:
     """sup_x |u(t, x)| of the full linear solution, via exact periodic
     propagation and one inverse FFT on the full box (the one-time case of
-    ``linear_sup_sweep``, given no reach).  The domain must outrun the fastest
+    ``linear_sup_sweep``, given reach = inf).  The domain must outrun the fastest
     group velocity (|omega'| <= 1) for the periodic image to be negligible."""
-    ((sup, _),) = linear_sup_sweep(field, t - field.time, 1)
+    ((sup, _),) = linear_sup_sweep(field, t - field.time, 1, math.inf)
     return sup
 
 

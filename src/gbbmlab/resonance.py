@@ -117,12 +117,8 @@ SCALAR_PHASE_FUNCTIONS: dict[str, Callable] = {
 
 
 def scalar_function(name: str, eta):
-    """Evaluate a registered scalar phase function; |eta| must exceed 1."""
-    fn = SCALAR_PHASE_FUNCTIONS[name]
-    eta_arr = np.asarray(eta, dtype=float)
-    if np.any(np.abs(eta_arr) <= 1.0):
-        raise ValueError("scalar phase functions are undefined for |eta| <= 1")
-    return fn(eta_arr)
+    """Evaluate a registered scalar phase function; ValueError unless |eta| > 1 + 1e-12 (``reflection``)."""
+    return SCALAR_PHASE_FUNCTIONS[name](np.asarray(eta, dtype=float))
 
 
 def _bisect(fn, a: float, b: float, tol: float) -> float:
@@ -206,6 +202,15 @@ def aux_phase(signs: tuple[int, int, int], xi, eta0: float):
 # Census records
 # ---------------------------------------------------------------------------
 
+#: The residuals that vanish at each classification: space resonance is a critical point of the
+#: phase, time resonance a zero of it.
+_REQUIRED_RESIDUALS = {
+    "space": ("residual_gradient",),
+    "time": ("residual_phase",),
+    "space_time": ("residual_gradient", "residual_phase"),
+}
+
+
 @dataclass
 class ResonanceRecord:
     """A located critical point or manifold of the interaction phase."""
@@ -224,13 +229,7 @@ class ResonanceRecord:
     notes: str = ""
 
     def consistent(self, tol: float = CLASSIFY_TOL) -> bool:
-        if self.classification in ("space", "space_time"):
-            if self.residual_gradient >= tol:
-                return False
-        if self.classification in ("time", "space_time"):
-            if self.residual_phase >= tol:
-                return False
-        return True
+        return all(getattr(self, residual) < tol for residual in _REQUIRED_RESIDUALS[self.classification])
 
 
 def _record(label, family, subfamily, kind, classification, sampler, params, **extra) -> ResonanceRecord:

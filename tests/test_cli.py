@@ -581,9 +581,12 @@ class _DataBuilt(Exception):
         ["scatter", "--t-end", "16"] + _SMALL_GRID,
         _SMALL_EVOLVE_4 + ["--profile", "near-sqrt3"],
         ["scatter", "--t-end", "128", "--n-modes", "1024", "--half-length", "128"],
+        # band rows are verify-estimates' continuum quadrature, which reads no box: its waves may wrap
+        ["linear-decay", "--profile", "band", "--k", "4", "--t-max", "102400"],
     ],
     ids=["evolve", "scatter", "linear-decay", "linear-decay-near-sqrt3", "linear-decay-band", "verify-estimates",
-         "scatter-small-grid", "evolve-near-sqrt3-small-grid", "scatter-t-end-128-half-length-128"],
+         "scatter-small-grid", "evolve-near-sqrt3-small-grid", "scatter-t-end-128-half-length-128",
+         "linear-decay-band-t-max-102400"],
 )
 def test_runs_inside_their_box_pass_the_wrap_check(tmp_path, monkeypatch, argv):
     # each default and each tight box reaches its data unrefused; nothing is integrated
@@ -757,11 +760,13 @@ def test_scatter_holds_no_profile_past_the_next_snapshot(tmp_path, monkeypatch):
     assert len(taken) == 5
 
 
-def test_scatter_difference_l2_follows_its_sup_down(tmp_path):
+@pytest.mark.parametrize("epsilon", ["1e-200", "1e-300"])
+def test_scatter_difference_l2_follows_its_sup_down(tmp_path, epsilon):
     # at epsilon = 1e-200 the differences are ~1e-215, whose squares underflow: the L2 column
-    # was all zero beside a nonzero sup column
+    # was all zero beside a nonzero sup column; at 1e-300 the sup is subnormal (~4e-316), and
+    # a complex quotient by it, a product with 1/sup, overflowed to NaN cells
     out = tmp_path / "sc"
-    argv = ["scatter", "--epsilon", "1e-200", "--n-modes", "256", "--half-length", "64", "--t-end", "16"]
+    argv = ["scatter", "--epsilon", epsilon, "--n-modes", "256", "--half-length", "64", "--t-end", "16"]
     assert run_cli(argv + ["--output-dir", str(out)]) == 0
     rows = [[float(v) for v in line.split(",")] for line in (out / "scattering.csv").read_text().splitlines()[1:]]
     assert len(rows) == 4 and all(0.0 < l2 < math.inf and linf > 0.0 for _, linf, l2 in rows)

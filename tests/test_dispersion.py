@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gbbmlab.dispersion import (
     SQRT3,
@@ -149,3 +149,60 @@ def test_group_velocity_rejects_bad_input():
         solve_group_velocity(float("nan"))
     with pytest.raises(ValueError):
         solve_group_velocity(0.5, tol=0.0)
+
+
+def test_group_velocity_refuses_an_overflowing_root():
+    # at c = -5e-324 the outer pair, about 1/|c|, overflows to inf, where omega' is NaN
+    with pytest.raises(ArithmeticError):
+        solve_group_velocity(-5e-324)
+
+
+def _reference_group_velocity(c: float, tol: float = 1e-10) -> tuple[float, ...]:
+    """The census as a chain of cases: empty outside [-1/8, 1], the exact ends
+    c = 1, 0 and -1/8 by value, and otherwise +-xi* from the stable closed form,
+    with the outer pair from the quadratic's second root for c < 0."""
+    if not math.isfinite(c):
+        raise ValueError("group velocity must be finite")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if c < -0.125 or c > 1.0:
+        sols: tuple[float, ...] = ()
+    elif c == 1.0:
+        sols = (0.0,)
+    elif c == 0.0:
+        sols = (-1.0, 1.0)
+    elif c == -0.125:
+        sols = (-SQRT3, SQRT3)
+    else:
+        xs = math.sqrt(2.0 * (1.0 - c) / (math.sqrt(8.0 * c + 1.0) + 2.0 * c + 1.0))
+        if c > 0.0:
+            sols = (-xs, xs)
+        else:
+            rs = math.sqrt((-(2.0 * c + 1.0) - math.sqrt(8.0 * c + 1.0)) / (2.0 * c))
+            sols = tuple(sorted((-xs, xs, -rs, rs)))
+    for s in sols:
+        if abs(float(omega_prime(s)) - c) >= tol:
+            raise ArithmeticError(f"group-velocity inversion failed at c={c}: xi={s}")
+    return sols
+
+
+def _outcome(fn, c):
+    """The roots' bytes, signs of zero included, or the type of the exception raised."""
+    try:
+        return np.array(fn(c), dtype=float).tobytes()
+    except Exception as e:  # noqa: BLE001 - the type is the outcome compared
+        return type(e)
+
+
+# on (-1e-150, 0) omega' of the outer root, ~1/|c|, overflows with a RuntimeWarning in both
+@settings(max_examples=200, deadline=1000)
+@given(st.one_of(st.floats(-0.2, -1e-150), st.floats(0.0, 1.2)))
+@example(-0.125)
+@example(math.nextafter(-0.125, 0.0))
+@example(0.0)
+@example(-0.0)
+@example(1e-14)
+@example(1.0)
+@example(math.nextafter(1.0, 0.0))
+def test_group_velocity_closed_form_is_the_chain_of_cases(c):
+    assert _outcome(solve_group_velocity, c) == _outcome(_reference_group_velocity, c)

@@ -86,7 +86,7 @@ def test_linear_sup_sweep_matches_direct_propagation():
     g = Grid(2**18, 9000.0)
     field = solver.gaussian_data(g, 1.0, 2.0, SQRT3, time=0.0)
     times = [100.0 * 2.0**j for j in range(11)]
-    for t, (sup, u) in zip(times, linear_sup_sweep(field, times[0], len(times)), strict=True):
+    for t, (sup, u) in zip(times, linear_sup_sweep(field, times[0], len(times), math.inf), strict=True):
         direct = propagate_linear(field, t).physical()
         assert sup == np.max(np.abs(u))
         assert np.max(np.abs(u - direct)) <= (1e-14 if t <= 6400.0 else 1e-13) * sup
@@ -95,7 +95,7 @@ def test_linear_sup_sweep_matches_direct_propagation():
 def test_linear_sup_sweep_allocates_nothing_grid_sized_after_the_first_time():
     g = Grid(2**16, 2048.0)
     field = solver.gaussian_data(g, 1.0, 0.5, time=0.0)
-    sweep = linear_sup_sweep(field, 10.0, 6)
+    sweep = linear_sup_sweep(field, 10.0, 6, math.inf)
     next(sweep)
     tracemalloc.start()
     try:
@@ -117,7 +117,7 @@ def test_linear_sup_sweep_on_sub_boxes_matches_the_full_box(width, carrier):
     # of 2^13 points and up, the last off the full box
     g = Grid(2**18, 9000.0)
     field = solver.gaussian_data(g, 1.0, width, carrier, time=0.0)
-    full = [sup for sup, _ in linear_sup_sweep(field, 100.0, 7)]
+    full = [sup for sup, _ in linear_sup_sweep(field, 100.0, 7, math.inf)]
     folded = [(sup, u.size) for sup, u in linear_sup_sweep(field, 100.0, 7, width * _REACH)]
     assert (folded[0][1], folded[-1][1]) == (g.n_modes // 32, g.n_modes)
     for a, (b, _) in zip(full, folded, strict=True):
@@ -158,10 +158,10 @@ def test_fold_picks_the_smallest_sub_box_that_passes_the_wrap_rule_twice_over(e,
     def holds(p):
         return Grid(n // p, half_length / p).max_unwrapped_time(reach) >= 2.0 * abs(tau)
 
-    # the backward cone is the forward one's mirror image; with no reach, the full box
+    # the backward cone is the forward one's mirror image; with an infinite reach, the full box
     p = _fold(Grid(n, half_length), tau, reach)
     assert p == _fold(Grid(n, half_length), -tau, reach)
-    assert _fold(Grid(n, half_length), tau, None) == 1
+    assert _fold(Grid(n, half_length), tau, math.inf) == 1
     assert p & (p - 1) == 0 and 1 <= p <= n // 2
     assert holds(p) or p == 1  # p = 1 whether or not the full box holds the cone
     if 2 * p <= n // 2:  # the next sub-box has the 2 points a Grid needs

@@ -153,6 +153,21 @@ def test_decay_regimes_are_a_table_not_a_branch_on_the_case():
     assert compares == []
 
 
+def test_group_velocity_census_is_one_closed_form_not_a_branch_on_an_exact_c():
+    # the ends c = 1, 0 and -1/8 are where the closed form's root pairs merge or reach 0;
+    # an == on c would be a second copy of what the formula already gives there
+    tree = ast.parse((SRC / "dispersion.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve_group_velocity")
+    compares = [
+        f"dispersion.py:{node.lineno}"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(isinstance(side, ast.Name) and side.id == "c" for side in [node.left, *node.comparators])
+    ]
+    assert compares == []
+
+
 #: The solver's kernels take every array and flag from the run that calls them.
 KERNELS = ("quartic_hat", "rhs", "step", "discrete_profile_of")
 
