@@ -10,7 +10,8 @@ byte-comparable.
 
 Exit codes: 0 success, 1 configuration/validation failure (an unreadable
 --config file included) or an allocation that cannot be made, 2 numerical
-failure (blow-up guard, non-convergent quadrature).
+failure (blow-up guard, non-convergent quadrature, a decay fit over a
+non-positive value).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ _DEFAULTS = {
     "linear-decay": {
         "profile": "gaussian",
         "width": 0.5,
-        "k": 4,
         "t_min": 100.0,
         "t_max": 10000.0,
         "n_modes": 2**18,
@@ -269,8 +269,6 @@ def run_resonances(cfg: dict, sink: OutputSink):
 #: Initial-data family -> (width, carrier) of its Gaussian, from the config.
 _DATA_FAMILIES = {
     "gaussian": lambda cfg: (cfg["width"], cfg.get("carrier", 0.0)),
-    # a narrow spike has a flat transform across the band 2^k
-    "band": lambda cfg: (2.0 ** -cfg["k"] / 2.0, 0.0),
     # transform of width `width` about +-sqrt(3)
     "near-sqrt3": lambda cfg: (1.0 / cfg["width"], SQRT3),
 }
@@ -281,10 +279,9 @@ def _data_family(cfg: dict, grid: Grid) -> tuple[float, float]:
     with no profile key.  A width w is refused if 2 w^2, gaussian_data's divisor of -x^2, is not a positive
     normal float (the data would be 0/0 at x = 0, or -x^2 / inf) or x^2 / (2 w^2) overflows at x = -L."""
     profile = cfg.get("profile", "gaussian")
-    try:
-        width, carrier = _DATA_FAMILIES[profile](cfg)
-    except KeyError:  # an unknown name, or a family reading a key the subcommand lacks (band's k)
-        raise ValueError(f"unknown profile '{profile}' for this subcommand") from None
+    if profile not in _DATA_FAMILIES:
+        raise ValueError(f"unknown profile '{profile}' for this subcommand")
+    width, carrier = _DATA_FAMILIES[profile](cfg)
     if not sys.float_info.min <= 2.0 * width * width <= sys.float_info.max:
         raise ValueError(f"the {profile} data's Gaussian has width w = {width:g}, "
                          f"and 2 w^2 = {2.0 * width * width:g} is not a positive normal float")
@@ -338,26 +335,18 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
                          "the fit needs 4")
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     width, carrier = _data_family(cfg, grid)
-    k = cfg["k"]
-    if cfg["profile"] == "band":  # verify-estimates' continuum quadrature, which reads no box
-        linear_flow.require_band_on_grid(grid, k)
-    else:
-        _require_unwrapped(grid, width, times[-1])
+    _require_unwrapped(grid, width, times[-1])
     profile = solver.gaussian_data(grid, 1.0, width, carrier, time=0.0)
     summary: dict = {"profile": cfg["profile"], "times": times}
-    if cfg["profile"] == "band":
-        bounds = linear_flow.verify_dispersive_estimate(profile, [k], times)
-        rows = [(r.t, k, r.case, r.lhs, r.rhs, r.ratio) for r in bounds]
-    else:
-        rows = []
-        # the profile is at t = 0, so the sweep's doubling times are the dyadic times themselves
-        reach = _GAUSSIAN_REACH * width
-        for t, (sup, u) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times), reach)):
-            rows.append((t, "", "aggregate", sup, "", ""))
-        if cfg["profile"] == "near-sqrt3":  # u holds the last time's samples
-            ray = -times[-1] / 8.0
-            x_max = -grid.half_length + grid.dx * _cone_index(grid, u, ray - reach)
-            summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
+    rows = []
+    # the profile is at t = 0, so the sweep's doubling times are the dyadic times themselves
+    reach = _GAUSSIAN_REACH * width
+    for t, (sup, u) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times), reach)):
+        rows.append((t, "", "aggregate", sup, "", ""))
+    if cfg["profile"] == "near-sqrt3":  # u holds the last time's samples
+        ray = -times[-1] / 8.0
+        x_max = -grid.half_length + grid.dx * _cone_index(grid, u, ray - reach)
+        summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
     fit = diagnostics.fit_decay([(t, sup) for t, _, _, sup, _, _ in rows])
     summary.update(fitted_exponent=fit.exponent, r_squared=fit.r_squared)
     sink.write_csv("decay.csv", "t,k,case_id,lhs,rhs,ratio", rows)
@@ -443,6 +432,8 @@ def _median(values: list[float]) -> float:
 
 
 def run_verify_estimates(cfg: dict, sink: OutputSink):
+    """Decay-bound rows of the bands k_min..k_max at the dyadic times; the summary adds each band's
+    fitted exponent of its lhs column (``band_fits``, [] below the 4 times a fit needs)."""
     k_min, k_max = cfg["k_min"], cfg["k_max"]
     if k_max < k_min:
         raise ValueError("k_max must be >= k_min")
@@ -461,6 +452,11 @@ def run_verify_estimates(cfg: dict, sink: OutputSink):
     for r in rows:
         by_t[r.t] = max(by_t.get(r.t, 0.0), r.ratio)
     ts_sorted = sorted(by_t)
+    band_fits = []
+    if len(times) >= 4:  # the rows are sorted by (k, t)
+        for k, band in itertools.groupby(rows, key=lambda r: r.k):
+            fit = diagnostics.fit_decay([(r.t, r.lhs) for r in band])
+            band_fits.append({"k": k, "fitted_exponent": fit.exponent, "r_squared": fit.r_squared})
     sink.write_json(
         "estimates_summary.json",
         {
@@ -469,6 +465,7 @@ def run_verify_estimates(cfg: dict, sink: OutputSink):
             "last_dyadic_max_ratio": by_t[ts_sorted[-1]],
             "median_dyadic_max_ratio": _median([by_t[t] for t in ts_sorted]),
             "all_finite": all(math.isfinite(x) for x in ratios),
+            "band_fits": band_fits,
         },
     )
 

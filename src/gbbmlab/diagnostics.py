@@ -119,10 +119,10 @@ def fit_decay(samples, window: tuple[float, float] | None = None) -> DecayFit:
     by numpy reductions only (np.polyfit would run LAPACK on OpenBLAS, whose
     first call maps about 1 MB of workspace, for two numbers).
 
-    Raises ValueError on fewer than 4 usable samples or non-positive values
-    inside the window, and ArithmeticError on a sample whose log is not
-    finite (a NaN or infinite value, a time not in (0, inf)) or a window of
-    one time only.
+    Raises ValueError on fewer than 4 usable samples, and ArithmeticError
+    on a computed value the log-log line cannot take: a non-positive value,
+    a sample whose log is not finite (a NaN or infinite value, a time not in
+    (0, inf)) or a window of one time only.
     """
     pts = [(float(t), float(v)) for t, v in samples]
     if window is not None:
@@ -130,7 +130,7 @@ def fit_decay(samples, window: tuple[float, float] | None = None) -> DecayFit:
     if len(pts) < 4:
         raise ValueError("need at least 4 samples in the fit window")
     if any(v <= 0 for _, v in pts):
-        raise ValueError("non-positive value in fit window")
+        raise ArithmeticError("non-positive value in fit window")
     bad = [(t, v) for t, v in pts if not (0 < t < math.inf and v < math.inf)]  # a NaN fails every comparison
     if bad:
         raise ArithmeticError(f"sample (t, value) = {bad[0]} in the fit window has no finite log")

@@ -127,7 +127,7 @@ class SolverConfig:
         if self.dt == 0 or not np.isfinite(self.dt):
             raise ValueError("dt must be nonzero and finite")
         if abs(self.dt) > 0.1:
-            raise ValueError("dt exceeds the 0.1 stability budget")
+            raise ValueError("dt exceeds the 0.1 accuracy budget (RK4 is stable on this symbol up to dt = 4 sqrt(2))")
         if not np.isfinite(self.t_end):
             raise ValueError(f"t_end = {self.t_end:g} must be finite")
         if self.record_stride < 1:

@@ -343,11 +343,6 @@ _CSV_RUNS = {
         ["linear-decay", "--t-min", "1", "--t-max", "16", "--n-modes", "4096", "--half-length", "256"],
         "decay.csv", "t,k,case_id,lhs,rhs,ratio", True,
     ),
-    "decay-band": (
-        ["linear-decay", "--profile", "band", "--k", "1", "--t-min", "1", "--t-max", "16",
-         "--n-modes", "4096", "--half-length", "256"],
-        "decay.csv", "t,k,case_id,lhs,rhs,ratio", False,
-    ),
     "estimates": (
         ["verify-estimates", "--k-min", "0", "--k-max", "1", "--t-max", "32", "--width", "0.5",
          "--n-modes", "1024", "--half-length", "64"],
@@ -470,6 +465,8 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         (["scatter", "--t-end", "8"] + _SMALL_GRID, "t_end must be >= 16", None),
         (["scatter", "--t-end", "16", "--dt", "0.06"] + _SMALL_GRID, "no snapshot at 2", None),
         (["evolve", "--profile", "band"] + _SMALL_EVOLVE, "unknown profile 'band'", None),
+        (["linear-decay", "--profile", "band"], "unknown profile 'band' for this subcommand", None),
+        (["linear-decay", "--k", "4"], "unrecognized arguments: --k 4", None),
         (["linear-decay", "--t-max", "inf"], "need 0 < t_min <= t_max < inf", None),
         (["verify-estimates", "--t-min", "0"], "need 0 < t_min <= t_max < inf", None),
         (["verify-estimates", "--t-max", "nan"], "need 0 < t_min <= t_max < inf", None),
@@ -480,7 +477,7 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         (["resonances", "--tol", "nan"], "tol must be positive", None),
         (_SMALL_EVOLVE_4 + ["--s", "nan"], "s must be finite", None),
         (["verify-estimates", "--s", "nan"], "s must be finite", None),
-        (["linear-decay", "--profile", "band", "--k", "20"], "too small for band k = 20", None),
+        (["verify-estimates", "--k-max", "20"], "too small for band k = 20", None),
         (["evolve", "--t-end", "16", "--dt", "0.07", "--snapshots", "none"] + _SMALL_GRID, "does not divide", None),
         (["evolve", "--n-modes", "1", "--t-end", "5"], "n_modes must be a power of two >= 2", None),
         (_SMALL_EVOLVE_4 + ["--epsilon", "0"], "epsilon must be nonzero and finite", None),
@@ -511,7 +508,6 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         (["figures", "--id", "3", "--n-points", str(2**48)], "error: Unable to allocate", None),
         # the decay fit needs 4 dyadic times: 100, 200 and 400 are 3
         (["linear-decay", "--t-max", "400"], "3 dyadic times from t_min = 100 to t_max = 400; the fit needs 4", None),
-        (["linear-decay", "--profile", "band", "--k", "-2", "--t-max", "400"], "3 dyadic times", None),
         (["linear-decay", "--t-min", "1e300", "--t-max", "1e300"], "1 dyadic times from t_min = 1e+300", None),
         # 2 w^2 underflows to 0, where the data would be 0/0 at x = 0, to a subnormal, or overflows
         (["evolve", "--width", "1e-300", "--n-modes", "256", "--half-length", "64", "--t-end", "16"],
@@ -533,9 +529,10 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
         "evolve-near-sqrt3-width-0", "scatter-width-negative", "verify-estimates-width-0",
         "evolve-stride-misses-dyadic", "scatter-short", "scatter-dt-misses-dyadic", "evolve-band",
-        "linear-decay-t-max-inf", "verify-estimates-t-min-0", "verify-estimates-t-max-nan", "evolve-short",
+        "linear-decay-band", "linear-decay-k", "linear-decay-t-max-inf", "verify-estimates-t-min-0",
+        "verify-estimates-t-max-nan", "evolve-short",
         "evolve-dt-negative", "evolve-t-end-inf", "scatter-t-end-inf", "resonances-tol-nan", "evolve-s-nan",
-        "verify-estimates-s-nan", "linear-decay-band-k-above-nyquist", "evolve-dt-not-dividing",
+        "verify-estimates-s-nan", "verify-estimates-k-above-nyquist", "evolve-dt-not-dividing",
         "evolve-one-mode", "evolve-epsilon-0", "evolve-epsilon-nan", "scatter-epsilon-0", "scatter-epsilon-nan",
         "evolve-half-length-nan", "evolve-half-length-inf", "scatter-half-length-nan", "scatter-half-length-inf",
         "linear-decay-half-length-nan", "linear-decay-half-length-inf", "verify-estimates-half-length-nan",
@@ -543,7 +540,7 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         "linear-decay-near-sqrt3-width-inf", "scatter-width-inf", "evolve-width-inf",
         "ini-linear-decay-width-0", "ini-evolve-carrier-nan", "resonances-tol-inf",
         "ini-no-section-header", "ini-duplicate-key", "figures-n-points-2-48",
-        "linear-decay-three-times", "linear-decay-band-three-times", "linear-decay-one-time",
+        "linear-decay-three-times", "linear-decay-one-time",
         "evolve-width-1e-300", "linear-decay-near-sqrt3-width-1e300", "verify-estimates-width-subnormal-square",
         "evolve-width-square-overflows", "evolve-width-edge-exponent-overflows",
         "scatter-waves-wrap", "linear-decay-waves-wrap", "evolve-waves-wrap",
@@ -575,18 +572,18 @@ class _DataBuilt(Exception):
         ["scatter"],
         ["linear-decay"],
         ["linear-decay", "--profile", "near-sqrt3"],
-        ["linear-decay", "--profile", "band"],
+        ["verify-estimates", "--k-min", "4", "--k-max", "4"],
         ["verify-estimates"],
         # the tightest boxes Tier-1 runs: 2L = 64 and 256
         ["scatter", "--t-end", "16"] + _SMALL_GRID,
         _SMALL_EVOLVE_4 + ["--profile", "near-sqrt3"],
         ["scatter", "--t-end", "128", "--n-modes", "1024", "--half-length", "128"],
-        # band rows are verify-estimates' continuum quadrature, which reads no box: its waves may wrap
-        ["linear-decay", "--profile", "band", "--k", "4", "--t-max", "102400"],
+        # band rows are a continuum quadrature, which reads no box: its waves may wrap
+        ["verify-estimates", "--k-min", "4", "--k-max", "4", "--t-max", "102400"],
     ],
-    ids=["evolve", "scatter", "linear-decay", "linear-decay-near-sqrt3", "linear-decay-band", "verify-estimates",
-         "scatter-small-grid", "evolve-near-sqrt3-small-grid", "scatter-t-end-128-half-length-128",
-         "linear-decay-band-t-max-102400"],
+    ids=["evolve", "scatter", "linear-decay", "linear-decay-near-sqrt3", "verify-estimates-band-4",
+         "verify-estimates", "scatter-small-grid", "evolve-near-sqrt3-small-grid",
+         "scatter-t-end-128-half-length-128", "verify-estimates-band-4-t-max-102400"],
 )
 def test_runs_inside_their_box_pass_the_wrap_check(tmp_path, monkeypatch, argv):
     # each default and each tight box reaches its data unrefused; nothing is integrated
@@ -621,6 +618,45 @@ def test_quadrature_that_fails_to_self_converge_exits_2(tmp_path, capsys, monkey
     out = tmp_path / "ve"
     assert run_cli(["verify-estimates", "--t-max", "32", "--output-dir", str(out)]) == 2
     assert capsys.readouterr().err == "numerical failure: band quadrature failed to self-converge at k=3, t=16.0\n"
+    assert not out.exists()
+
+
+def test_one_band_sweep_fits_the_bands_exponent(tmp_path):
+    # band 4 of a spike on the 2^18 grid, t = 100 ... 6400: the early rows are pre-asymptotic, so the
+    # lhs column decays at -0.44, not the asymptotic -1/2
+    out = tmp_path / "ve"
+    argv = ["verify-estimates", "--k-min", "4", "--k-max", "4", "--width", "0.03125", "--t-min", "100",
+            "--t-max", "10000", "--n-modes", "262144", "--half-length", "9000", "--output-dir", str(out)]
+    assert run_cli(argv) == 0
+    assert json.loads((out / "estimates_summary.json").read_text())["band_fits"] == [
+        {"k": 4, "fitted_exponent": -0.4413188159834028, "r_squared": 0.9935914380102736}
+    ]
+
+
+@pytest.mark.parametrize("t_max, n_fits", [("128", 3), ("32", 0)])
+def test_band_fits_are_the_fits_of_each_bands_rows(tmp_path, t_max, n_fits):
+    # one fit of the lhs column per band, in order of k, over the rows as written; the two times
+    # 16 and 32 are too few for any
+    out = tmp_path / "ve"
+    assert run_cli(["verify-estimates", "--k-min", "0", "--k-max", "2", "--t-max", t_max, "--output-dir", str(out)]) == 0
+    by_k: dict[int, list] = {}
+    for line in (out / "estimates.csv").read_text().splitlines()[1:]:
+        t, k, _, lhs, _, _ = line.split(",")
+        by_k.setdefault(int(k), []).append((float(t), float(lhs)))
+    fits = [(k, diagnostics.fit_decay(pts)) for k, pts in by_k.items() if len(pts) >= 4]
+    assert len(fits) == n_fits
+    assert json.loads((out / "estimates_summary.json").read_text())["band_fits"] == [
+        {"k": k, "fitted_exponent": fit.exponent, "r_squared": fit.r_squared} for k, fit in fits
+    ]
+
+
+def test_band_fit_over_a_non_positive_lhs_exits_2(tmp_path, capsys, monkeypatch):
+    # the lhs column is computed, so a value the log-log fit cannot take is a numerical failure
+    bound = linear_flow.dispersive_bound
+    monkeypatch.setattr(linear_flow, "dispersive_bound", lambda *a: dataclasses.replace(bound(*a), lhs=0.0))
+    out = tmp_path / "ve"
+    assert run_cli(["verify-estimates", "--k-min", "0", "--k-max", "0", "--t-max", "128", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: non-positive value in fit window\n"
     assert not out.exists()
 
 
@@ -791,8 +827,8 @@ _FAILS_AFTER_WRITING = ["evolve", "--epsilon", "1e-300", "--n-modes", "256", "--
 def test_run_failing_after_its_first_write_leaves_nothing(tmp_path, capsys):
     # neither the written files nor the two directories the run made remain
     out = tmp_path / "new" / "run"
-    assert run_cli(_FAILS_AFTER_WRITING + ["--output-dir", str(out)]) == 1
-    assert "non-positive value in fit window" in capsys.readouterr().err
+    assert run_cli(_FAILS_AFTER_WRITING + ["--output-dir", str(out)]) == 2
+    assert "numerical failure: non-positive value in fit window" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -803,7 +839,7 @@ def test_run_failing_into_a_finished_run_leaves_it_as_it_was(tmp_path):
     assert run_cli(_SMALL_EVOLVE_4 + ["--output-dir", str(out)]) == 0
     before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
     assert {"diagnostics.csv", "profile_t4.bin", "manifest.json"} <= set(before)
-    assert run_cli(_FAILS_AFTER_WRITING + ["--output-dir", str(out)]) == 1
+    assert run_cli(_FAILS_AFTER_WRITING + ["--output-dir", str(out)]) == 2
     assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
 
 

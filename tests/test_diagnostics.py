@@ -162,7 +162,7 @@ def test_fit_decay_scale_equivariant():
 def test_fit_decay_validation():
     with pytest.raises(ValueError):
         fit_decay([(1.0, 1.0), (2.0, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError, match="non-positive value in fit window"):
         fit_decay([(1.0, 1.0), (2.0, -1.0), (4.0, 1.0), (8.0, 1.0)])
 
 

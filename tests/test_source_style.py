@@ -129,6 +129,18 @@ def test_run_arrays_are_built_by_evolve_only():
     assert sorted(calls) == ["solver.evolve: quartic_buffers", "solver.evolve: rk4_linear_log_factor"]
 
 
+def test_decay_bound_rows_are_swept_by_one_cli_function():
+    # every band's decay rows and fitted exponent come from verify-estimates; a subcommand that swept
+    # its own bands would be a second code path
+    calls = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, callee in _calls(ast.parse(path.read_text()))
+        if callee == "verify_dispersive_estimate"
+    ]
+    assert calls == ["cli.run_verify_estimates"]
+
+
 def test_nonlinear_run_is_built_by_one_cli_function():
     # evolve and scatter integrate the same run; a runner that set up its own
     # would be a second code path
