@@ -273,11 +273,17 @@ _DATA_FAMILIES = {
     "near-sqrt3": lambda cfg: (1.0 / cfg["width"], SQRT3),
 }
 
+#: exp(-x^2 / (2 w^2)) is below 2^-53 of its peak beyond |x| = _GAUSSIAN_REACH w.
+_GAUSSIAN_REACH = math.sqrt(106.0 * math.log(2.0))
 
-def _data_family(cfg: dict, grid: Grid) -> tuple[float, float]:
-    """(width, carrier) of the configured family's Gaussian on ``grid``, ``gaussian`` for a subcommand
-    with no profile key.  A width w is refused if 2 w^2, gaussian_data's divisor of -x^2, is not a positive
-    normal float (the data would be 0/0 at x = 0, or -x^2 / inf) or x^2 / (2 w^2) overflows at x = -L."""
+
+def _data_family(cfg: dict, grid: Grid, tau: float) -> tuple[float, float, float]:
+    """(width, carrier, reach) of the configured family's Gaussian on ``grid``, ``gaussian`` for a subcommand
+    with no profile key; reach = _GAUSSIAN_REACH w.  A width w is refused if 2 w^2, gaussian_data's divisor of
+    -x^2, is not a positive normal float (the data would be 0/0 at x = 0, or -x^2 / inf) or x^2 / (2 w^2)
+    overflows at x = -L.  The data is refused if its linear waves, run for a time tau, wrap around the box
+    (``Grid.max_unwrapped_time``), which at tau = 0 means it does not fit the box: the run would no longer be
+    one on the line."""
     profile = cfg.get("profile", "gaussian")
     if profile not in _DATA_FAMILIES:
         raise ValueError(f"unknown profile '{profile}' for this subcommand")
@@ -288,20 +294,15 @@ def _data_family(cfg: dict, grid: Grid) -> tuple[float, float]:
     if grid.half_length * grid.half_length / (2.0 * width * width) > sys.float_info.max:
         raise ValueError(f"the {profile} data's Gaussian has width w = {width:g}, "
                          f"and x^2 / (2 w^2) overflows at the box edge x = {-grid.half_length:g}")
-    return width, carrier
-
-
-#: exp(-x^2 / (2 w^2)) is below 2^-53 of its peak beyond |x| = _GAUSSIAN_REACH w.
-_GAUSSIAN_REACH = math.sqrt(106.0 * math.log(2.0))
-
-
-def _require_unwrapped(grid: Grid, width: float, tau: float):
-    """ValueError if the linear waves of the Gaussian of width ``width``, run for a time tau, wrap around
-    the box (``Grid.max_unwrapped_time``): from then on the run is no longer one on the line."""
-    limit = grid.max_unwrapped_time(_GAUSSIAN_REACH * width)
+    reach = _GAUSSIAN_REACH * width
+    limit = grid.max_unwrapped_time(reach)
     if tau > limit:
-        raise ValueError(f"the waves wrap around the box [-L, L) with L = {grid.half_length:g} after a time "
-                         f"{limit:.6g}, short of the run's {tau:g}; the run needs a larger half_length")
+        if tau > 0:
+            raise ValueError(f"the waves wrap around the box [-L, L) with L = {grid.half_length:g} after a time "
+                             f"{limit:.6g}, short of the run's {tau:g}; the run needs a larger half_length")
+        raise ValueError(f"the {profile} data reaches |x| = {reach:.6g}, past the box [-L, L) with "
+                         f"L = {grid.half_length:g}; the run needs a larger half_length")
+    return width, carrier, reach
 
 
 def _dyadic_times(t_min: float, t_max: float) -> list[float]:
@@ -317,36 +318,22 @@ def _dyadic_times(t_min: float, t_max: float) -> list[float]:
     return ts
 
 
-def _cone_index(grid: Grid, u: np.ndarray, start: float) -> int:
-    """The full box's index j of the argmax i of the samples u a sweep read off a sub-box of m = u.size points:
-    j = i + m r for the one translate r with x_j = -L + dx j in the cone [start, start + m dx), i on the full box.
-    The translate is picked in integers, so x_j is bitwise the full box's sample."""
-    i, m = int(np.argmax(np.abs(u))), u.size
-    if m == grid.n_modes:
-        return i
-    first = math.ceil((start + grid.half_length) / grid.dx)
-    return first + (i - first) % m
-
-
 def run_linear_decay(cfg: dict, sink: OutputSink):
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
     if len(times) < 4:
         raise ValueError(f"{len(times)} dyadic times from t_min = {cfg['t_min']:g} to t_max = {cfg['t_max']:g}; "
                          "the fit needs 4")
     grid = Grid(cfg["n_modes"], cfg["half_length"])
-    width, carrier = _data_family(cfg, grid)
-    _require_unwrapped(grid, width, times[-1])
+    width, carrier, reach = _data_family(cfg, grid, times[-1])
     profile = solver.gaussian_data(grid, 1.0, width, carrier, time=0.0)
     summary: dict = {"profile": cfg["profile"], "times": times}
     rows = []
     # the profile is at t = 0, so the sweep's doubling times are the dyadic times themselves
-    reach = _GAUSSIAN_REACH * width
-    for t, (sup, u) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times), reach)):
+    for t, (sup, x, _) in zip(times, linear_flow.linear_sup_sweep(profile, times[0], len(times), reach)):
         rows.append((t, "", "aggregate", sup, "", ""))
-    if cfg["profile"] == "near-sqrt3":  # u holds the last time's samples
+    if cfg["profile"] == "near-sqrt3":  # x is the last time's peak
         ray = -times[-1] / 8.0
-        x_max = -grid.half_length + grid.dx * _cone_index(grid, u, ray - reach)
-        summary.update(argmax_x=x_max, ray_x=ray, ray_relative_error=abs(x_max - ray) / abs(ray))
+        summary.update(argmax_x=x, ray_x=ray, ray_relative_error=abs(x - ray) / abs(ray))
     fit = diagnostics.fit_decay([(t, sup) for t, _, _, sup, _, _ in rows])
     summary.update(fitted_exponent=fit.exponent, r_squared=fit.r_squared)
     sink.write_csv("decay.csv", "t,k,case_id,lhs,rhs,ratio", rows)
@@ -356,13 +343,14 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
 def _nonlinear_run(cfg: dict, keep, per_time_unit: bool = False):
     """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1, recorded
     at its s up to t_end on ``SolverConfig.lattice(1)``, each snapshot handed to ``keep`` as it is taken (evolve's
-    writer, scatter's fold; see ``diagnostics.Recorder``), refused if that records fewer than the 4 samples a fit
-    needs, if dyadic, snapshots no dyadic time 2, 4, ... below t_end, or if its waves wrap around the box.  Per
-    time unit (scatter), t_end must be >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each
-    dyadic time is a step, so it is kept."""
+    writer, scatter's fold; see ``diagnostics.Recorder``), refused if its waves wrap around the box
+    (``_data_family``, before the lattice is counted), if the lattice records fewer than the 4 samples a fit
+    needs, or if dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit (scatter), t_end must be
+    >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so it is
+    kept."""
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
-    width, carrier = _data_family(cfg, grid)
+    width, carrier, _ = _data_family(cfg, grid, scfg.t_end - 1.0)
     if per_time_unit and scfg.t_end < 16.0:
         raise ValueError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
     if scfg.dt <= 0:
@@ -374,7 +362,6 @@ def _nonlinear_run(cfg: dict, keep, per_time_unit: bool = False):
     if missed and cfg["snapshots"] == "dyadic":
         raise ValueError(f"dt * record_stride = {scfg.dt * scfg.record_stride:g} does not divide "
                          f"{missed[0] - 1:g}: no snapshot at {missed[0]:g}")
-    _require_unwrapped(grid, width, scfg.t_end - 1.0)
     if per_time_unit:  # the stride is the step of t = 2, so the records are t = 1, 2, ..., t_end
         scfg = solver.SolverConfig(scfg.dt, scfg.t_end, lat.step_at(2.0))
     u0 = solver.gaussian_data(grid, cfg["epsilon"], width, carrier, time=1.0)
@@ -440,7 +427,7 @@ def run_verify_estimates(cfg: dict, sink: OutputSink):
     grid = Grid(cfg["n_modes"], cfg["half_length"])
     linear_flow.require_band_on_grid(grid, k_max)
     times = _dyadic_times(cfg["t_min"], cfg["t_max"])
-    width, carrier = _data_family(cfg, grid)
+    width, carrier, _ = _data_family(cfg, grid, 0.0)
     # no reference to the profile is kept here, so the sweep frees it before its first row
     rows = linear_flow.verify_dispersive_estimate(
         solver.gaussian_data(grid, 1.0, width, carrier, time=0.0), range(k_min, k_max + 1), times, cfg["s"]
@@ -448,10 +435,7 @@ def run_verify_estimates(cfg: dict, sink: OutputSink):
     cells = [(r.t, r.k, r.case, r.lhs, r.rhs, r.ratio) for r in rows]
     sink.write_csv("estimates.csv", "t,k,case_id,lhs,rhs,ratio", cells)
     ratios = [r.ratio for r in rows]
-    by_t: dict[float, float] = {}
-    for r in rows:
-        by_t[r.t] = max(by_t.get(r.t, 0.0), r.ratio)
-    ts_sorted = sorted(by_t)
+    dyadic_max = [max(r.ratio for r in rows if r.t == t) for t in times]
     band_fits = []
     if len(times) >= 4:  # the rows are sorted by (k, t)
         for k, band in itertools.groupby(rows, key=lambda r: r.k):
@@ -462,8 +446,8 @@ def run_verify_estimates(cfg: dict, sink: OutputSink):
         {
             "max_ratio": max(ratios),
             "median_ratio": _median(ratios),
-            "last_dyadic_max_ratio": by_t[ts_sorted[-1]],
-            "median_dyadic_max_ratio": _median([by_t[t] for t in ts_sorted]),
+            "last_dyadic_max_ratio": dyadic_max[-1],
+            "median_dyadic_max_ratio": _median(dyadic_max),
             "all_finite": all(math.isfinite(x) for x in ratios),
             "band_fits": band_fits,
         },

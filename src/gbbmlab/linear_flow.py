@@ -88,8 +88,9 @@ def _fold(grid: Grid, tau: float, reach: float) -> int:
 
 
 def linear_sup_sweep(field: SpectralField, t0: float, count: int, reach: float):
-    """Yield (sup_x |u|, u) for the linear solution u at the doubling times
-    field.time + t0 2^j, j = 0 ... count - 1, u its real-space samples.
+    """Yield (sup_x |u|, x, u) for the linear solution u at the doubling times
+    field.time + t0 2^j, j = 0 ... count - 1, u its real-space samples and x
+    the full box's coordinate -L + dx j of the first peak of |u|.
 
     The phase factor exp(-i omega t0) is computed once and squared in place
     at each doubling, so its phase error grows as the direct exp's argument
@@ -104,7 +105,8 @@ def linear_sup_sweep(field: SpectralField, t0: float, count: int, reach: float):
     Nyquist entry alike), irfft(c[::p], n/p)[i] = sum_r irfft(c, n)[i + r n/p].
     Of the p translates by 2L/p that sample i at -L + dx i sums, the one in
     [-tau/8 - reach, -tau/8 - reach + 2L/p) carries the waves, the others
-    round-off.  Given reach = inf (data anywhere), the full box's transform."""
+    round-off, and the peak's j is that translate's, picked in integers.  Given
+    reach = inf (data anywhere), the full box's transform, and j = i."""
     grid = field.grid
     # propagating the unit half-spectrum gives exp(-i omega t0) itself, in an array of our own
     factor = propagate_linear(SpectralField(grid, np.ones_like(field.coeffs)), t0).coeffs
@@ -118,7 +120,14 @@ def linear_sup_sweep(field: SpectralField, t0: float, count: int, reach: float):
         sub = Grid(grid.n_modes // p, grid.half_length / p)
         folded = np.multiply(field.coeffs[::p], factor[::p], out=coeffs[: sub.n_modes // 2 + 1])
         u = SpectralField(sub, folded, field.time + tau).physical(out=samples[: sub.n_modes])
-        yield float(max(u.max(), -u.min())), u
+        # np.argmax(np.abs(u)), the first index of the largest |u|, with no |u| array
+        hi, lo = int(u.argmax()), int(u.argmin())
+        top, bottom = u[hi], -u[lo]
+        i = min((-top, hi), (-bottom, lo))[1]
+        if p > 1:
+            first = math.ceil((-tau / 8.0 - reach + grid.half_length) / grid.dx)
+            i = first + (i - first) % sub.n_modes
+        yield float(max(top, bottom)), -grid.half_length + grid.dx * i, u
 
 
 def aggregate_sup_norm(field: SpectralField, t: float) -> float:
@@ -126,7 +135,7 @@ def aggregate_sup_norm(field: SpectralField, t: float) -> float:
     propagation and one inverse FFT on the full box (the one-time case of
     ``linear_sup_sweep``, given reach = inf).  The domain must outrun the fastest
     group velocity (|omega'| <= 1) for the periodic image to be negligible."""
-    ((sup, _),) = linear_sup_sweep(field, t - field.time, 1, math.inf)
+    ((sup, _, _),) = linear_sup_sweep(field, t - field.time, 1, math.inf)
     return sup
 
 

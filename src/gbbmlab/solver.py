@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -134,12 +135,16 @@ class SolverConfig:
             raise ValueError("record_stride must be >= 1")
 
     def lattice(self, t0: float) -> Lattice:
-        """The lattice from t0 to t_end (n = 0 if they coincide); ValueError if dt
-        points away from t_end or misses the span by more than one part in 10^9."""
+        """The lattice from t0 to t_end (n = 0 if they coincide); ValueError if dt points away from t_end,
+        takes more steps than an index holds (sys.maxsize) or misses the span by more than one part in 10^9."""
         span = self.t_end - t0
         if span * self.dt < 0:
             raise ValueError("dt sign inconsistent with t_end")
-        n = round(span / self.dt)
+        steps = span / self.dt
+        if not steps < sys.maxsize:  # len(records) raises OverflowError past it
+            raise ValueError(f"dt = {self.dt:g} cuts t_end - t0 = {span:g} into {steps:.6g} steps, "
+                             "more than an index holds")
+        n = round(steps)
         if abs(n * self.dt - span) > 1e-9 * abs(span):
             raise ValueError(f"dt = {self.dt:g} does not divide t_end - t0 = {span:g} into whole steps")
         return Lattice(t0, span, n, span / n if n else self.dt, Records(n, self.record_stride))

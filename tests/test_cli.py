@@ -524,6 +524,18 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
          "the waves wrap around the box [-L, L) with L = 128 after a time 163.819, short of the run's 1023", None),
         (["linear-decay", "--t-max", "102400"], "after a time 15735.4, short of the run's 102400", None),
         (["evolve", "--t-end", "33"] + _SMALL_GRID, "wrap around the box [-L, L) with L = 32", None),
+        # the wrap check comes before the lattice is counted: 10^21 steps, or a stride that misses 2^56
+        (["evolve", "--t-end", "1e20"], "the waves wrap around the box [-L, L) with L = 2048 after a time 3477.88", None),
+        (["scatter", "--t-end", "1e20"], "the waves wrap around the box [-L, L) with L = 512 after a time 807.113", None),
+        (["evolve", "--t-end", "1e17", "--n-modes", "256", "--half-length", "64"],
+         "the waves wrap around the box [-L, L) with L = 64 after a time 64.9356, short of the run's 1e+17", None),
+        # the data's reach 60 * 8.57 = 514 is past L = 512: the band rows' quadrature fails to converge otherwise
+        (["verify-estimates", "--width", "60"], "the gaussian data reaches |x| = 514.3, past the box", None),
+        # a box that holds the waves, but a lattice of 10^21 steps, more than an index holds
+        (["evolve", "--n-modes", "256", "--half-length", "1e30", "--t-end", "1e20"],
+         "into 1e+21 steps, more than an index holds", None),
+        (["scatter", "--n-modes", "256", "--half-length", "1e30", "--t-end", "1e20"],
+         "into 1e+21 steps, more than an index holds", None),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -544,6 +556,8 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         "evolve-width-1e-300", "linear-decay-near-sqrt3-width-1e300", "verify-estimates-width-subnormal-square",
         "evolve-width-square-overflows", "evolve-width-edge-exponent-overflows",
         "scatter-waves-wrap", "linear-decay-waves-wrap", "evolve-waves-wrap",
+        "evolve-t-end-1e20", "scatter-t-end-1e20", "evolve-t-end-1e17-small-grid", "verify-estimates-width-60",
+        "evolve-lattice-past-an-index", "scatter-lattice-past-an-index",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):

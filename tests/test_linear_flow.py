@@ -86,7 +86,7 @@ def test_linear_sup_sweep_matches_direct_propagation():
     g = Grid(2**18, 9000.0)
     field = solver.gaussian_data(g, 1.0, 2.0, SQRT3, time=0.0)
     times = [100.0 * 2.0**j for j in range(11)]
-    for t, (sup, u) in zip(times, linear_sup_sweep(field, times[0], len(times), math.inf), strict=True):
+    for t, (sup, _, u) in zip(times, linear_sup_sweep(field, times[0], len(times), math.inf), strict=True):
         direct = propagate_linear(field, t).physical()
         assert sup == np.max(np.abs(u))
         assert np.max(np.abs(u - direct)) <= (1e-14 if t <= 6400.0 else 1e-13) * sup
@@ -114,15 +114,17 @@ _REACH = math.sqrt(106.0 * math.log(2.0))
 @pytest.mark.parametrize("width, carrier", [(0.5, 0.0), (2.0, SQRT3)], ids=["gaussian", "near-sqrt3"])
 def test_linear_sup_sweep_on_sub_boxes_matches_the_full_box(width, carrier):
     # linear-decay's default grid and times, t = 100 ... 6400: the early times read off sub-boxes
-    # of 2^13 points and up, the last off the full box
+    # of 2^13 points and up, the last off the full box; each time's peak is the full box's argmax
     g = Grid(2**18, 9000.0)
     field = solver.gaussian_data(g, 1.0, width, carrier, time=0.0)
-    full = [sup for sup, _ in linear_sup_sweep(field, 100.0, 7, math.inf)]
-    folded = [(sup, u.size) for sup, u in linear_sup_sweep(field, 100.0, 7, width * _REACH)]
-    assert (folded[0][1], folded[-1][1]) == (g.n_modes // 32, g.n_modes)
-    for a, (b, _) in zip(full, folded, strict=True):
+    full = [(sup, x, -g.half_length + g.dx * int(np.argmax(np.abs(u))))
+            for sup, x, u in linear_sup_sweep(field, 100.0, 7, math.inf)]
+    folded = [(sup, x, u.size) for sup, x, u in linear_sup_sweep(field, 100.0, 7, width * _REACH)]
+    assert (folded[0][2], folded[-1][2]) == (g.n_modes // 32, g.n_modes)
+    for (a, x_full, x_argmax), (b, x, _) in zip(full, folded, strict=True):
         assert abs(a - b) <= 1e-13 * a
-    assert folded[-1][0] == full[-1]
+        assert x == x_full == x_argmax
+    assert folded[-1][0] == full[-1][0]
 
 
 def test_linear_sup_sweep_given_a_reach_allocates_nothing_grid_sized_after_the_first_time():

@@ -234,7 +234,8 @@ def test_the_run_lattice_has_one_owner():
 
 def test_one_wrap_rule():
     # the box a linear run's waves fit is Grid.max_unwrapped_time's one decision: the CLI's
-    # refusal and the linear sweep's sub-box choice ask it, and no other module reads its Airy margin
+    # refusal of a run's data and the linear sweep's sub-box choice ask it, and no other module
+    # reads its Airy margin; the data's reach has one owner, the refusal, which hands it on
     calls = sorted(
         f"{path.stem}.{scope}"
         for path in sorted(SRC.glob("*.py"))
@@ -242,5 +243,14 @@ def test_one_wrap_rule():
         if callee == "max_unwrapped_time"
     )
     margin_readers = sorted(path.name for path in SRC.glob("*.py") if "AIRY_MARGIN" in path.read_text())
-    assert calls == ["cli._require_unwrapped", "linear_flow._fold"]
+    reach_readers = sorted(
+        f"{path.stem}.{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Name) and node.id == "_GAUSSIAN_REACH" for node in ast.walk(fn))
+    )
+    assert calls == ["cli._data_family", "linear_flow._fold"]
     assert margin_readers == ["spectral.py"]
+    assert reach_readers == ["cli._data_family"]
+    assert sorted(path.name for path in SRC.glob("*.py") if "_GAUSSIAN_REACH" in path.read_text()) == ["cli.py"]
