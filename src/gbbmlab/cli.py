@@ -282,8 +282,8 @@ def _data_family(cfg: dict, grid: Grid, tau: float) -> tuple[float, float, float
     with no profile key; reach = _GAUSSIAN_REACH w.  A width w is refused if 2 w^2, gaussian_data's divisor of
     -x^2, is not a positive normal float (the data would be 0/0 at x = 0, or -x^2 / inf) or x^2 / (2 w^2)
     overflows at x = -L.  The data is refused if its linear waves, run for a time tau, wrap around the box
-    (``Grid.max_unwrapped_time``), which at tau = 0 means it does not fit the box: the run would no longer be
-    one on the line."""
+    (``Grid.max_unwrapped_time``), and named as data that does not fit the box where that time is negative:
+    the run would no longer be one on the line."""
     profile = cfg.get("profile", "gaussian")
     if profile not in _DATA_FAMILIES:
         raise ValueError(f"unknown profile '{profile}' for this subcommand")
@@ -297,7 +297,7 @@ def _data_family(cfg: dict, grid: Grid, tau: float) -> tuple[float, float, float
     reach = _GAUSSIAN_REACH * width
     limit = grid.max_unwrapped_time(reach)
     if tau > limit:
-        if tau > 0:
+        if limit >= 0:
             raise ValueError(f"the waves wrap around the box [-L, L) with L = {grid.half_length:g} after a time "
                              f"{limit:.6g}, short of the run's {tau:g}; the run needs a larger half_length")
         raise ValueError(f"the {profile} data reaches |x| = {reach:.6g}, past the box [-L, L) with "
@@ -358,7 +358,7 @@ def _nonlinear_run(cfg: dict, keep, per_time_unit: bool = False):
     lat = scfg.lattice(1.0)
     if len(lat.records) < 4:
         raise ValueError(f"{len(lat.records)} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
-    missed = [t for t in _dyadic_times(1.0, scfg.t_end) if t < scfg.t_end and lat.step_at(t) not in lat.snapshots]
+    missed = [t for t in _dyadic_times(1.0, scfg.t_end) if t < scfg.t_end and lat.step_at(t) not in lat.records]
     if missed and cfg["snapshots"] == "dyadic":
         raise ValueError(f"dt * record_stride = {scfg.dt * scfg.record_stride:g} does not divide "
                          f"{missed[0] - 1:g}: no snapshot at {missed[0]:g}")

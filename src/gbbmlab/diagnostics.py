@@ -219,10 +219,8 @@ class Recorder:
 def bootstrap_report(samples: list[NormSample]) -> dict:
     """Sup of each budgeted component and fitted growth exponents of the
     weighted and Sobolev norms, with violation flags when a fitted exponent
-    exceeds its budget by more than the slack."""
-    if len(samples) < 4:
-        raise ValueError("need at least 4 samples")
-    ts = [s.t for s in samples]
+    exceeds its budget by more than the slack; the window and sample count
+    are the weighted fit's, so fewer than 4 samples is fit_decay's ValueError."""
     fit_w = fit_decay([(s.t, s.weighted_l2) for s in samples])
     fit_s = fit_decay([(s.t, s.sobolev) for s in samples])
     return {
@@ -233,6 +231,6 @@ def bootstrap_report(samples: list[NormSample]) -> dict:
         "sobolev_growth_exponent": fit_s.exponent,
         "weighted_violation": fit_w.exponent > P0 + BUDGET_SLACK,
         "sobolev_violation": fit_s.exponent > P1 + BUDGET_SLACK,
-        "window": (min(ts), max(ts)),
-        "n_samples": len(samples),
+        "window": fit_w.window,
+        "n_samples": fit_w.n_points,
     }

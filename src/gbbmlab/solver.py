@@ -23,7 +23,6 @@ adjoint of stepping with +dt, which the reversal test exploits.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -78,9 +77,8 @@ class Records(Sequence):
 
 @dataclass(frozen=True)
 class Lattice:
-    """A run's n steps of dt = span / n from t0 (span = t_end - t0), its
-    ``records`` (step 0, every record_stride-th step and n) and ``snapshots``,
-    the records whose time is an exact power of two; ``step_at`` inverts ``time``."""
+    """A run's n steps of dt = span / n from t0 (span = t_end - t0) and its
+    ``records`` (step 0, every record_stride-th step and n); ``step_at`` inverts ``time``."""
 
     t0: float
     span: float
@@ -88,34 +86,20 @@ class Lattice:
     dt: float
     records: Records
 
-    @functools.cached_property
-    def _snap(self) -> float:
-        """How near a whole number a step's time is stamped as it: 1e-9 |span|, capped at a
-        quarter step (which bites beyond 2.5e8 steps) so no two steps stamp the same one."""
-        return min(1e-9 * abs(self.span), abs(self.dt) / 4)
-
     def time(self, i: int) -> float:
         """Time after step i, t0 + span * i / n and not a sum of dt's, stamped as the
-        whole number within ``_snap`` of it if there is one; t0 itself at i = 0."""
+        whole number within 1e-9 |span| of it if there is one; t0 itself at i = 0.  The
+        snap is capped at a quarter step (which bites beyond 2.5e8 steps), so no two
+        steps stamp the same whole number."""
         if i == 0:
             return self.t0
         t = self.t0 + self.span * i / self.n
-        return float(round(t)) if abs(t - round(t)) <= self._snap else t
+        return float(round(t)) if abs(t - round(t)) <= min(1e-9 * abs(self.span), abs(self.dt) / 4) else t
 
     def step_at(self, t: float) -> int | None:
         """The step i whose time(i) is t, or None: the one candidate round((t - t0) n / span), 0 if n = 0."""
         i = round((t - self.t0) / self.span * self.n) if self.n else 0
         return i if 0 <= i <= self.n and self.time(i) == t else None
-
-    @functools.cached_property
-    def snapshots(self) -> tuple[int, ...]:
-        """The records i whose time(i) is an exact power of two: step_at of each power of two between t0
-        and t_end, widened by the snap and the rounding of t0 + span * i / n."""
-        lo, hi = sorted((self.t0, self.t0 + self.span))
-        tol = self._snap + 1e-15 * max(abs(lo), abs(hi))
-        first = math.frexp(lo - tol)[1] - 1 if lo - tol > 0.0 else -1074
-        steps = (self.step_at(math.ldexp(1.0, e)) for e in range(first, math.frexp(hi + tol)[1] if hi > 0.0 else first))
-        return tuple(sorted(i for i in steps if i is not None and i in self.records))
 
 
 @dataclass
@@ -263,7 +247,8 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
     """Advance u0 to cfg.t_end over the steps of ``cfg.lattice(u0.time)``,
     calling ``recorder(field, profile, snapshot)`` at each record i: the state
     stamped with its lattice time, ``discrete_profile_of(field,
-    rk4_linear_log_factor(symbol, dt), i)`` and whether i is a snapshot.  The
+    rk4_linear_log_factor(symbol, dt), i)`` and whether i is a snapshot, a
+    record whose stamped time is an exact power of two (mantissa 1/2).  The
     loop steps bare coefficients, checked finite here (OverflowError); u0 meets
     the blow-up guard before its record, whose norms it would overflow."""
     grid, lat = u0.grid, cfg.lattice(u0.time)
@@ -281,7 +266,7 @@ def evolve(u0: SpectralField, cfg: SolverConfig, recorder=None, nonlinear: bool 
         previous = r
         if recorder is not None:
             field = SpectralField(grid, c, lat.time(r))
-            recorder(field, discrete_profile_of(field, log_factor, r), r in lat.snapshots)
+            recorder(field, discrete_profile_of(field, log_factor, r), math.frexp(field.time)[0] == 0.5)
     return SpectralField(grid, c, lat.time(lat.n))
 
 

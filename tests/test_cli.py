@@ -531,6 +531,11 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
          "the waves wrap around the box [-L, L) with L = 64 after a time 64.9356, short of the run's 1e+17", None),
         # the data's reach 60 * 8.57 = 514 is past L = 512: the band rows' quadrature fails to converge otherwise
         (["verify-estimates", "--width", "60"], "the gaussian data reaches |x| = 514.3, past the box", None),
+        # data wider than its box is named as such, not as waves that wrap after a negative time
+        (["linear-decay", "--half-length", "4", "--n-modes", "64"],
+         "the gaussian data reaches |x| = 4.28584, past the box [-L, L) with L = 4", None),
+        (["evolve", "--n-modes", "2", "--half-length", "1", "--t-end", "16"],
+         "the gaussian data reaches |x| = 4.28584, past the box [-L, L) with L = 1", None),
         # a box that holds the waves, but a lattice of 10^21 steps, more than an index holds
         (["evolve", "--n-modes", "256", "--half-length", "1e30", "--t-end", "1e20"],
          "into 1e+21 steps, more than an index holds", None),
@@ -557,6 +562,7 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         "evolve-width-square-overflows", "evolve-width-edge-exponent-overflows",
         "scatter-waves-wrap", "linear-decay-waves-wrap", "evolve-waves-wrap",
         "evolve-t-end-1e20", "scatter-t-end-1e20", "evolve-t-end-1e17-small-grid", "verify-estimates-width-60",
+        "linear-decay-data-past-the-box", "evolve-data-past-the-box",
         "evolve-lattice-past-an-index", "scatter-lattice-past-an-index",
     ],
 )

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -381,37 +382,52 @@ def test_lattice_is_the_step_lattice():
         SolverConfig(t_end=math.inf)
 
 
+def _snapshots_evolve_flags(cfg: SolverConfig, t0: float) -> tuple[int, ...]:
+    """The records of ``cfg.lattice(t0)`` that ``evolve`` hands its recorder as
+    snapshots, on a linear run from t0 on a 2-mode grid."""
+    flags = []
+    u0 = gaussian_data(Grid(2, 1.0), 1e-2, time=t0)
+    evolve(u0, cfg, lambda f, p, snapshot: flags.append(snapshot), nonlinear=False)
+    return tuple(i for i, snapshot in zip(cfg.lattice(t0).records, flags, strict=True) if snapshot)
+
+
 def test_lattice_snapshots_are_the_records_at_exact_powers_of_two():
-    lat = SolverConfig(dt=0.1, t_end=4.0, record_stride=10).lattice(-4.0)
+    cfg = SolverConfig(dt=0.1, t_end=4.0, record_stride=10)
+    lat = cfg.lattice(-4.0)
     assert [lat.time(i) for i in lat.records] == [float(t) for t in range(-4, 5)]
-    assert [lat.time(i) for i in lat.snapshots] == [1.0, 2.0, 4.0]  # not 0, -4 or 3
+    assert [lat.time(i) for i in _snapshots_evolve_flags(cfg, -4.0)] == [1.0, 2.0, 4.0]  # not 0, -4 or 3
     # the span 16.9 - 1 rounds to 15.899999999999999, so the lattice time
     # 1 + span * 30 / 159 is 3.9999999999999996; it is stamped as 4
-    lat = SolverConfig(dt=0.1, t_end=16.9, record_stride=10).lattice(1.0)
+    cfg = SolverConfig(dt=0.1, t_end=16.9, record_stride=10)
+    lat = cfg.lattice(1.0)
     assert 1.0 + lat.span * 30 / 159 == 3.9999999999999996
-    assert lat.snapshots == (0, 10, 30, 70, 150)
-    assert [lat.time(i) for i in lat.snapshots] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert _snapshots_evolve_flags(cfg, 1.0) == (0, 10, 30, 70, 150)
+    assert [lat.time(i) for i in (0, 10, 30, 70, 150)] == [1.0, 2.0, 4.0, 8.0, 16.0]
     # a time one part in 2^40 off 4, beyond the 1e-9 |span| of a short span, is not 4
     t_end = 4.0 * (1.0 + 2.0**-40)
-    lat = SolverConfig(dt=0.001, t_end=t_end).lattice(t_end - 0.001)
+    cfg = SolverConfig(dt=0.001, t_end=t_end)
+    lat = cfg.lattice(t_end - 0.001)
     assert lat.time(lat.n) != 4.0 and abs(lat.time(lat.n) - 4.0) < 1e-11
-    assert lat.snapshots == ()
+    assert _snapshots_evolve_flags(cfg, t_end - 0.001) == ()
 
 
 def test_long_lattice_holds_its_records_as_two_numbers():
-    # a 10^7-step lattice and its snapshots cost no more than a short one: the
-    # records are (n, stride), and only the records near a power of two are stamped
+    # a 10^7-step lattice and its power-of-two steps cost no more than a short one: the
+    # records are (n, stride), and only the steps looked up are stamped
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
         lat = SolverConfig(dt=0.1, t_end=1e6, record_stride=10).lattice(1.0)
-        snapshots = lat.snapshots
+        dyadic = [lat.step_at(2.0**k) for k in range(-1, 21)]
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert elapsed < 0.05 and peak < 2**20
-    assert [lat.time(i) for i in snapshots] == [2.0**k for k in range(20)]
+    # 1/2 and 2^20 lie outside [1, 1e6]; each power of two between is a record stamped as itself
+    assert dyadic[0] is None and dyadic[-1] is None
+    assert all(i in lat.records for i in dyadic[1:-1])
+    assert [lat.time(i) for i in dyadic[1:-1]] == [2.0**k for k in range(20)]
     assert (len(lat.records), lat.records[0], lat.records[-2], lat.records[-1]) == (10**6, 0, 9999980, 9999990)
 
 
@@ -440,10 +456,14 @@ def test_step_at_inverts_time_on_the_step_by_step_lattice(t0, n, dt, sign, strid
             SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(t0)
         assert str(raised.value) == str(e)
         return
-    lat = SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(t0)
+    cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=stride)
+    lat = cfg.lattice(t0)
     assert tuple(lat.records) == records
     assert np.array([lat.time(i) for i in lat.records]).tobytes() == np.array(times).tobytes()
-    assert lat.snapshots == snapshots
+    # a record's flag is read off its stamped time alone, so the RK4 step is stubbed
+    # out: 10^4 real steps would take most of a second
+    with mock.patch.object(solver, "step", lambda c, *args: c):
+        assert _snapshots_evolve_flags(cfg, t0) == snapshots
     assert [lat.step_at(lat.time(i)) for i in lat.records] == list(records)
     # a time strictly between two neighbouring steps' is no step's
     for i in (0, lat.n // 3, lat.n - 1) if lat.n else ():
@@ -463,10 +483,12 @@ def test_step_at_is_the_one_step_of_a_time():
     lat = SolverConfig(dt=0.1, t_end=2.0).lattice(2.0)
     assert (lat.n, lat.step_at(2.0), lat.step_at(1.0)) == (0, 0, None)
     # a last step stamped as a power of two just beyond t_end, going forward and back, is a snapshot
-    lat = SolverConfig(dt=0.1, t_end=4.0 - 1e-10, record_stride=10).lattice(1.0)
-    assert (lat.time(30), lat.step_at(4.0), lat.snapshots) == (4.0, 30, (0, 10, 30))
-    lat = SolverConfig(dt=-0.1, t_end=1.0 + 1e-10, record_stride=10).lattice(6.0)
-    assert (lat.time(50), lat.step_at(1.0), lat.snapshots) == (1.0, 50, (20, 40, 50))
+    cfg = SolverConfig(dt=0.1, t_end=4.0 - 1e-10, record_stride=10)
+    lat = cfg.lattice(1.0)
+    assert (lat.time(30), lat.step_at(4.0), _snapshots_evolve_flags(cfg, 1.0)) == (4.0, 30, (0, 10, 30))
+    cfg = SolverConfig(dt=-0.1, t_end=1.0 + 1e-10, record_stride=10)
+    lat = cfg.lattice(6.0)
+    assert (lat.time(50), lat.step_at(1.0), _snapshots_evolve_flags(cfg, 6.0)) == (1.0, 50, (20, 40, 50))
 
 
 @pytest.mark.parametrize("n, stride", [(150, 10), (149, 10), (7, 3), (1, 5), (0, 2)])
@@ -501,9 +523,11 @@ def test_a_billion_step_lattice_stamps_each_whole_time_once():
     assert lat.n == 10**9
     assert [lat.time(i) for i in (19, 20, 21)] == [1.95, 2.0, 2.05]
     assert [lat.time(i) == 4.0 for i in (59, 60, 61)] == [False, True, False]
-    times = [lat.time(i) for i in lat.snapshots]
-    assert times == [2.0**e for e in range(26)]
-    assert lat.snapshots[:3] == (0, 20, 60)
+    # 2^26 lies past t_end; each power of two below is a record stamped as itself
+    dyadic = [lat.step_at(2.0**e) for e in range(27)]
+    assert dyadic[-1] is None and all(i in lat.records for i in dyadic[:-1])
+    assert [lat.time(i) for i in dyadic[:-1]] == [2.0**e for e in range(26)]
+    assert dyadic[:3] == [0, 20, 60]
 
 
 def _reference_lattice(dt: float, t_end: float, stride: int, t0: float = 1.0):
@@ -540,12 +564,13 @@ def test_lattice_is_the_step_by_step_records(dt, t_end, stride):
             SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(1.0)
         assert str(raised.value) == str(e)
         return
-    lat = SolverConfig(dt=dt, t_end=t_end, record_stride=stride).lattice(1.0)
+    cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=stride)
+    lat = cfg.lattice(1.0)
     records, times, snapshots = reference
     assert tuple(lat.records) == records
     # bitwise: the times as IEEE doubles, so 3.9999999999999996 is not 4.0
     assert np.array([lat.time(i) for i in lat.records]).tobytes() == np.array(times).tobytes()
-    assert lat.snapshots == snapshots
+    assert _snapshots_evolve_flags(cfg, 1.0) == snapshots
 
 
 def test_evolve_realness(small_data):

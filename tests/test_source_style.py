@@ -195,12 +195,25 @@ def test_solver_kernels_declare_no_defaults():
 
 
 def test_the_run_lattice_has_one_owner():
-    # which steps are recorded and kept is solver.Lattice's decision: the
-    # power-of-two test lives in solver, the lattice is built by the run and
-    # by the one CLI function that checks it, no caller overwrites a
-    # config's stride, and the CLI asks the lattice by time (step_at), never
-    # stamping a step itself or picking a record or snapshot by position
-    frexp = sorted(path.name for path in SRC.glob("*.py") if path.name != "solver.py" and "frexp" in path.read_text())
+    # which steps are recorded is solver.Lattice's decision and which records are
+    # kept is the run's: the power-of-two test is one frexp call, in solver.evolve,
+    # where each record is stamped, and no module reads a lattice's snapshots; the
+    # lattice is built by the run and by the one CLI function that checks it, no
+    # caller overwrites a config's stride, and the CLI asks the lattice by time
+    # (step_at), never stamping a step itself or picking a record by position
+    frexp_mentions = sum(path.read_text().count("frexp") for path in SRC.glob("*.py"))
+    frexp_calls = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, callee in _calls(ast.parse(path.read_text()))
+        if callee == "frexp"
+    ]
+    snapshot_reads = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, attr in _attributes(ast.parse(path.read_text()))
+        if attr == "snapshots"
+    ]
     lattice_callers = sorted(
         f"{path.stem}.{scope}"
         for path in sorted(SRC.glob("*.py"))
@@ -225,7 +238,8 @@ def test_the_run_lattice_has_one_owner():
         and isinstance(node.value, ast.Attribute)
         and node.value.attr in ("snapshots", "records")
     ]
-    assert frexp == []
+    assert (frexp_mentions, frexp_calls) == (1, ["solver.evolve"])
+    assert snapshot_reads == []
     assert lattice_callers == ["cli._nonlinear_run", "solver.evolve"]
     assert stride_writes == []
     assert cli_time_calls == []
