@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import sys
 
@@ -66,9 +67,7 @@ _DEFAULTS = {
         "width": 0.5,
         "carrier": 0.0,
         "profile": "gaussian",
-        "record_stride": 10,
         "s": 10.0,
-        "snapshots": "dyadic",
     },
     "scatter": {
         "n_modes": 2**12,
@@ -100,7 +99,6 @@ _CHECKS = [
     ("epsilon", lambda v: math.isfinite(v) and v != 0, "nonzero and finite"),
     ("s", math.isfinite, "finite"),
     ("tol", lambda v: 0 < v < math.inf, "positive and finite"),
-    ("snapshots", lambda v: v in ("dyadic", "none"), "'dyadic' or 'none'"),
     ("n_points", lambda v: v >= 2, ">= 2"),
     ("id", lambda v: v in _FIGURES, "in 1..17"),
 ]
@@ -340,55 +338,44 @@ def run_linear_decay(cfg: dict, sink: OutputSink):
     sink.write_json("decay_summary.json", summary)
 
 
-def _nonlinear_run(cfg: dict, keep, per_time_unit: bool = False):
-    """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1, recorded
-    at its s up to t_end on ``SolverConfig.lattice(1)``, each snapshot handed to ``keep`` as it is taken (evolve's
-    writer, scatter's fold; see ``diagnostics.Recorder``), refused if its waves wrap around the box
-    (``_data_family``, before the lattice is counted), if the lattice records fewer than the 4 samples a fit
-    needs, or if dyadic, snapshots no dyadic time 2, 4, ... below t_end.  Per time unit (scatter), t_end must be
-    >= 16, and the checked run records at t = 1, 2, ..., t_end instead: each dyadic time is a step, so it is
-    kept."""
+def _nonlinear_run(cfg: dict, keep):
+    """Recorder and final field of the evolve run of ``cfg``: its family's ``gaussian_data`` at t = 1, recorded at its
+    s at t = 1, 2, ..., t_end, each dyadic profile handed to ``keep`` as it is taken (evolve's writer, scatter's fold;
+    see ``diagnostics.Recorder``).  Refused if its waves wrap around the box (``_data_family``, before the lattice is
+    counted), if t_end <= 3 (the fits need 4 records), or if a dyadic time 2, 4, ... below t_end is no step."""
     grid = Grid(cfg["n_modes"], cfg["half_length"])
-    scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
+    scfg = solver.SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], record_stride=1)
     width, carrier, _ = _data_family(cfg, grid, scfg.t_end - 1.0)
-    if per_time_unit and scfg.t_end < 16.0:
-        raise ValueError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
     if scfg.dt <= 0:
         raise ValueError(f"dt = {scfg.dt:g} must be positive: the run goes forward from t = 1")
+    if scfg.t_end <= 3.0:
+        raise ValueError(f"t_end = {scfg.t_end:g} must be > 3: the fits need the records at t = 1, 2, 3 and t_end")
     lat = scfg.lattice(1.0)
-    if len(lat.records) < 4:
-        raise ValueError(f"{len(lat.records)} records from t = 1 to t_end = {scfg.t_end:g}; the fits need 4")
-    missed = [t for t in _dyadic_times(1.0, scfg.t_end) if t < scfg.t_end and lat.step_at(t) not in lat.records]
-    if missed and cfg["snapshots"] == "dyadic":
-        raise ValueError(f"dt * record_stride = {scfg.dt * scfg.record_stride:g} does not divide "
-                         f"{missed[0] - 1:g}: no snapshot at {missed[0]:g}")
-    if per_time_unit:  # the stride is the step of t = 2, so the records are t = 1, 2, ..., t_end
-        scfg = solver.SolverConfig(scfg.dt, scfg.t_end, lat.step_at(2.0))
+    missed = [t for t in _dyadic_times(1.0, scfg.t_end) if t < scfg.t_end and lat.step_at(t) is None]
+    if missed:
+        raise ValueError(f"dt = {scfg.dt:g} does not divide {missed[0] - 1:g}: no snapshot at {missed[0]:g}")
     u0 = solver.gaussian_data(grid, cfg["epsilon"], width, carrier, time=1.0)
     rec = diagnostics.Recorder(s=cfg["s"], keep=keep)
-    return rec, solver.evolve(u0, scfg, rec)
+    # the stride is the step of t = 2, so the records are t = 1, 2, ..., t_end
+    return rec, solver.evolve(u0, solver.SolverConfig(scfg.dt, scfg.t_end, lat.step_at(2.0)), rec)
 
 
 def run_evolve(cfg: dict, sink: OutputSink):
-    def keep(t: float, profile: SpectralField):
-        # each dyadic profile is written as it is taken, so the run holds none of them
-        if cfg["snapshots"] != "none":
-            sink.write_snapshot(f"profile_t{t:g}.bin", profile)
-
-    rec, final = _nonlinear_run(cfg, keep)
+    # each dyadic profile is written as it is taken, so the run holds none of them
+    rec, final = _nonlinear_run(cfg, lambda t, profile: sink.write_snapshot(f"profile_t{t:g}.bin", profile))
     cells = [(smp.t, smp.linf_fhat, smp.weighted_l2, smp.sobolev, smp.sup_u) for smp in rec.samples]
     sink.write_csv("diagnostics.csv", "t,linf_fhat,weighted_l2,sobolev_s,sup_u", cells)
-    if cfg["snapshots"] != "none":
-        sink.write_snapshot("final_state.bin", final)
+    sink.write_snapshot("final_state.bin", final)
     sink.write_json("bootstrap_summary.json", diagnostics.bootstrap_report(rec.samples))
 
 
 def run_scatter(cfg: dict, sink: OutputSink):
-    """The scattering test of evolve's run, with evolve's defaults (gaussian, carrier 0, s = 10) for
-    the keys scatter lacks, checked at stride 1.  Its ``keep`` is the fold ``DyadicDifferences``,
-    so the run holds one profile's coefficients, not one per dyadic time."""
+    """The scattering test of evolve's run, with evolve's defaults (gaussian, carrier 0, s = 10) for the keys scatter
+    lacks.  Its ``keep`` is the fold ``DyadicDifferences``, so the run holds one profile, not one per dyadic time."""
+    if cfg["t_end"] < 16.0:
+        raise ValueError("t_end must be >= 16: the decay fit needs the differences at t = 1, 2, 4 and 8")
     differences = diagnostics.DyadicDifferences()
-    _nonlinear_run(_DEFAULTS["evolve"] | cfg | {"record_stride": 1}, differences, per_time_unit=True)
+    _nonlinear_run(_DEFAULTS["evolve"] | cfg, differences)
     rows = differences.result()
     sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", rows)
     late = [(t, d) for t, d, _ in rows if t >= 8.0]
@@ -529,7 +516,12 @@ _RUNNERS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag as a configuration error (exit 1): argparse's own
-    exit code 2 is the documented code for a numerical failure."""
+    exit code 2 is the documented code for a numerical failure.  A word that starts like a negative float (-1e-2,
+    -inf) is a flag's value: argparse alone takes only -1 and -0.5 so, and any other word led by '-' as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -10,10 +10,12 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbbmlab import diagnostics, linear_flow, resonance, solver
 from gbbmlab.cli import _CHECKS, _DEFAULTS, OutputSink, _median, build_parser, main, read_snapshot
@@ -84,7 +86,7 @@ def test_evolve_emits_diagnostics_and_snapshots(tmp_path):
     out = tmp_path / "ev"
     rc = run_cli(
         ["evolve", "--t-end", "4", "--dt", "0.05", "--n-modes", "2048",
-         "--half-length", "128", "--record-stride", "20", "--output-dir", str(out)]
+         "--half-length", "128", "--output-dir", str(out)]
     )
     assert rc == 0
     lines = (out / "diagnostics.csv").read_text().strip().splitlines()
@@ -215,21 +217,21 @@ _SMALL_EVOLVE = ["--t-end", "2", "--dt", "0.05", "--n-modes", "256", "--half-len
 
 
 @pytest.mark.parametrize(
-    "argv, ini",
+    "argv, ini, message",
     [
-        (["evolve"] + _SMALL_EVOLVE, "[evolve]\nsnapshots = bogus\n"),
-        (["evolve", "--snapshots", "bogus"] + _SMALL_EVOLVE, None),
-        (["linear-decay", "--profile", "bogus"], None),
+        (["evolve"] + _SMALL_EVOLVE, "[evolve]\nsnapshots = bogus\n", "unknown config key 'snapshots' in [evolve]"),
+        (["evolve", "--snapshots", "bogus"] + _SMALL_EVOLVE, None, "bogus"),
+        (["linear-decay", "--profile", "bogus"], None, "bogus"),
     ],
     ids=["ini-snapshots", "flag-snapshots", "flag-profile"],
 )
-def test_unknown_string_value_exits_1(tmp_path, capsys, argv, ini):
+def test_unknown_string_value_exits_1(tmp_path, capsys, argv, ini, message):
     if ini is not None:
         cfgfile = tmp_path / "bad.ini"
         cfgfile.write_text(ini)
         argv = argv + ["--config", str(cfgfile)]
     assert run_cli(argv + ["--output-dir", str(tmp_path / "x")]) == 1
-    assert "bogus" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
@@ -249,6 +251,29 @@ def test_non_integer_value_for_int_key_exits_1(tmp_path, argv, ini):
         argv = argv + ["--config", str(cfgfile)]
     assert run_cli(argv + ["--output-dir", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, code, message",
+    [
+        ("epsilon", "-1e-2", 0, ""),
+        ("dt", "-1e-2", 1, "error: dt = -0.01 must be positive: the run goes forward from t = 1\n"),
+        ("carrier", "-inf", 1, "error: carrier must be finite, got -inf\n"),
+    ],
+    ids=["epsilon", "dt", "carrier"],
+)
+def test_negative_float_after_a_flag_is_its_value(tmp_path, capsys, key, value, code, message):
+    # argparse alone reads only -1 and -0.5 as numbers, and took -1e-2 or -inf for a flag missing
+    # its value: the flag, its --key=value form and the INI key now give one exit code and message
+    ini = tmp_path / "a.ini"
+    ini.write_text(f"[evolve]\n{key} = {value}\n")
+    spellings = {"flag": [f"--{key}", value], "equals": [f"--{key}={value}"], "ini": ["--config", str(ini)]}
+    for name, flags in spellings.items():
+        out = tmp_path / name
+        rc = run_cli(["evolve", "--t-end", "4"] + _SMALL_GRID + flags + ["--output-dir", str(out)])
+        assert (name, rc, capsys.readouterr().err, out.exists()) == (name, code, message, code == 0)
+    if code == 0:
+        assert len({(tmp_path / name / "diagnostics.csv").read_bytes() for name in spellings}) == 1
 
 
 def test_flags_match_config_keys():
@@ -461,7 +486,7 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         (["evolve", "--profile", "near-sqrt3", "--width", "0"] + _SMALL_EVOLVE, "width must be positive", None),
         (["scatter", "--width", "-0.5"] + _SMALL_GRID, "width must be positive", None),
         (["verify-estimates", "--width", "0"], "width must be positive", None),
-        (["evolve", "--t-end", "5", "--record-stride", "3"] + _SMALL_GRID, "no snapshot at 2", None),
+        (["evolve", "--t-end", "4", "--dt", "0.06"] + _SMALL_GRID, "dt = 0.06 does not divide 1: no snapshot at 2", None),
         (["scatter", "--t-end", "8"] + _SMALL_GRID, "t_end must be >= 16", None),
         (["scatter", "--t-end", "16", "--dt", "0.06"] + _SMALL_GRID, "no snapshot at 2", None),
         (["evolve", "--profile", "band"] + _SMALL_EVOLVE, "unknown profile 'band'", None),
@@ -470,7 +495,7 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         (["linear-decay", "--t-max", "inf"], "need 0 < t_min <= t_max < inf", None),
         (["verify-estimates", "--t-min", "0"], "need 0 < t_min <= t_max < inf", None),
         (["verify-estimates", "--t-max", "nan"], "need 0 < t_min <= t_max < inf", None),
-        (["evolve", "--t-end", "2", "--dt", "0.05"] + _SMALL_GRID, "3 records", None),
+        (["evolve", "--t-end", "2", "--dt", "0.05"] + _SMALL_GRID, "t_end = 2 must be > 3", None),
         (["evolve", "--t-end", "4", "--dt", "-0.05"] + _SMALL_GRID, "dt = -0.05 must be positive", None),
         (["evolve", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite", None),
         (["scatter", "--t-end", "inf"] + _SMALL_GRID, "t_end = inf must be finite", None),
@@ -478,7 +503,7 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         (_SMALL_EVOLVE_4 + ["--s", "nan"], "s must be finite", None),
         (["verify-estimates", "--s", "nan"], "s must be finite", None),
         (["verify-estimates", "--k-max", "20"], "too small for band k = 20", None),
-        (["evolve", "--t-end", "16", "--dt", "0.07", "--snapshots", "none"] + _SMALL_GRID, "does not divide", None),
+        (["evolve", "--t-end", "16", "--dt", "0.07"] + _SMALL_GRID, "does not divide", None),
         (["evolve", "--n-modes", "1", "--t-end", "5"], "n_modes must be a power of two >= 2", None),
         (_SMALL_EVOLVE_4 + ["--epsilon", "0"], "epsilon must be nonzero and finite", None),
         (_SMALL_EVOLVE_4 + ["--epsilon", "nan"], "epsilon must be nonzero and finite", None),
@@ -541,6 +566,10 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
          "into 1e+21 steps, more than an index holds", None),
         (["scatter", "--n-modes", "256", "--half-length", "1e30", "--t-end", "1e20"],
          "into 1e+21 steps, more than an index holds", None),
+        # the records are each whole time: no stride and no choice of snapshots is configured
+        (["evolve", "--record-stride", "3"] + _SMALL_EVOLVE_4[1:], "unrecognized arguments: --record-stride 3", None),
+        (["evolve", "--snapshots", "none"] + _SMALL_EVOLVE_4[1:], "unrecognized arguments: --snapshots none", None),
+        (_SMALL_EVOLVE_4, "unknown config key 'record_stride' in [evolve]", "[evolve]\nrecord_stride = 10\n"),
     ],
     ids=[
         "linear-decay-width-0", "linear-decay-near-sqrt3-width-0", "evolve-width-negative",
@@ -564,6 +593,7 @@ def test_linear_decay_peak_read_off_a_sub_box_is_the_full_boxs(tmp_path):
         "evolve-t-end-1e20", "scatter-t-end-1e20", "evolve-t-end-1e17-small-grid", "verify-estimates-width-60",
         "linear-decay-data-past-the-box", "evolve-data-past-the-box",
         "evolve-lattice-past-an-index", "scatter-lattice-past-an-index",
+        "evolve-record-stride", "evolve-snapshots", "ini-evolve-record-stride",
     ],
 )
 def test_bad_configuration_rejected_before_data(tmp_path, capsys, monkeypatch, argv, message, ini):
@@ -690,15 +720,17 @@ def test_overflowing_s_without_a_case_1_row_still_runs(tmp_path):
 
 def test_scatter_is_a_reading_of_evolve(tmp_path):
     # scatter integrates evolve's run: the scattering test of evolve's dyadic
-    # profile snapshots, written by the same CSV writer, is scatter's table
-    ev, sc = tmp_path / "ev", tmp_path / "sc"
-    assert run_cli(["evolve", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(ev)]) == 0
-    assert run_cli(["scatter", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(sc)]) == 0
-    profiles = [(t, read_snapshot(str(ev / f"profile_t{t}.bin"))) for t in (1, 2, 4, 8, 16)]
-    sink = OutputSink(str(tmp_path / "read"), "scatter", {})
-    sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", diagnostics.scattering_test(profiles))
-    sink.finalize()
-    assert (tmp_path / "read" / "scattering.csv").read_bytes() == (sc / "scattering.csv").read_bytes()
+    # profile snapshots, written by the same CSV writer, is scatter's table,
+    # at a dt other than the default too (dt = 0.04 is 25 steps a time unit)
+    for name, dt in (("default", []), ("dt-0.04", ["--dt", "0.04"])):
+        ev, sc, read = tmp_path / name / "ev", tmp_path / name / "sc", tmp_path / name / "read"
+        assert run_cli(["evolve", "--t-end", "16"] + dt + _SMALL_GRID + ["--output-dir", str(ev)]) == 0
+        assert run_cli(["scatter", "--t-end", "16"] + dt + _SMALL_GRID + ["--output-dir", str(sc)]) == 0
+        profiles = [(t, read_snapshot(str(ev / f"profile_t{t}.bin"))) for t in (1, 2, 4, 8, 16)]
+        sink = OutputSink(str(read), "scatter", {})
+        sink.write_csv("scattering.csv", "t,diff_linf,diff_l2", diagnostics.scattering_test(profiles))
+        sink.finalize()
+        assert (read / "scattering.csv").read_bytes() == (sc / "scattering.csv").read_bytes()
 
 
 def test_scatter_records_whole_times_only(tmp_path, monkeypatch):
@@ -730,25 +762,6 @@ def test_evolve_writes_each_snapshot_as_it_is_taken(tmp_path, monkeypatch):
     monkeypatch.setattr(OutputSink, "write_snapshot", traced)
     assert run_cli(["evolve", "--t-end", "16"] + _SMALL_GRID + ["--output-dir", str(tmp_path / "ev")]) == 0
     assert [n for n, _ in written] == [f"profile_t{t}.bin" for t in (1, 2, 4, 8, 16)] + ["final_state.bin"]
-
-
-def test_evolve_without_snapshots_holds_and_writes_no_profile(tmp_path, monkeypatch):
-    recorders, taken = [], []
-    record = diagnostics.Recorder.__call__
-
-    def traced(self, field, profile, snapshot):
-        assert [ref for ref in taken if ref() is not None] == []
-        recorders.append(self)
-        if snapshot:
-            taken.append(weakref.ref(profile))
-        record(self, field, profile, snapshot)
-
-    monkeypatch.setattr(diagnostics.Recorder, "__call__", traced)
-    out = tmp_path / "ev"
-    assert run_cli(["evolve", "--t-end", "16", "--snapshots", "none"] + _SMALL_GRID + ["--output-dir", str(out)]) == 0
-    assert len(taken) == 5 and [ref for ref in taken if ref() is not None] == []
-    assert recorders[0].profiles == []
-    assert sorted(p.name for p in out.iterdir()) == ["bootstrap_summary.json", "diagnostics.csv", "manifest.json"]
 
 
 def test_evolve_memory_does_not_grow_with_its_snapshots(tmp_path):
@@ -877,19 +890,53 @@ def test_scatter_fits_its_late_rows(tmp_path):
     assert summary["fitted_exponent"] == pytest.approx(np.polyfit(late[:, 0], late[:, 1], 1)[0], rel=1e-9)
 
 
-def test_off_lattice_dyadic_time_allowed_without_snapshots(tmp_path):
-    out = tmp_path / "ev"
-    argv = ["evolve", "--t-end", "5", "--record-stride", "3", "--snapshots", "none"] + _SMALL_GRID
-    assert run_cli(argv + ["--output-dir", str(out)]) == 0
-    assert (out / "manifest.json").exists()
-
-
 def test_dyadic_check_reads_the_snapshots_the_run_keeps(tmp_path):
     # t_end = 16 + 1e-10 is within 1e-9 (t_end - 1) of 16, so the last record
     # is stamped 16 and kept: the check accepts the snapshot the run writes
     out = tmp_path / "ev"
     assert run_cli(["evolve", "--t-end", "16.0000000001"] + _SMALL_GRID + ["--output-dir", str(out)]) == 0
     assert read_snapshot(str(out / "profile_t16.bin")).time == 16.0
+
+
+def _record_rule(dt: str, t_end: str):
+    """(record times, profile files) of an evolve run of (dt, t_end), or None where the record rule refuses
+    it, worked in exact fractions of the decimal strings: the records are each whole time from 1 and t_end,
+    each dyadic time below t_end must be a step, and the fits need t_end > 3."""
+    dt_q, t_q = Fraction(dt), Fraction(t_end)
+    dyadic = [2**e for e in range(math.floor(t_q).bit_length())]  # 2^e <= t_end
+    if t_q <= 3 or any(((t - 1) / dt_q).denominator != 1 for t in [*dyadic, t_q]):
+        return None
+    times = [float(t) for t in range(1, math.floor(t_q) + 1)] + ([float(t_q)] if t_q.denominator != 1 else [])
+    return times, sorted(f"profile_t{t}.bin" for t in dyadic)
+
+
+#: Steps per time unit of 10, 20, 25, 40 and 16, then dts that cut no time unit into whole steps.
+_RECORD_DTS = ["0.1", "0.05", "0.04", "0.025", "0.0625", "0.06", "0.07", "0.08", "0.03", "0.075"]
+
+
+@settings(max_examples=20, deadline=5000)
+@given(
+    dt=st.sampled_from(_RECORD_DTS),
+    whole=st.integers(0, 39),
+    fraction=st.sampled_from(["", ".2", ".25", ".3", ".5", ".75"]),
+)
+def test_evolve_records_each_whole_time_and_snapshots_each_dyadic_one(tmp_path_factory, dt, whole, fraction):
+    # the grid's waves wrap after a time 64.9, past every drawn t_end
+    t_end = f"{whole}{fraction}"
+    out = tmp_path_factory.mktemp("ev") / "run"
+    rc = run_cli(["evolve", "--dt", dt, "--t-end", t_end, "--n-modes", "256", "--half-length", "64",
+                  "--output-dir", str(out)])
+    expected = _record_rule(dt, t_end)
+    assert rc == (1 if expected is None else 0)
+    if expected is None:
+        assert not out.exists()
+        return
+    # a fractional t_end is stamped t0 + span * n / n, which may be an ulp or two off t_end (6.2000000000000011)
+    times, profiles = expected
+    assert [float(line.split(",")[0]) for line in (out / "diagnostics.csv").read_text().splitlines()[1:]] == (
+        pytest.approx(times, rel=1e-15, abs=0.0))
+    assert sorted(p.name for p in out.glob("profile_t*.bin")) == profiles
+    assert (out / "final_state.bin").exists()
 
 
 @pytest.mark.parametrize(

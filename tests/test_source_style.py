@@ -268,3 +268,32 @@ def test_one_wrap_rule():
     assert margin_readers == ["spectral.py"]
     assert reach_readers == ["cli._data_family"]
     assert sorted(path.name for path in SRC.glob("*.py") if "_GAUSSIAN_REACH" in path.read_text()) == ["cli.py"]
+
+
+def _stride(call: ast.Call):
+    """The record_stride argument of a SolverConfig call, positional or by keyword, or None."""
+    given = call.args[2:3] + [kw.value for kw in call.keywords if kw.arg == "record_stride"]
+    return given[0] if given else None
+
+
+def test_one_record_rule():
+    # evolve and scatter record each whole time by one rule: _nonlinear_run takes no switch of its
+    # own, no config key sets a stride or a choice of snapshots, and the run evolve is given
+    # records every step_at(2) steps; the one other config is the stride-1 lattice that checks the run
+    cli = ast.parse((SRC / "cli.py").read_text())
+    run = next(node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "_nonlinear_run")
+    signature = ast.unparse(run.args)
+    key_reads = [
+        f"cli.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Constant) and node.value in ("record_stride", "snapshots")
+    ]
+    configs = [
+        node for node in ast.walk(cli) if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "SolverConfig"
+    ]
+    (evolve,) = [node for node in ast.walk(run) if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "evolve"]
+    run_config = evolve.args[1]
+    assert signature == "cfg: dict, keep"
+    assert key_reads == []
+    assert run_config in configs and ast.unparse(_stride(run_config)) == "lat.step_at(2.0)"
+    assert [ast.unparse(_stride(node)) for node in configs if node is not run_config] == ["1"]
